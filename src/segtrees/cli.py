@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
 
-from .constructions import LABELED, PROVED_NOT_SEG, label_any
+from .constructions import LABELED, PROVED_NOT_SEG, ConstructionFault, label_any
 from .labeling import (
     LabelingFormatError,
     induce,
@@ -27,7 +28,6 @@ from .labeling import (
 from .search import (
     BUDGET_EXCEEDED,
     COUNT_ALL,
-    EXHAUST_ALL,
     EXHAUSTED_NONE,
     FIND_ONE,
     FOUND,
@@ -41,6 +41,7 @@ from .trees import (
     CONJECTURED,
     CONSTRUCTIVE,
     NOT_SEG,
+    RootedTree,
     TreeSpec,
     build_tree,
     classify,
@@ -65,30 +66,33 @@ _STATUS_TEXT = {
 
 
 def _parse_budget(text: str) -> int:
-    """Accept 1000000, 10^6, or 1e6."""
+    """Accept 1000000, 10^6, or 1e6: a finite whole number of nodes, >= 0."""
     t = text.strip().lower()
     try:
         if "^" in t:
             base, exp = t.split("^", 1)
-            return int(base) ** int(exp)
-        if "e" in t:
+            v = float(int(base)) ** int(exp)  # overflows instead of building a huge int
+        elif "e" in t:
             v = float(t)
-            if v != int(v):
-                raise ValueError
-            return int(v)
-        return int(t)
-    except ValueError:
+        else:
+            v = int(t)
+        if not (0 <= v < math.inf and v == int(v)):
+            raise ValueError
+        return int(v)
+    except (ValueError, OverflowError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad budget {text!r}") from None
 
 
-def _config_from(args: argparse.Namespace, mode: str) -> SearchConfig:
+def _config_from(
+    args: argparse.Namespace, mode: str, default_budget: int | None = None
+) -> SearchConfig:
     return SearchConfig(
-        node_budget=getattr(args, "search_budget", None),
-        break_negation=getattr(args, "break_negation", True),
-        break_leaf_permutations=getattr(args, "break_leaves", True),
-        break_equal_spine_vertices=getattr(args, "break_spine", True),
+        node_budget=default_budget if args.search_budget is None else args.search_budget,
+        break_negation=args.break_negation,
+        break_leaf_permutations=args.break_leaves,
+        break_equal_spine_vertices=args.break_spine,
         mode=mode,
-        override_guard=getattr(args, "override_guard", False),
+        override_guard=args.override_guard,
     )
 
 
@@ -109,12 +113,10 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _labeling_lines(spec: TreeSpec, f: dict[str, int]) -> list[str]:
-    tree = build_tree(spec)
-    lines = [f"  {e} = {f[e]}" for e in tree.edge_ids]
-    g = induce(tree, f)
-    lines.append("  induced: " + ", ".join(f"{v}={g[v]}" for v in tree.vertex_ids))
-    return lines
+def _print_labeling(tree: RootedTree, f: dict[str, int], g: dict[str, int]) -> None:
+    for e in tree.edge_ids:
+        print(f"  {e} = {f[e]}")
+    print("  induced: " + ", ".join(f"{v}={g[v]}" for v in tree.vertex_ids))
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +153,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_label(args: argparse.Namespace) -> int:
     spec = parse_spec(args.spec)
-    outcome = label_any(
-        spec, search_budget=args.search_budget, override_guard=args.override_guard
-    )
-    cert = None
-    if outcome.kind == PROVED_NOT_SEG and outcome.tag == "by-exhaustion":
-        # the fallback search exhausted; rerun deterministically for the record
-        cfg = _config_from(args, EXHAUST_ALL)
-        cert = make_certificate(spec, cfg, search(spec, cfg))
-        if args.certificates_dir:
-            path = _write_certificate(cert, args.certificates_dir, spec)
+    cfg = None if args.search_budget is None else _config_from(args, FIND_ONE)
+    outcome = label_any(spec, cfg)
     if outcome.kind == LABELED:
         f = outcome.labeling
-        report = verify(build_tree(spec), f)
-        if not report.is_seg:  # label_any already gates on this; belt and braces
-            print("internal error: produced labeling failed verification", file=sys.stderr)
-            return EXIT_NEGATIVE
         if args.out:
-            Path(args.out).write_text(write_labeling(build_tree(spec), f))
+            Path(args.out).write_text(write_labeling(outcome.tree, f))
         if args.format == "json":
             _print_json(
                 {
@@ -183,12 +173,16 @@ def cmd_label(args: argparse.Namespace) -> int:
         else:
             via = f" via {outcome.tag}" + (f" [{outcome.case}]" if outcome.case else "")
             print(f"{spec.format()}: SEG labeling found{via}")
-            for line in _labeling_lines(spec, f):
-                print(line)
+            _print_labeling(outcome.tree, f, outcome.vertex_labels)
             if args.out:
                 print(f"  written to {args.out}")
         return EXIT_OK
     if outcome.kind == PROVED_NOT_SEG:
+        cert = path = None
+        if outcome.search is not None:
+            cert = make_certificate(spec, cfg, outcome.search)
+            if args.certificates_dir:
+                path = _write_certificate(cert, args.certificates_dir, spec)
         if args.format == "json":
             _print_json(
                 {
@@ -200,7 +194,7 @@ def cmd_label(args: argparse.Namespace) -> int:
             )
         else:
             print(f"{spec.format()}: not SEG ({outcome.tag})")
-            if cert and args.certificates_dir:
+            if path:
                 print(f"  certificate written: {path}")
         return EXIT_NEGATIVE
     if args.format == "json":
@@ -243,12 +237,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     spec = parse_spec(args.spec)
-    if args.exhaust:
-        mode = EXHAUST_ALL
-    elif args.count:
-        mode = COUNT_ALL
-    else:
-        mode = FIND_ONE
+    # --exhaust certifies an exhausted find-one run: one labeling refutes absence
+    mode = COUNT_ALL if args.count else FIND_ONE
     cfg = _config_from(args, mode)
     result = search(spec, cfg)
     cert_path = None
@@ -273,8 +263,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(f"{spec.format()}: found (nodes={result.nodes_visited})")
         if result.count is not None:
             print(f"  count: {result.count} SEG labelings")
-        for line in _labeling_lines(spec, result.labeling):
-            print(line)
+        tree = build_tree(spec)
+        _print_labeling(tree, result.labeling, induce(tree, result.labeling))
     elif result.outcome == EXHAUSTED_NONE:
         msg = f"{spec.format()}: none (exhausted, nodes={result.nodes_visited})"
         if cert_path:
@@ -291,18 +281,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     return EXIT_UNDECIDED
 
 
-def _oracle_status(spec: TreeSpec, args: argparse.Namespace) -> tuple[str, int]:
-    if spec.q > GUARD_Q and not args.override_guard:
+def _oracle_status(spec: TreeSpec, cfg: SearchConfig) -> tuple[str, int]:
+    if spec.q > GUARD_Q and not cfg.override_guard:
         return "skipped", 0
-    budget = args.search_budget if args.search_budget is not None else SURVEY_DEFAULT_BUDGET
-    cfg = SearchConfig(
-        node_budget=budget,
-        break_negation=args.break_negation,
-        break_leaf_permutations=args.break_leaves,
-        break_equal_spine_vertices=args.break_spine,
-        mode=FIND_ONE,
-        override_guard=args.override_guard,
-    )
     result = search(spec, cfg)
     if result.outcome == FOUND:
         return "found", result.nodes_visited
@@ -314,6 +295,7 @@ def _oracle_status(spec: TreeSpec, args: argparse.Namespace) -> tuple[str, int]:
 def cmd_survey(args: argparse.Namespace) -> int:
     rows = []
     disagreements = 0
+    cfg = _config_from(args, FIND_ONE, SURVEY_DEFAULT_BUDGET)
     for spec in enumerate_specs(args.max_size):
         cls = classify(spec)
         theory = {
@@ -321,7 +303,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
             NOT_SEG: "not-SEG",
             CONJECTURED: "conjectured",
         }.get(cls.status, "uncovered")
-        oracle, nodes = _oracle_status(spec, args)
+        oracle, nodes = _oracle_status(spec, cfg)
         if theory in ("conjectured", "uncovered") or oracle in ("skipped", "budget"):
             agreement = "info"
         elif (theory == "SEG") == (oracle == "found"):
@@ -432,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="run the exhaustive oracle")
     p.add_argument("spec")
     p.add_argument("--exhaust", action="store_true",
-                   help="explore everything; certify absence if none found")
+                   help="stop at the first labeling; certify absence if none exists")
     p.add_argument("--count", action="store_true",
                    help="count all SEG labelings (symmetry re-expanded)")
     p.add_argument("--certificates-dir", metavar="PATH", default="certificates")
@@ -456,9 +438,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed help (0) or a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
+    except ConstructionFault as exc:
+        print(f"internal error: produced labeling failed verification: {exc}",
+              file=sys.stderr)
+        return EXIT_NEGATIVE
     except GuardRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED

@@ -15,13 +15,15 @@ unpaired first leaf that the rules label explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .labeling import EdgeLabeling, verify
+from .labeling import EdgeLabeling, VertexLabeling, verify
+from .search import BUDGET_EXCEEDED, EXHAUSTED_NONE, FIND_ONE, SearchConfig, SearchResult
 from .trees import (
     CONSTRUCTIVE,
     NOT_SEG,
     Classification,
+    RootedTree,
     TreeSpec,
     build_tree,
     classify,
@@ -36,26 +38,21 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class LabelOutcome:
+    """What ``label_any`` decided, and the work behind it: the tree and induced
+    labels that verified ``labeling``, and the fallback search run, if any.
+    """
+
     kind: str
     tag: str
     labeling: EdgeLabeling | None = None
     case: str | None = None
+    tree: RootedTree | None = None
+    vertex_labels: VertexLabeling | None = None
+    search: SearchResult | None = None
 
     @property
     def is_labeled(self) -> bool:
         return self.kind == LABELED
-
-
-def Labeled(f: EdgeLabeling, tag: str, case: str | None = None) -> LabelOutcome:
-    return LabelOutcome(LABELED, tag, f, case)
-
-
-def ProvedNotSEG(tag: str) -> LabelOutcome:
-    return LabelOutcome(PROVED_NOT_SEG, tag)
-
-
-def Unknown(tag: str) -> LabelOutcome:
-    return LabelOutcome(UNKNOWN, tag)
 
 
 class WrongFamily(ValueError):
@@ -188,8 +185,8 @@ def _cat_q_odd_j_odd_evens(B: _Builder, r: int, s: int, t: int) -> None:
         B.pair(2 * r + 1, i, r + s - 1 + i)
 
 
-def _cat_q_odd_single_leaf(B: _Builder, r: int, t: int) -> None:
-    """j = 2r+1 >= 3, counts 1 and 2t+1 >= 3; q = 2(r+t+2)+1."""
+def _cat_q_odd_single_leaf(B: _Builder, r: int, s: None, t: int) -> None:
+    """j = 2r+1 >= 3, counts 1 and 2t+1 >= 3; q = 2(r+t+2)+1; no s."""
     big = r + t + 2
     B.spine(1, -1)
     B.spine(2, -2)
@@ -232,29 +229,30 @@ def _cat_q_odd_j_odd_odds(B: _Builder, r: int, s: int, t: int) -> None:
 # lobsters, q even
 # ---------------------------------------------------------------------------
 
-def _leaf_groups(B: _Builder, base: int, start_vertex: int) -> None:
+def _leaf_groups(
+    B: _Builder, first: int, start_vertex: int, placed: tuple[int, ...] = ()
+) -> None:
     """Paired leaves for all branch vertices from start_vertex on.
 
-    Labels run consecutively from base+1; a vertex with count 2b or 2b+1
-    consumes b magnitudes.  Even counts pair at (2m-1, 2m); odd counts keep
-    position 1 free (labeled explicitly elsewhere) and pair at (2m, 2m+1).
+    The unlabeled pairs get consecutive labels from ``first``; a vertex with
+    count 2b or 2b+1 has b pairs.  Even counts pair at (2m-1, 2m); odd
+    counts keep position 1 free (labeled explicitly elsewhere) and pair at
+    (2m, 2m+1).  Vertices in ``placed`` already carry their first pair.
     """
     spec = B.spec
-    acc = 0
+    value = first
     for i in range(start_vertex, spec.n + 1):
         a = spec.a(i)
-        for m in range(1, a // 2 + 1):
-            value = base + m + acc
-            if a % 2 == 0:
-                B.pair(i, m, value)
-            else:
-                B.pair_shifted(i, m, value)
-        acc += a // 2
+        put = B.pair if a % 2 == 0 else B.pair_shifted
+        for m in range(2 if i in placed else 1, a // 2 + 1):
+            put(i, m, value)
+            value += 1
 
 
-def _lob_even_size_l_odd(B: _Builder, rs: int, t: int) -> None:
-    """q even, l = 2t+1; j+k = 2rs; branch blocks j+1..n."""
+def _lob_even_size_l_odd(B: _Builder, r: int, s: int, t: int) -> None:
+    """q even, l = 2t+1; j+k = 2rs with rs = r+s; branch blocks j+1..n."""
     spec = B.spec
+    rs = r + s
     n = spec.n
     B.spine(2 * rs + 1, 1)
     for i in range(1, t + 1):
@@ -267,12 +265,13 @@ def _lob_even_size_l_odd(B: _Builder, rs: int, t: int) -> None:
     for i in range(1, rs + 1):
         B.spine(2 * i - 1, 2 * t + 1 + i)
         B.spine(2 * i, -(2 * t + 1 + i))
-    _leaf_groups(B, rs + 2 * t + 1, spec.j + 1)
+    _leaf_groups(B, rs + 2 * t + 2, spec.j + 1)
 
 
-def _lob_even_size_l_even(B: _Builder, rs: int, t: int) -> None:
-    """q even, l = 2t; j+k = 2rs; branch blocks j+1..n."""
+def _lob_even_size_l_even(B: _Builder, r: int, s: int, t: int) -> None:
+    """q even, l = 2t; j+k = 2rs with rs = r+s; branch blocks j+1..n."""
     spec = B.spec
+    rs = r + s
     for i in range(1, t + 1):
         B.spine(2 * (rs + i) - 1, 2 * i - 1)
         B.spine(2 * (rs + i), -(2 * i - 1))
@@ -281,7 +280,7 @@ def _lob_even_size_l_even(B: _Builder, rs: int, t: int) -> None:
     for i in range(1, rs + 1):
         B.spine(2 * i - 1, 2 * t + i)
         B.spine(2 * i, -(2 * t + i))
-    _leaf_groups(B, rs + 2 * t, spec.j + 1)
+    _leaf_groups(B, rs + 2 * t + 1, spec.j + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +310,7 @@ def _lob_jkl_even_odd_odd(B: _Builder, r: int, s: int, t: int) -> None:
         for i in range(1, s):
             B.spine(2 * (r + i), r + 1 + i)
             B.spine(2 * (r + i) + 1, -(r + 1 + i))
-        base = r + s - 1
+        first = r + s + 1
     else:
         for i in range(1, t + 1):
             B.spine(2 * (r + s + i - 1), 2 * i - 1)
@@ -331,20 +330,8 @@ def _lob_jkl_even_odd_odd(B: _Builder, r: int, s: int, t: int) -> None:
         for i in range(1, s):
             B.spine(2 * (r + i), r + 2 * t + 1 + i)
             B.spine(2 * (r + i) + 1, -(r + 2 * t + 1 + i))
-        base = r + s + 2 * t - 1
-    # v_{2r+1} already has its first pair of leaves labeled; continue from m=2
-    for m in range(2, spec.a(2 * r + 1) // 2 + 1):
-        B.pair(2 * r + 1, m, base + m)
-    acc = spec.a(2 * r + 1) // 2
-    for i in range(2 * r + 2, n + 1):
-        a = spec.a(i)
-        for m in range(1, a // 2 + 1):
-            value = base + m + acc
-            if a % 2 == 0:
-                B.pair(i, m, value)
-            else:
-                B.pair_shifted(i, m, value)
-        acc += a // 2
+        first = r + s + 2 * t + 1
+    _leaf_groups(B, first, 2 * r + 1, placed=(2 * r + 1,))
 
 
 def _lob_jkl_even_odd_even(B: _Builder, r: int, s: int, t: int) -> None:
@@ -369,7 +356,7 @@ def _lob_jkl_even_odd_even(B: _Builder, r: int, s: int, t: int) -> None:
         for i in range(2, s + 1):
             B.spine(2 * (r + i), r + i)
             B.spine(2 * (r + i) + 1, -(r + i))
-        base = r + s - 1
+        first = r + s + 1
     else:
         big = r + s + 2 * t + sb
         B.spine(2 * r + 2, 2)
@@ -390,29 +377,19 @@ def _lob_jkl_even_odd_even(B: _Builder, r: int, s: int, t: int) -> None:
         for i in range(2, t + 1):
             B.leaf(2 * (r + s + i), 1, -2 * (t + 2 - i))
             B.leaf(2 * (r + s + i) + 1, 1, 2 * (t + 2 - i))
-        base = 2 * t + r + s - 1
-    for m in range(2, spec.a(2 * r + 1) // 2 + 1):
-        B.pair(2 * r + 1, m, base + m)
-    acc = spec.a(2 * r + 1) // 2
-    for i in range(2 * r + 2, n + 1):
-        a = spec.a(i)
-        for m in range(1, a // 2 + 1):
-            value = base + m + acc
-            if a % 2 == 0:
-                B.pair(i, m, value)
-            else:
-                B.pair_shifted(i, m, value)
-        acc += a // 2
+        first = 2 * t + r + s + 1
+    _leaf_groups(B, first, 2 * r + 1, placed=(2 * r + 1,))
 
 
-def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, l: int) -> None:
-    """j = 2r+1, k = 2s >= 2, l in {1, 2}; q = 2(r+s+l+sum b)+1.
+def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
+    """j = 2r+1, k = 2s >= 2, l in {1, 2}; q = 2(r+s+l+sum b)+1; no t.
 
     Branch blocks: even counts at 2r+2 .. 2(r+s)+1, odd counts at the last
     l spine positions.
     """
     spec = B.spec
     n = spec.n
+    l = spec.l
     sb = sum(spec.a(i) // 2 for i in range(spec.j + 1, n + 1))
     if l == 1:
         big = r + s + 1 + sb
@@ -429,18 +406,7 @@ def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, l: int) -> None:
         for i in range(2, s + 1):
             B.spine(2 * (r + i), r + 1 + i)
             B.spine(2 * (r + i) + 1, -(r + 1 + i))
-        for m in range(2, spec.a(2 * r + 2) // 2 + 1):
-            B.pair(2 * r + 2, m, r + s + m)
-        acc = spec.a(2 * r + 2) // 2
-        for i in range(2 * r + 3, n + 1):
-            a = spec.a(i)
-            for m in range(1, a // 2 + 1):
-                value = r + s + m + acc
-                if a % 2 == 0:
-                    B.pair(i, m, value)
-                else:
-                    B.pair_shifted(i, m, value)
-            acc += a // 2
+        _leaf_groups(B, r + s + 2, 2 * r + 2, placed=(2 * r + 2,))
         return
     # l == 2
     big = r + s + 2 + sb
@@ -461,68 +427,58 @@ def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, l: int) -> None:
     for i in range(2, s + 1):
         B.spine(2 * (r + i), r + 3 + i)
         B.spine(2 * (r + i) + 1, -(r + 3 + i))
-    # first branch vertex runs one magnitude ahead of the generic base
-    for m in range(2, spec.a(2 * r + 2) // 2 + 1):
-        B.pair(2 * r + 2, m, r + s + 2 + m)
-    acc = spec.a(2 * r + 2) // 2
-    for i in range(2 * r + 3, n + 1):
-        a = spec.a(i)
-        start = 2 if i == 2 * r + 3 else 1
-        for m in range(start, a // 2 + 1):
-            value = r + s + 1 + m + acc
-            if a % 2 == 0:
-                B.pair(i, m, value)
-            else:
-                B.pair_shifted(i, m, value)
-        acc += a // 2
+    _leaf_groups(B, r + s + 4, 2 * r + 2, placed=(2 * r + 2, 2 * r + 3))
+
+
+#: dispatch tag -> rule(B, r, s, t); the one tag whose cases take different
+#: rules is keyed "tag/case"
+_RULES = {
+    "cat-q-even-j-even/both-even": _cat_q_even_j_even_both_even,
+    "cat-q-even-j-even/both-odd": _cat_q_even_j_even_both_odd,
+    "cat-q-even-j-odd": _cat_q_even_j_odd,
+    "cat-q-odd-j-even": _cat_q_odd_j_even,
+    "cat-q-odd-j-odd-evens": _cat_q_odd_j_odd_evens,
+    "cat-q-odd-single-leaf": _cat_q_odd_single_leaf,
+    "cat-q-odd-j-odd-odds": _cat_q_odd_j_odd_odds,
+    "lob-jkl-odd-odd-odd": _lob_even_size_l_odd,
+    "lob-jkl-even-even-odd": _lob_even_size_l_odd,
+    "lob-jkl-odd-odd-even": _lob_even_size_l_even,
+    "lob-jkl-even-even-even": _lob_even_size_l_even,
+    "lob-jkl-even-odd-odd": _lob_jkl_even_odd_odd,
+    "lob-jkl-even-odd-even": _lob_jkl_even_odd_even,
+    "lob-jkl-odd-even-small-l": _lob_jkl_odd_even_small_l,
+}
 
 
 def _build_for(cls: Classification) -> EdgeLabeling:
-    spec = cls.spec
-    B = _Builder(spec, cls.tag)
+    rule = _RULES.get(f"{cls.tag}/{cls.case}") or _RULES.get(cls.tag)
+    if rule is None:
+        raise ConstructionFault(cls.spec, cls.tag, "no rule implemented for this tag")
+    B = _Builder(cls.spec, cls.tag)
     p = cls.params
-    tag = cls.tag
-    if tag == "cat-q-even-j-even":
-        if cls.case == "both-even":
-            _cat_q_even_j_even_both_even(B, p["r"], p["s"], p["t"])
-        else:
-            _cat_q_even_j_even_both_odd(B, p["r"], p["s"], p["t"])
-    elif tag == "cat-q-even-j-odd":
-        _cat_q_even_j_odd(B, p["r"], p["s"], p["t"])
-    elif tag == "cat-q-odd-j-even":
-        _cat_q_odd_j_even(B, p["r"], p["s"], p["t"])
-    elif tag == "cat-q-odd-j-odd-evens":
-        _cat_q_odd_j_odd_evens(B, p["r"], p["s"], p["t"])
-    elif tag == "cat-q-odd-single-leaf":
-        _cat_q_odd_single_leaf(B, p["r"], p["t"])
-    elif tag == "cat-q-odd-j-odd-odds":
-        _cat_q_odd_j_odd_odds(B, p["r"], p["s"], p["t"])
-    elif tag == "lob-jkl-odd-odd-odd" or tag == "lob-jkl-even-even-odd":
-        _lob_even_size_l_odd(B, (spec.j + spec.k) // 2, p["t"])
-    elif tag == "lob-jkl-odd-odd-even" or tag == "lob-jkl-even-even-even":
-        _lob_even_size_l_even(B, (spec.j + spec.k) // 2, p["t"])
-    elif tag == "lob-jkl-even-odd-odd":
-        _lob_jkl_even_odd_odd(B, p["r"], p["s"], p["t"])
-    elif tag == "lob-jkl-even-odd-even":
-        _lob_jkl_even_odd_even(B, p["r"], p["s"], p["t"])
-    elif tag == "lob-jkl-odd-even-small-l":
-        _lob_jkl_odd_even_small_l(B, p["r"], p["s"], spec.l)
-    else:
-        raise ConstructionFault(spec, tag, "no rule implemented for this tag")
+    rule(B, p.get("r"), p.get("s"), p.get("t"))
     return B.f
+
+
+def _verified(
+    spec: TreeSpec, f: EdgeLabeling, tag: str, case: str | None = None,
+    search: SearchResult | None = None,
+) -> LabelOutcome:
+    """The one verification gate every produced labeling passes."""
+    tree = build_tree(spec)
+    report = verify(tree, f)
+    if not report.is_seg:
+        detail = "; ".join(v.describe() for v in report.violations)
+        raise ConstructionFault(spec, tag, detail)
+    return LabelOutcome(LABELED, tag, f, case, tree, report.vertex_labels, search)
 
 
 def _run(cls: Classification) -> LabelOutcome:
     if cls.status == NOT_SEG:
-        return ProvedNotSEG(cls.tag)
+        return LabelOutcome(PROVED_NOT_SEG, cls.tag)
     if cls.status != CONSTRUCTIVE:
-        return Unknown(cls.tag)
-    f = _build_for(cls)
-    report = verify(build_tree(cls.spec), f)
-    if not report.is_seg:
-        detail = "; ".join(v.describe() for v in report.violations)
-        raise ConstructionFault(cls.spec, cls.tag, detail)
-    return Labeled(f, cls.tag, cls.case)
+        return LabelOutcome(UNKNOWN, cls.tag)
+    return _verified(cls.spec, _build_for(cls), cls.tag, cls.case)
 
 
 def _family_labeler(spec: TreeSpec, family: str) -> LabelOutcome:
@@ -547,29 +503,24 @@ def label_odd_lobster(spec: TreeSpec) -> LabelOutcome:
     return _family_labeler(spec, "OddLobster")
 
 
-def label_any(
-    spec: TreeSpec,
-    search_budget: int | None = None,
-    override_guard: bool = False,
-) -> LabelOutcome:
-    """Dispatch to the right family labeler; optionally fall back to search.
+def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcome:
+    """Dispatch to the right family labeler; with a config, fall back to search.
 
-    With a search budget, an Unknown outcome (conjectured or uncovered
-    family) is retried exhaustively: a found labeling upgrades to
-    Labeled(..., "by-search"), full exhaustion to ProvedNotSEG("by-exhaustion"),
-    and a spent budget stays Unknown.
+    Given a search config, an UNKNOWN outcome (conjectured or uncovered
+    family) is retried by one FIND_ONE search under that config: a found
+    labeling, verified, upgrades to LABELED with tag "by-search", full
+    exhaustion to PROVED_NOT_SEG with tag "by-exhaustion", and a spent
+    budget stays UNKNOWN.
     """
     outcome = _run(classify(spec))
-    if outcome.kind != UNKNOWN or search_budget is None:
+    if outcome.kind != UNKNOWN or config is None:
         return outcome
-    from .search import FIND_ONE, BUDGET_EXCEEDED, EXHAUSTED_NONE, SearchConfig, search
+    # looked up per call, so a patched or wrapped segtrees.search.search runs
+    from .search import search
 
-    result = search(
-        spec,
-        SearchConfig(node_budget=search_budget, mode=FIND_ONE, override_guard=override_guard),
-    )
+    result = search(spec, replace(config, mode=FIND_ONE))
     if result.outcome == BUDGET_EXCEEDED:
-        return outcome
+        return replace(outcome, search=result)
     if result.outcome == EXHAUSTED_NONE:
-        return ProvedNotSEG("by-exhaustion")
-    return Labeled(result.labeling, "by-search")
+        return LabelOutcome(PROVED_NOT_SEG, "by-exhaustion", search=result)
+    return _verified(spec, result.labeling, "by-search", search=result)

@@ -34,11 +34,12 @@ from math import factorial
 
 from ._version import __version__
 from .labeling import EdgeLabeling, edge_label_target, vertex_label_target
-from .trees import TreeSpec, build_tree
+# build_tree is unused here (labelings are keyed by the edge-id helpers) but
+# stays importable: perfbench/spans.py wraps segtrees.search.build_tree.
+from .trees import TreeSpec, build_tree, leaf_edge_id, spine_edge_id  # noqa: F401
 
 FIND_ONE = "find-one"
 COUNT_ALL = "count-all"
-EXHAUST_ALL = "exhaust-all"
 
 FOUND = "found"
 EXHAUSTED_NONE = "exhausted-none"
@@ -124,15 +125,13 @@ def _run(spec: TreeSpec, config: SearchConfig):
     raw_count = 0
     first: EdgeLabeling | None = None
 
-    tree = build_tree(spec)
-
     def snapshot() -> EdgeLabeling:
         f: EdgeLabeling = {}
         for i in range(n):
-            f[tree.spine_edges[i]] = spine_vals[i]
+            f[spine_edge_id(i + 1)] = spine_vals[i]
         for i in range(n):
             for m, v in enumerate(groups[i], start=1):
-                f[tree.leaf_edges[i][m - 1]] = v
+                f[leaf_edge_id(i + 1, m)] = v
         return f
 
     def canon_negated() -> tuple[int, ...]:
@@ -243,17 +242,13 @@ def _run(spec: TreeSpec, config: SearchConfig):
             dfs_spine(d + 1, pool & ~(1 << idx), sign_fixed or v != 0)
         spine_idxs[d] = -1
 
-    outcome = None
     try:
         dfs_spine(0, (1 << q) - 1, False)
     except _Stop:
-        outcome = FOUND
-        return SearchResult(outcome, nodes, first, None)
+        return SearchResult(FOUND, nodes, first, None)
     except _BudgetHit:
         return SearchResult(BUDGET_EXCEEDED, nodes, None, None)
-    if config.mode == FIND_ONE:
-        return SearchResult(EXHAUSTED_NONE, nodes, None, 0)
-    if raw_count > 0:
+    if raw_count > 0:  # only COUNT_ALL gets here with solutions
         return SearchResult(FOUND, nodes, first, raw_count)
     return SearchResult(EXHAUSTED_NONE, nodes, None, 0)
 
@@ -307,7 +302,11 @@ def make_certificate(spec: TreeSpec, config: SearchConfig, result: SearchResult)
 
 
 def certify_not_seg(spec: TreeSpec, config: SearchConfig | None = None) -> dict:
-    """Exhaust the space and emit a machine-readable absence certificate."""
-    config = replace(config or SearchConfig(), mode=EXHAUST_ALL)
+    """Exhaust the space and emit a machine-readable absence certificate.
+
+    Runs FIND_ONE: a single labeling already refutes absence, and on a
+    non-SEG tree the run ends exhausted after the same nodes as a count.
+    """
+    config = replace(config or SearchConfig(), mode=FIND_ONE)
     result = search(spec, config)
     return make_certificate(spec, config, result)

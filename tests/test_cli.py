@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import json
 import subprocess
 import sys
@@ -5,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from segtrees import build_tree, parse_dot_spec, parse_spec, read_labeling, verify
+from segtrees import (
+    CONJECTURED,
+    build_tree,
+    parse_dot_spec,
+    parse_spec,
+    read_labeling,
+    verify,
+)
+from segtrees import cli, constructions
 from segtrees.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -92,6 +102,53 @@ def test_label_json_not_seg(capsys):
     assert json.loads(out)["status"] == "not-seg"
 
 
+def test_label_by_exhaustion_certifies_its_one_search(capsys, monkeypatch, tmp_path):
+    # no open tree with q <= 11 is non-SEG, so let the non-SEG RT(0,1,3) look open
+    real_classify = constructions.classify
+    monkeypatch.setattr(
+        constructions, "classify",
+        lambda spec: dataclasses.replace(
+            real_classify(spec), status=CONJECTURED, tag="conjecture-1"),
+    )
+    engine = importlib.import_module("segtrees.search")
+    real_search = engine.search
+    runs = []
+
+    def counting_search(spec, config):
+        runs.append(real_search(spec, config))
+        return runs[-1]
+
+    monkeypatch.setattr(engine, "search", counting_search)
+    monkeypatch.setattr(cli, "search", counting_search)
+    code, out, _ = run(capsys, "label", "RT(0,1,3)", "--search-budget", "10^6",
+                       "--no-break-leaves", "--format", "json",
+                       "--certificates-dir", str(tmp_path))
+    assert code == 3
+    assert len(runs) == 1
+    data = json.loads(out)
+    assert data["tag"] == "by-exhaustion"
+    cert = data["certificate"]
+    assert cert["flags"] == {"break_negation": True, "break_leaf_permutations": False,
+                             "break_equal_spine_vertices": True}
+    assert cert["nodes_visited"] == runs[0].nodes_visited
+    assert json.loads((tmp_path / "RT_0_1_3.cert.json").read_text()) == cert
+
+
+def test_label_construction_fault_exit3(capsys, monkeypatch):
+    tag = "cat-q-even-j-even/both-odd"  # RT(1,1)
+    good_rule = constructions._RULES[tag]
+
+    def bad_rule(B, r, s, t):
+        good_rule(B, r, s, t)
+        B.f["v1"] = -B.f["v1"]  # now v1 and v2 share a label
+
+    monkeypatch.setitem(constructions._RULES, tag, bad_rule)
+    code, out, err = run(capsys, "label", "RT(1,1)")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: produced labeling failed verification")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -167,6 +224,17 @@ def test_search_exhaust_writes_certificate(capsys, tmp_path):
     cert = json.loads(cert_file.read_text())
     assert cert["outcome"] == "exhausted-none"
     assert cert["spec"] == "RT(0,1,3)"
+
+
+def test_search_exhaust_stops_at_first_labeling(capsys, tmp_path):
+    nodes = {}
+    for flag in ("--exhaust", "--count"):
+        code, out, _ = run(capsys, "search", "RT(1,3)", flag, "--format", "json",
+                           "--certificates-dir", str(tmp_path))
+        assert code == 0
+        nodes[flag] = json.loads(out)["nodes_visited"]
+    assert nodes["--exhaust"] < nodes["--count"] == 52
+    assert not any(tmp_path.iterdir())
 
 
 def test_search_count_json(capsys):
@@ -266,6 +334,30 @@ def test_export_bad_spec_exit1(capsys):
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (["--help"], 0),
+        ([], 1),
+        (["frobnicate"], 1),
+        (["search", "RT(1,1)", "--search-budget", "abc"], 1),
+        (["search", "RT(1,1)", "--search-budget", "1e400"], 1),
+        (["search", "RT(1,1)", "--search-budget=-5"], 1),
+        (["label", "RT(2,1,1)", "--search-budget", "10^-1"], 1),
+        (["survey", "--search-budget", "0^-1"], 1),
+        (["survey", "--search-budget", "nan"], 1),
+    ],
+    ids=["help", "no-command", "unknown-command", "budget-word", "budget-overflow",
+         "budget-negative", "budget-fraction", "budget-zero-division", "budget-nan"],
+)
+def test_usage_exit_codes(capsys, argv, expected):
+    code, _, err = run(capsys, *argv)
+    assert code == expected
+    assert "Traceback" not in err
+    if expected:
+        assert "error" in err
+
 
 def test_console_script_help_runs():
     proc = subprocess.run([sys.executable, "-m", "segtrees.cli", "--help"],

@@ -9,6 +9,7 @@ from segtrees import (
     LABELED,
     PROVED_NOT_SEG,
     UNKNOWN,
+    SearchConfig,
     SearchResult,
     WrongFamily,
     build_tree,
@@ -130,14 +131,14 @@ def test_unknown_without_budget():
 
 def test_search_fallback_finds_conjectured():
     spec = parse_spec("RT(2,1,1)")
-    out = label_any(spec, search_budget=10**6)
+    out = label_any(spec, SearchConfig(node_budget=10**6))
     assert out.kind == LABELED
     assert out.tag == "by-search"
     assert verify(build_tree(spec), out.labeling).is_seg
 
 
 def test_search_fallback_budget_too_small_stays_unknown():
-    out = label_any(parse_spec("RT(2,1,1)"), search_budget=1)
+    out = label_any(parse_spec("RT(2,1,1)"), SearchConfig(node_budget=1))
     assert out.kind == UNKNOWN
 
 
@@ -149,7 +150,7 @@ def test_search_fallback_exhaustion_proves_not_seg(monkeypatch):
 
     search_module = importlib.import_module("segtrees.search")
     monkeypatch.setattr(search_module, "search", fake_search)
-    out = label_any(parse_spec("RT(2,1,1)"), search_budget=100)
+    out = label_any(parse_spec("RT(2,1,1)"), SearchConfig(node_budget=100))
     assert out.kind == PROVED_NOT_SEG
     assert out.tag == "by-exhaustion"
 

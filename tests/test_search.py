@@ -5,7 +5,6 @@ import pytest
 from segtrees import (
     BUDGET_EXCEEDED,
     COUNT_ALL,
-    EXHAUST_ALL,
     EXHAUSTED_NONE,
     FIND_ONE,
     FOUND,
@@ -93,7 +92,7 @@ def test_deterministic_across_runs():
 
 
 def test_mode_constants_distinct():
-    assert len({FIND_ONE, COUNT_ALL, EXHAUST_ALL}) == 3
+    assert len({FIND_ONE, COUNT_ALL}) == 2
     assert len({FOUND, EXHAUSTED_NONE, BUDGET_EXCEEDED}) == 3
 
 
@@ -163,13 +162,12 @@ def test_certify_budget_exceeded_raises():
 
 def test_make_certificate_from_result():
     spec = parse_spec("RT(0,1,1)")
-    cfg = SearchConfig(mode=EXHAUST_ALL)
+    cfg = SearchConfig(mode=FIND_ONE)
     result = search(spec, cfg)
     cert = make_certificate(spec, cfg, result)
     assert cert["nodes_visited"] == result.nodes_visited
     with pytest.raises(NotCertifiable):
-        make_certificate(spec, cfg, search(parse_spec("RT(1,1)"),
-                                           SearchConfig(mode=EXHAUST_ALL)))
+        make_certificate(spec, cfg, search(parse_spec("RT(1,1)"), cfg))
 
 
 # ---------------------------------------------------------------------------
