@@ -130,12 +130,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
         _print_json(
             {
                 "spec": spec.format(),
-                "family": cls.family,
-                "j": cls.j,
-                "k": cls.k,
-                "l": cls.l,
-                "q": cls.q,
-                "p": cls.p,
+                "family": spec.family,
+                "j": spec.j,
+                "k": spec.k,
+                "l": spec.l,
+                "q": spec.q,
+                "p": spec.p,
                 "status": cls.status,
                 "tag": cls.tag,
                 "case": cls.case,
@@ -143,9 +143,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
             }
         )
     else:
-        parity = "even" if cls.q % 2 == 0 else "odd"
-        print(f"{spec.format()}: {cls.family}, {_STATUS_TEXT[cls.status]}")
-        print(f"  (j,k,l) = ({cls.j},{cls.k},{cls.l}); q = {cls.q} ({parity}), p = {cls.p}")
+        parity = "even" if spec.q % 2 == 0 else "odd"
+        print(f"{spec.format()}: {spec.family}, {_STATUS_TEXT[cls.status]}")
+        print(f"  (j,k,l) = ({spec.j},{spec.k},{spec.l}); q = {spec.q} ({parity}), p = {spec.p}")
         case = f" [{cls.case}]" if cls.case else ""
         print(f"  dispatch: {cls.tag}{case}")
     return EXIT_OK
@@ -314,7 +314,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
         rows.append(
             {
                 "spec": spec.format(),
-                "jkl": [cls.j, cls.k, cls.l],
+                "jkl": [spec.j, spec.k, spec.l],
                 "q": spec.q,
                 "tag": cls.tag,
                 "theory": theory,

@@ -7,10 +7,11 @@ Every constructed labeling passes through the verifier before it is
 returned; a formula bug therefore surfaces as ConstructionFault, never as a
 silently wrong answer.
 
-Conventions shared by the rules: spine edge i is ``v<i>``; leaf edges of
-v_i are ``v<i>.<m>``, m starting at 1.  For a branch vertex, an even leaf
-count 2b is consumed as b (+x, -x) pairs; an odd count 2b+1 leaves one
-unpaired first leaf that the rules label explicitly.
+Conventions shared by the rules: spine edge i is slot i - 1 of the tree;
+leaf m of v_i, m starting at 1, is slot ``leaf_start[i - 1] + m - 1``.  For
+a branch vertex, an even leaf count 2b is consumed as b (+x, -x) pairs; an
+odd count 2b+1 leaves one unpaired first leaf that the rules label
+explicitly.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ from .trees import (
     TreeSpec,
     build_tree,
     classify,
-    leaf_edge_id,
-    spine_edge_id,
 )
 
 LABELED = "labeled"
@@ -69,29 +68,31 @@ class ConstructionFault(RuntimeError):
 
 
 class _Builder:
-    """Collision-checked edge label assignment."""
+    """Collision-checked label assignment to the slots of ``tree``."""
 
-    def __init__(self, spec: TreeSpec, tag: str):
-        self.spec = spec
+    def __init__(self, tree: RootedTree, tag: str):
+        self.tree = tree
+        self.spec = tree.spec
         self.tag = tag
-        self.f: EdgeLabeling = {}
+        self.f: dict[int, int] = {}  # slot -> label, in assignment order
 
-    def _put(self, eid: str, value: int) -> None:
-        if eid in self.f:
+    def _put(self, slot: int, value: int) -> None:
+        if slot in self.f:
+            eid = self.tree.edge_ids[slot]
             raise ConstructionFault(
-                self.spec, self.tag, f"edge {eid} assigned twice ({self.f[eid]}, {value})"
+                self.spec, self.tag, f"edge {eid} assigned twice ({self.f[slot]}, {value})"
             )
-        self.f[eid] = value
+        self.f[slot] = value
 
     def spine(self, i: int, value: int) -> None:
         if not 1 <= i <= self.spec.n:
             raise ConstructionFault(self.spec, self.tag, f"spine index {i} out of range")
-        self._put(spine_edge_id(i), value)
+        self._put(i - 1, value)
 
     def leaf(self, i: int, m: int, value: int) -> None:
         if not 1 <= m <= self.spec.a(i):
             raise ConstructionFault(self.spec, self.tag, f"leaf ({i},{m}) out of range")
-        self._put(leaf_edge_id(i, m), value)
+        self._put(self.tree.leaf_start[i - 1] + m - 1, value)
 
     def pair(self, i: int, m: int, value: int) -> None:
         """Leaf pair (+value, -value) at positions (2m-1, 2m) under v_i."""
@@ -229,7 +230,7 @@ def _cat_q_odd_j_odd_odds(B: _Builder, r: int, s: int, t: int) -> None:
 # lobsters, q even
 # ---------------------------------------------------------------------------
 
-def _leaf_groups(
+def _paired_leaves(
     B: _Builder, first: int, start_vertex: int, placed: tuple[int, ...] = ()
 ) -> None:
     """Paired leaves for all branch vertices from start_vertex on.
@@ -265,7 +266,7 @@ def _lob_even_size_l_odd(B: _Builder, r: int, s: int, t: int) -> None:
     for i in range(1, rs + 1):
         B.spine(2 * i - 1, 2 * t + 1 + i)
         B.spine(2 * i, -(2 * t + 1 + i))
-    _leaf_groups(B, rs + 2 * t + 2, spec.j + 1)
+    _paired_leaves(B, rs + 2 * t + 2, spec.j + 1)
 
 
 def _lob_even_size_l_even(B: _Builder, r: int, s: int, t: int) -> None:
@@ -280,7 +281,7 @@ def _lob_even_size_l_even(B: _Builder, r: int, s: int, t: int) -> None:
     for i in range(1, rs + 1):
         B.spine(2 * i - 1, 2 * t + i)
         B.spine(2 * i, -(2 * t + i))
-    _leaf_groups(B, rs + 2 * t + 1, spec.j + 1)
+    _paired_leaves(B, rs + 2 * t + 1, spec.j + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +332,7 @@ def _lob_jkl_even_odd_odd(B: _Builder, r: int, s: int, t: int) -> None:
             B.spine(2 * (r + i), r + 2 * t + 1 + i)
             B.spine(2 * (r + i) + 1, -(r + 2 * t + 1 + i))
         first = r + s + 2 * t + 1
-    _leaf_groups(B, first, 2 * r + 1, placed=(2 * r + 1,))
+    _paired_leaves(B, first, 2 * r + 1, placed=(2 * r + 1,))
 
 
 def _lob_jkl_even_odd_even(B: _Builder, r: int, s: int, t: int) -> None:
@@ -378,7 +379,7 @@ def _lob_jkl_even_odd_even(B: _Builder, r: int, s: int, t: int) -> None:
             B.leaf(2 * (r + s + i), 1, -2 * (t + 2 - i))
             B.leaf(2 * (r + s + i) + 1, 1, 2 * (t + 2 - i))
         first = 2 * t + r + s + 1
-    _leaf_groups(B, first, 2 * r + 1, placed=(2 * r + 1,))
+    _paired_leaves(B, first, 2 * r + 1, placed=(2 * r + 1,))
 
 
 def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
@@ -406,7 +407,7 @@ def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
         for i in range(2, s + 1):
             B.spine(2 * (r + i), r + 1 + i)
             B.spine(2 * (r + i) + 1, -(r + 1 + i))
-        _leaf_groups(B, r + s + 2, 2 * r + 2, placed=(2 * r + 2,))
+        _paired_leaves(B, r + s + 2, 2 * r + 2, placed=(2 * r + 2,))
         return
     # l == 2
     big = r + s + 2 + sb
@@ -427,7 +428,7 @@ def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
     for i in range(2, s + 1):
         B.spine(2 * (r + i), r + 3 + i)
         B.spine(2 * (r + i) + 1, -(r + 3 + i))
-    _leaf_groups(B, r + s + 4, 2 * r + 2, placed=(2 * r + 2, 2 * r + 3))
+    _paired_leaves(B, r + s + 4, 2 * r + 2, placed=(2 * r + 2, 2 * r + 3))
 
 
 #: dispatch tag -> rule(B, r, s, t); the one tag whose cases take different
@@ -450,26 +451,25 @@ _RULES = {
 }
 
 
-def _build_for(cls: Classification) -> EdgeLabeling:
+def _build_for(cls: Classification, tree: RootedTree) -> EdgeLabeling:
     rule = _RULES.get(f"{cls.tag}/{cls.case}") or _RULES.get(cls.tag)
     if rule is None:
         raise ConstructionFault(cls.spec, cls.tag, "no rule implemented for this tag")
-    B = _Builder(cls.spec, cls.tag)
+    B = _Builder(tree, cls.tag)
     p = cls.params
     rule(B, p.get("r"), p.get("s"), p.get("t"))
-    return B.f
+    return {tree.edge_ids[slot]: v for slot, v in B.f.items()}
 
 
 def _verified(
-    spec: TreeSpec, f: EdgeLabeling, tag: str, case: str | None = None,
+    tree: RootedTree, f: EdgeLabeling, tag: str, case: str | None = None,
     search: SearchResult | None = None,
 ) -> LabelOutcome:
     """The one verification gate every produced labeling passes."""
-    tree = build_tree(spec)
     report = verify(tree, f)
     if not report.is_seg:
         detail = "; ".join(v.describe() for v in report.violations)
-        raise ConstructionFault(spec, tag, detail)
+        raise ConstructionFault(tree.spec, tag, detail)
     return LabelOutcome(LABELED, tag, f, case, tree, report.vertex_labels, search)
 
 
@@ -478,7 +478,8 @@ def _run(cls: Classification) -> LabelOutcome:
         return LabelOutcome(PROVED_NOT_SEG, cls.tag)
     if cls.status != CONSTRUCTIVE:
         return LabelOutcome(UNKNOWN, cls.tag)
-    return _verified(cls.spec, _build_for(cls), cls.tag, cls.case)
+    tree = build_tree(cls.spec)
+    return _verified(tree, _build_for(cls, tree), cls.tag, cls.case)
 
 
 def _family_labeler(spec: TreeSpec, family: str) -> LabelOutcome:
@@ -523,4 +524,4 @@ def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcom
         return replace(outcome, search=result)
     if result.outcome == EXHAUSTED_NONE:
         return LabelOutcome(PROVED_NOT_SEG, "by-exhaustion", search=result)
-    return _verified(spec, result.labeling, "by-search", search=result)
+    return _verified(build_tree(spec), result.labeling, "by-search", search=result)

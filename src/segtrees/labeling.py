@@ -8,7 +8,9 @@ form exactly the vertex target set of size p = q + 1.
 
 Edges are keyed by their child endpoint (``v3`` for a spine edge, ``v3.2``
 for a leaf edge), so an induced vertex labeling shares the key space plus
-``v0`` for the root.
+``v0`` for the root.  Internally a labeling is a list of labels in slot
+order, the order of ``tree.edge_ids``; the ids are only looked up at the
+dict boundary.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .trees import RootedTree, TreeSpec, build_tree, parse_spec
+from .trees import RootedTree, TreeSpec, parse_spec
 
 EdgeLabeling = dict[str, int]
 VertexLabeling = dict[str, int]
@@ -58,30 +60,32 @@ def vertex_label_target(p: int) -> tuple[int, ...]:
     return _symmetric_target(p)
 
 
-def _domain_diff(tree: RootedTree, f: EdgeLabeling) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _slots(tree: RootedTree, f: EdgeLabeling) -> list[int]:
+    """f's labels in slot order; raises DomainMismatch unless f is total."""
+    if len(f) == tree.q:
+        try:
+            return [f[e] for e in tree.edge_ids]
+        except KeyError:
+            pass
     edge_set = set(tree.edge_ids)
     missing = tuple(e for e in tree.edge_ids if e not in f)
     extra = tuple(sorted(e for e in f if e not in edge_set))
-    return missing, extra
+    raise DomainMismatch(missing, extra)
+
+
+def _induced(tree: RootedTree, x: list[int]) -> list[int]:
+    """Induced labels, in ``tree.vertex_ids`` order, of slot labels x."""
+    n = tree.n
+    branch = [
+        x[i] + sum(x[start:start + a])
+        for i, (start, a) in enumerate(zip(tree.leaf_start, tree.spec.counts))
+    ]
+    return [sum(x[:n])] + branch + x[n:]
 
 
 def induce(tree: RootedTree, f: EdgeLabeling) -> VertexLabeling:
     """Induced vertex labeling; raises DomainMismatch unless f is total."""
-    missing, extra = _domain_diff(tree, f)
-    if missing or extra:
-        raise DomainMismatch(missing, extra)
-    out: VertexLabeling = {}
-    root = 0
-    for i in range(1, tree.n + 1):
-        sid = tree.spine_edges[i - 1]
-        branch = f[sid]
-        root += f[sid]
-        for eid in tree.leaf_group(i):
-            out[eid] = f[eid]
-            branch += f[eid]
-        out[sid] = branch
-    out["v0"] = root
-    return out
+    return dict(zip(tree.vertex_ids, _induced(tree, _slots(tree, f))))
 
 
 def negate(f: EdgeLabeling) -> EdgeLabeling:
@@ -132,19 +136,22 @@ def _multiset_violation(kind: str, values, target) -> Violation | None:
 def verify(tree: RootedTree, f: EdgeLabeling) -> VerificationReport:
     """Full SEG check.  Never raises; every failure is listed in the report."""
     violations: list[Violation] = []
-    missing, extra = _domain_diff(tree, f)
-    if missing or extra:
-        violations.append(Violation("DomainMismatch", missing, extra))
+    try:
+        x = _slots(tree, f)
+    except DomainMismatch as exc:
+        violations.append(Violation("DomainMismatch", exc.missing, exc.extra))
+        x = None
     edge_bad = _multiset_violation(
         "EdgeLabelsNotTargetSet", f.values(), edge_label_target(tree.q)
     )
     if edge_bad:
         violations.append(edge_bad)
     vertex_labels: VertexLabeling | None = None
-    if not (missing or extra):
-        vertex_labels = induce(tree, f)
+    if x is not None:
+        y = _induced(tree, x)
+        vertex_labels = dict(zip(tree.vertex_ids, y))
         vertex_bad = _multiset_violation(
-            "VertexLabelsNotTargetSet", vertex_labels.values(), vertex_label_target(tree.p)
+            "VertexLabelsNotTargetSet", y, vertex_label_target(tree.p)
         )
         if vertex_bad:
             violations.append(vertex_bad)
@@ -159,12 +166,9 @@ def verify(tree: RootedTree, f: EdgeLabeling) -> VerificationReport:
 
 def write_labeling(tree: RootedTree, f: EdgeLabeling) -> str:
     """Serialize as a JSON object {spec, edges}, edges in tree order."""
-    missing, extra = _domain_diff(tree, f)
-    if missing or extra:
-        raise DomainMismatch(missing, extra)
     obj = {
         "spec": tree.spec.format(),
-        "edges": {e: f[e] for e in tree.edge_ids},
+        "edges": dict(zip(tree.edge_ids, _slots(tree, f))),
     }
     return json.dumps(obj, indent=2) + "\n"
 
@@ -204,23 +208,20 @@ def to_dot(tree: RootedTree, f: EdgeLabeling | None = None) -> str:
     The spec is embedded as a comment so the drawing round-trips back to a
     parseable spec.  Ordering is deterministic: root, spine, leaves.
     """
-    vertex_labels = induce(tree, f) if f is not None else None
+    ids = tree.edge_ids
+    x = _slots(tree, f) if f is not None else None
+    node_labels = tree.vertex_ids if x is None else _induced(tree, x)
 
-    def node_label(v: str) -> str:
-        if vertex_labels is None:
-            return v
-        return str(vertex_labels[v]) if v != "v0" else str(vertex_labels["v0"])
+    def edge_attr(slot: int) -> str:
+        return f' [label="{x[slot]}"]' if x is not None else ""
 
     lines = ["graph segtree {", f"  // spec: {tree.spec.format()}"]
-    for v in tree.vertex_ids:
-        lines.append(f'  "{v}" [label="{node_label(v)}"];')
-    for i in range(1, tree.n + 1):
-        sid = tree.spine_edges[i - 1]
-        attr = f' [label="{f[sid]}"]' if f is not None else ""
-        lines.append(f'  "v0" -- "{sid}"{attr};')
-        for eid in tree.leaf_group(i):
-            attr = f' [label="{f[eid]}"]' if f is not None else ""
-            lines.append(f'  "{sid}" -- "{eid}"{attr};')
+    for v, label in zip(tree.vertex_ids, node_labels):
+        lines.append(f'  "{v}" [label="{label}"];')
+    for i, (start, a) in enumerate(zip(tree.leaf_start, tree.spec.counts)):
+        lines.append(f'  "v0" -- "{ids[i]}"{edge_attr(i)};')
+        for slot in range(start, start + a):
+            lines.append(f'  "{ids[i]}" -- "{ids[slot]}"{edge_attr(slot)};')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

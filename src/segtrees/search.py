@@ -34,9 +34,7 @@ from math import factorial
 
 from ._version import __version__
 from .labeling import EdgeLabeling, edge_label_target, vertex_label_target
-# build_tree is unused here (labelings are keyed by the edge-id helpers) but
-# stays importable: perfbench/spans.py wraps segtrees.search.build_tree.
-from .trees import TreeSpec, build_tree, leaf_edge_id, spine_edge_id  # noqa: F401
+from .trees import TreeSpec, build_tree
 
 FIND_ONE = "find-one"
 COUNT_ALL = "count-all"
@@ -126,13 +124,9 @@ def _run(spec: TreeSpec, config: SearchConfig):
     first: EdgeLabeling | None = None
 
     def snapshot() -> EdgeLabeling:
-        f: EdgeLabeling = {}
-        for i in range(n):
-            f[spine_edge_id(i + 1)] = spine_vals[i]
-        for i in range(n):
-            for m, v in enumerate(groups[i], start=1):
-                f[leaf_edge_id(i + 1, m)] = v
-        return f
+        # spine labels, then each leaf group in turn: the tree's slot order
+        flat = spine_vals + [v for g in groups for v in g]
+        return dict(zip(build_tree(spec).edge_ids, flat))
 
     def canon_negated() -> tuple[int, ...]:
         # canonical form of -f under the enabled breaking constraints

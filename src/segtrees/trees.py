@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 Q_LIMIT = 10**6  # labels must stay comfortably inside machine ints
 
@@ -142,16 +143,22 @@ def parse_spec(text: str) -> TreeSpec:
         raise SpecSyntaxError(f"unbalanced RT(...) wrapper in {text!r}")
     if compact == "":
         raise EmptySpec(f"no counts in spec {text!r}")
-    counts: list[int] = []
+    items: list[tuple[int, int]] = []  # (count, repeat)
     for item in compact.split(","):
         m = _ITEM_RE.match(item.strip())
         if m is None:
             raise SpecSyntaxError(f"bad item {item!r} in spec {text!r}")
-        value = int(m.group(1))
         repeat = int(m.group(2)) if m.group(2) is not None else 1
-        if m.group(2) is not None and repeat < 1:
+        if repeat < 1:
             raise SpecSyntaxError(f"exponent must be >= 1 in item {item!r}")
-        counts.extend([value] * repeat)
+        items.append((int(m.group(1)), repeat))
+    # q by arithmetic, so a huge exponent is refused before anything is expanded
+    q = sum(repeat * (value + 1) for value, repeat in items)
+    if q > Q_LIMIT:
+        raise ValueError(f"q={q} exceeds supported limit {Q_LIMIT}")
+    counts: list[int] = []
+    for value, repeat in items:
+        counts += [value] * repeat
     return canonicalize(counts)
 
 
@@ -159,29 +166,18 @@ def parse_spec(text: str) -> TreeSpec:
 # rooted tree structure
 # ---------------------------------------------------------------------------
 
-def spine_edge_id(i: int) -> str:
-    """Edge from the root to spine vertex v_i, keyed by its child endpoint."""
-    return f"v{i}"
-
-
-def leaf_edge_id(i: int, m: int) -> str:
-    """Edge from v_i to its m-th leaf (1-based), keyed by its child endpoint."""
-    return f"v{i}.{m}"
-
-
 @dataclass(frozen=True)
 class RootedTree:
     """Explicit edge/vertex structure of a spec's tree.
 
     Edge identifiers equal the child endpoint's vertex identifier, so the
-    edge map of a labeling doubles as a vertex-addressed structure.  Edge
-    order is deterministic: spine edges v1..vn, then each vertex's leaf
-    edges in index order.
+    edge map of a labeling doubles as a vertex-addressed structure.  A
+    labeling is laid out in slots, the positions of ``edge_ids``: spine
+    edges v1..vn first, then each vertex's leaf edges in index order.
     """
 
     spec: TreeSpec
-    spine_edges: tuple[str, ...] = field(repr=False)
-    leaf_edges: tuple[tuple[str, ...], ...] = field(repr=False)  # per spine vertex
+    edge_ids: tuple[str, ...] = field(repr=False)
 
     @property
     def n(self) -> int:
@@ -196,36 +192,25 @@ class RootedTree:
         return self.spec.p
 
     @cached_property
-    def edge_ids(self) -> tuple[str, ...]:
-        out = list(self.spine_edges)
-        for group in self.leaf_edges:
-            out.extend(group)
-        return tuple(out)
-
-    @cached_property
     def vertex_ids(self) -> tuple[str, ...]:
         return ("v0",) + self.edge_ids
 
     @cached_property
-    def branch_indices(self) -> tuple[int, ...]:
-        """Spine indices with at least one leaf (internal vertices)."""
-        return tuple(i for i in range(1, self.n + 1) if self.spec.a(i) > 0)
-
-    @cached_property
-    def childless_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if self.spec.a(i) == 0)
-
-    def leaf_group(self, i: int) -> tuple[str, ...]:
-        return self.leaf_edges[i - 1]
+    def leaf_start(self) -> tuple[int, ...]:
+        """Slot of the first leaf edge of each spine vertex, in spine order."""
+        return tuple(accumulate(self.spec.counts[:-1], initial=self.n))
 
 
 def build_tree(spec: TreeSpec) -> RootedTree:
-    spine = tuple(spine_edge_id(i) for i in range(1, spec.n + 1))
-    leaves = tuple(
-        tuple(leaf_edge_id(i, m) for m in range(1, spec.a(i) + 1))
-        for i in range(1, spec.n + 1)
-    )
-    return RootedTree(spec=spec, spine_edges=spine, leaf_edges=leaves)
+    """The tree of spec; the one place edges are named.
+
+    Spine edge i is ``v<i>`` and the m-th leaf edge (1-based) of v_i is
+    ``v<i>.<m>``, listed in slot order.
+    """
+    ids = [f"v{i}" for i in range(1, spec.n + 1)]
+    for i, a in enumerate(spec.counts, start=1):
+        ids.extend(f"v{i}.{m}" for m in range(1, a + 1))
+    return RootedTree(spec=spec, edge_ids=tuple(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +231,11 @@ class Classification:
     ``tag`` names the applicable rule (or conjecture/uncovered region);
     ``case`` splits multi-case rules; ``params`` carries the substitution
     parameters (r, s, t and the per-branch-vertex half-counts b) so the
-    labeler never re-derives them.
+    labeler never re-derives them.  Family, (j, k, l), q and p are read
+    from ``spec``.
     """
 
     spec: TreeSpec
-    family: str
-    j: int
-    k: int
-    l: int
-    q: int
-    p: int
     status: str
     tag: str
     case: str | None = None
@@ -351,10 +331,7 @@ def classify(spec: TreeSpec) -> Classification:
         status, tag, case, params = _classify_caterpillar(spec)
     else:
         status, tag, case, params = _classify_lobster(spec)
-    return Classification(
-        spec=spec, family=spec.family, j=spec.j, k=spec.k, l=spec.l,
-        q=spec.q, p=spec.p, status=status, tag=tag, case=case, params=params,
-    )
+    return Classification(spec=spec, status=status, tag=tag, case=case, params=params)
 
 
 # ---------------------------------------------------------------------------

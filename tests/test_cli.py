@@ -54,6 +54,14 @@ def test_classify_parse_error_exit1(capsys):
     assert err.strip()
 
 
+def test_classify_q_limit_checked_before_expanding(capsys):
+    # expanding 10^15 repeats would need petabytes; q is refused by arithmetic first
+    code, out, err = run(capsys, "classify", "RT(1^1000000000000000)")
+    assert code == 1
+    assert out == ""
+    assert "q=2000000000000000 exceeds supported limit 1000000" in err
+
+
 def test_classify_open_case(capsys):
     code, out, _ = run(capsys, "classify", "RT(2,1,1)")
     assert code == 0
@@ -140,7 +148,7 @@ def test_label_construction_fault_exit3(capsys, monkeypatch):
 
     def bad_rule(B, r, s, t):
         good_rule(B, r, s, t)
-        B.f["v1"] = -B.f["v1"]  # now v1 and v2 share a label
+        B.f[0] = -B.f[0]  # slot 0 is v1: now v1 and v2 share a label
 
     monkeypatch.setitem(constructions._RULES, tag, bad_rule)
     code, out, err = run(capsys, "label", "RT(1,1)")

@@ -6,6 +6,7 @@ import pytest
 from segtrees import (
     DomainMismatch,
     LabelingFormatError,
+    Violation,
     build_tree,
     edge_label_target,
     induce,
@@ -49,6 +50,10 @@ def test_induce_hand_example():
     assert g == {"v1.1": -2, "v1": -1, "v2.1": 2, "v2": 1, "v0": 0}
 
 
+# q keys, one of them renamed: the right size but the wrong domain
+RENAMED_RT11 = {"v1": 1, "v2": -1, "v1.1": -2, "v9": 2}
+
+
 def test_induce_requires_total_labeling():
     tree = build_tree(parse_spec("RT(1,1)"))
     with pytest.raises(DomainMismatch) as exc:
@@ -57,6 +62,16 @@ def test_induce_requires_total_labeling():
     with pytest.raises(DomainMismatch) as exc:
         induce(tree, {"v1": 1, "v2": -1, "v1.1": -2, "v2.1": 2, "v9": 3})
     assert "v9" in exc.value.extra
+    with pytest.raises(DomainMismatch) as exc:
+        induce(tree, RENAMED_RT11)
+    assert (exc.value.missing, exc.value.extra) == (("v2.1",), ("v9",))
+
+
+def test_verify_reports_renamed_edge_without_raising():
+    report = verify(build_tree(parse_spec("RT(1,1)")), RENAMED_RT11)
+    assert not report.is_seg
+    assert report.vertex_labels is None
+    assert Violation("DomainMismatch", ("v2.1",), ("v9",)) in report.violations
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.glob("*.json")))

@@ -62,9 +62,9 @@ def test_classification_is_total_and_parity_consistent(counts):
     cls = classify(spec)
     assert cls.status in (CONSTRUCTIVE, NOT_SEG, CONJECTURED, UNCOVERED)
     even = spec.q % 2 == 0
-    assert cls.family.startswith("Even" if even else "Odd")
+    assert spec.family.startswith("Even" if even else "Odd")
     is_cat = spec.k + spec.l == 2
-    assert cls.family.endswith("Caterpillar" if is_cat else "Lobster")
+    assert spec.family.endswith("Caterpillar" if is_cat else "Lobster")
     assert spec.j + spec.k + spec.l == spec.n
 
 

@@ -94,14 +94,10 @@ def test_spec_quantities(text, n, j, k, l, q, family):
 
 def test_build_tree_layout():
     t = build_tree(parse_spec("RT(0,2,1)"))
-    assert t.spine_edges == ("v1", "v2", "v3")
-    assert t.leaf_edges == ((), ("v2.1", "v2.2"), ("v3.1",))
     assert t.edge_ids == ("v1", "v2", "v3", "v2.1", "v2.2", "v3.1")
+    assert t.leaf_start == (3, 3, 5)
     assert t.vertex_ids[0] == "v0"
     assert len(t.vertex_ids) == t.p
-    assert t.branch_indices == (2, 3)
-    assert t.childless_indices == (1,)
-    assert t.leaf_group(2) == ("v2.1", "v2.2")
 
 
 # ---------------------------------------------------------------------------
