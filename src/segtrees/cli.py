@@ -282,9 +282,10 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def _oracle_status(spec: TreeSpec, cfg: SearchConfig) -> tuple[str, int]:
-    if spec.q > GUARD_Q and not cfg.override_guard:
+    try:
+        result = search(spec, cfg)
+    except GuardRefused:
         return "skipped", 0
-    result = search(spec, cfg)
     if result.outcome == FOUND:
         return "found", result.nodes_visited
     if result.outcome == EXHAUSTED_NONE:

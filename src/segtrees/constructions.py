@@ -8,10 +8,14 @@ returned; a formula bug therefore surfaces as ConstructionFault, never as a
 silently wrong answer.
 
 Conventions shared by the rules: spine edge i is slot i - 1 of the tree;
-leaf m of v_i, m starting at 1, is slot ``leaf_start[i - 1] + m - 1``.  For
-a branch vertex, an even leaf count 2b is consumed as b (+x, -x) pairs; an
-odd count 2b+1 leaves one unpaired first leaf that the rules label
-explicitly.
+leaf m of v_i, m starting at 1, is slot ``leaf_start[i - 1] + m - 1``.  The
+rules differ only in their formulas; two placers write the patterns they
+share.  ``_Builder.spine_pairs(i, count, value)`` labels spine edges i,
+i+1, ... with (+x, -x) pairs, x running up from value.  ``_paired_leaves``
+labels the leaves of every vertex from a start vertex on with consecutive
+(+x, -x) pairs through ``_Builder.pair``: an even leaf count 2b is consumed
+as b pairs at positions (2m-1, 2m); an odd count 2b+1 leaves its first leaf
+unpaired, for the rule to label explicitly, and pairs at (2m, 2m+1).
 """
 
 from __future__ import annotations
@@ -94,15 +98,34 @@ class _Builder:
             raise ConstructionFault(self.spec, self.tag, f"leaf ({i},{m}) out of range")
         self._put(self.tree.leaf_start[i - 1] + m - 1, value)
 
-    def pair(self, i: int, m: int, value: int) -> None:
-        """Leaf pair (+value, -value) at positions (2m-1, 2m) under v_i."""
-        self.leaf(i, 2 * m - 1, value)
-        self.leaf(i, 2 * m, -value)
+    def spine_pairs(self, i: int, count: int, value: int) -> None:
+        """``count`` pairs (+x, -x) on spine edges i, i+1, ..., x from ``value`` up."""
+        for k in range(count):
+            self.spine(i + 2 * k, value + k)
+            self.spine(i + 2 * k + 1, -(value + k))
 
-    def pair_shifted(self, i: int, m: int, value: int) -> None:
-        """Leaf pair (+value, -value) at positions (2m, 2m+1) under v_i."""
-        self.leaf(i, 2 * m, value)
-        self.leaf(i, 2 * m + 1, -value)
+    def pair(self, i: int, m: int, value: int) -> None:
+        """Leaf pair m (+value, -value) under v_i: at positions (2m-1, 2m) for
+        an even leaf count, (2m, 2m+1) for an odd one."""
+        pos = 2 * m - 1 + self.spec.a(i) % 2
+        self.leaf(i, pos, value)
+        self.leaf(i, pos + 1, -value)
+
+
+def _paired_leaves(
+    B: _Builder, first: int, start_vertex: int, placed: tuple[int, ...] = ()
+) -> None:
+    """Paired leaves for all vertices from start_vertex on.
+
+    The unlabeled pairs get consecutive labels from ``first``; a vertex with
+    count 2b or 2b+1 has b pairs.  Vertices in ``placed`` already carry their
+    first pair.
+    """
+    value = first
+    for i in range(start_vertex, B.spec.n + 1):
+        for m in range(2 if i in placed else 1, B.spec.a(i) // 2 + 1):
+            B.pair(i, m, value)
+            value += 1
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +134,8 @@ class _Builder:
 
 def _cat_q_even_j_even_both_even(B: _Builder, r: int, s: int, t: int) -> None:
     """j = 2r, counts 2s and 2t, 1 <= s <= t; q = 2(r+s+t+1)."""
-    for i in range(1, r + 2):
-        B.spine(2 * i - 1, i)
-        B.spine(2 * i, -i)
-    for i in range(1, s + 1):
-        B.pair(2 * r + 1, i, r + 1 + i)
-    for i in range(1, t + 1):
-        B.pair(2 * r + 2, i, r + s + 1 + i)
+    B.spine_pairs(1, r + 1, 1)
+    _paired_leaves(B, r + 2, 2 * r + 1)
 
 
 def _cat_q_even_j_even_both_odd(B: _Builder, r: int, s: int, t: int) -> None:
@@ -126,26 +144,16 @@ def _cat_q_even_j_even_both_odd(B: _Builder, r: int, s: int, t: int) -> None:
     B.spine(2 * r + 2, -1)
     B.leaf(2 * r + 1, 1, -2)
     B.leaf(2 * r + 2, 1, 2)
-    for i in range(1, r + 1):
-        B.spine(2 * i - 1, 2 + i)
-        B.spine(2 * i, -(2 + i))
-    for i in range(1, s):
-        B.pair_shifted(2 * r + 1, i, r + 2 + i)
-    for i in range(1, t):
-        B.pair_shifted(2 * r + 2, i, r + s + 1 + i)
+    B.spine_pairs(1, r, 3)
+    _paired_leaves(B, r + 3, 2 * r + 1)
 
 
 def _cat_q_even_j_odd(B: _Builder, r: int, s: int, t: int) -> None:
     """j = 2r-1, counts 2s then 2t-1; r, s, t >= 1; q = 2(r+s+t)."""
     B.spine(2 * r + 1, 1)
     B.leaf(2 * r + 1, 1, -1)
-    for i in range(1, r + 1):
-        B.spine(2 * i - 1, 1 + i)
-        B.spine(2 * i, -(1 + i))
-    for i in range(1, s + 1):
-        B.pair(2 * r, i, r + 1 + i)
-    for i in range(1, t):
-        B.pair_shifted(2 * r + 1, i, r + s + 1 + i)
+    B.spine_pairs(1, r, 2)
+    _paired_leaves(B, r + 2, 2 * r)
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +168,8 @@ def _cat_q_odd_j_even(B: _Builder, r: int, s: int, t: int) -> None:
     B.leaf(2 * r + 1, 1, -1)
     B.leaf(2 * r + 1, 2, -big)
     B.leaf(2 * r + 2, 1, big)
-    for i in range(1, r + 1):
-        B.spine(2 * i - 1, 1 + i)
-        B.spine(2 * i, -(1 + i))
-    for i in range(2, s + 1):
-        B.pair(2 * r + 1, i, r + i)
-    for i in range(1, t):
-        B.pair_shifted(2 * r + 2, i, r + s + i)
+    B.spine_pairs(1, r, 2)
+    _paired_leaves(B, r + 2, 2 * r + 1, placed=(2 * r + 1,))
 
 
 def _cat_q_odd_j_odd_evens(B: _Builder, r: int, s: int, t: int) -> None:
@@ -177,13 +180,8 @@ def _cat_q_odd_j_odd_evens(B: _Builder, r: int, s: int, t: int) -> None:
     B.spine(2 * r + 1, big)
     B.leaf(2 * r, 1, -1)
     B.leaf(2 * r, 2, -big)
-    for i in range(1, r):
-        B.spine(2 * i, 1 + i)
-        B.spine(2 * i + 1, -(1 + i))
-    for i in range(1, s):
-        B.pair(2 * r, i + 1, r + i)
-    for i in range(1, t + 1):
-        B.pair(2 * r + 1, i, r + s - 1 + i)
+    B.spine_pairs(2, r - 1, 2)
+    _paired_leaves(B, r + 1, 2 * r, placed=(2 * r,))
 
 
 def _cat_q_odd_single_leaf(B: _Builder, r: int, s: None, t: int) -> None:
@@ -198,11 +196,8 @@ def _cat_q_odd_single_leaf(B: _Builder, r: int, s: None, t: int) -> None:
     B.leaf(2 * r + 3, 1, 2)
     B.leaf(2 * r + 3, 2, -3)
     B.leaf(2 * r + 3, 3, -big)
-    for i in range(2, r + 1):
-        B.spine(2 * i, i + 2)
-        B.spine(2 * i + 1, -(i + 2))
-    for i in range(2, t + 1):
-        B.pair_shifted(2 * r + 3, i, r + 1 + i)
+    B.spine_pairs(4, r - 1, 4)
+    _paired_leaves(B, r + 3, 2 * r + 3, placed=(2 * r + 3,))
 
 
 def _cat_q_odd_j_odd_odds(B: _Builder, r: int, s: int, t: int) -> None:
@@ -217,38 +212,13 @@ def _cat_q_odd_j_odd_odds(B: _Builder, r: int, s: int, t: int) -> None:
     B.leaf(2 * r + 3, 1, 2)
     B.leaf(2 * r + 3, 2, -3)
     B.leaf(2 * r + 3, 3, -big)
-    for i in range(1, r + 1):
-        B.spine(2 * i, 3 + i)
-        B.spine(2 * i + 1, -(3 + i))
-    for i in range(2, s + 1):
-        B.pair_shifted(2 * r + 2, i, r + 2 + i)
-    for i in range(2, t + 1):
-        B.pair_shifted(2 * r + 3, i, r + s + 1 + i)
+    B.spine_pairs(2, r, 4)
+    _paired_leaves(B, r + 4, 2 * r + 2, placed=(2 * r + 2, 2 * r + 3))
 
 
 # ---------------------------------------------------------------------------
 # lobsters, q even
 # ---------------------------------------------------------------------------
-
-def _paired_leaves(
-    B: _Builder, first: int, start_vertex: int, placed: tuple[int, ...] = ()
-) -> None:
-    """Paired leaves for all branch vertices from start_vertex on.
-
-    The unlabeled pairs get consecutive labels from ``first``; a vertex with
-    count 2b or 2b+1 has b pairs.  Even counts pair at (2m-1, 2m); odd
-    counts keep position 1 free (labeled explicitly elsewhere) and pair at
-    (2m, 2m+1).  Vertices in ``placed`` already carry their first pair.
-    """
-    spec = B.spec
-    value = first
-    for i in range(start_vertex, spec.n + 1):
-        a = spec.a(i)
-        put = B.pair if a % 2 == 0 else B.pair_shifted
-        for m in range(2 if i in placed else 1, a // 2 + 1):
-            put(i, m, value)
-            value += 1
-
 
 def _lob_even_size_l_odd(B: _Builder, r: int, s: int, t: int) -> None:
     """q even, l = 2t+1; j+k = 2rs with rs = r+s; branch blocks j+1..n."""
@@ -263,9 +233,7 @@ def _lob_even_size_l_odd(B: _Builder, r: int, s: int, t: int) -> None:
     for i in range(1, t + 1):
         B.leaf(2 * (rs + i) - 1, 1, -2 * (t + 1 - i))
         B.leaf(2 * (rs + i), 1, 2 * (t + 1 - i))
-    for i in range(1, rs + 1):
-        B.spine(2 * i - 1, 2 * t + 1 + i)
-        B.spine(2 * i, -(2 * t + 1 + i))
+    B.spine_pairs(1, rs, 2 * t + 2)
     _paired_leaves(B, rs + 2 * t + 2, spec.j + 1)
 
 
@@ -278,9 +246,7 @@ def _lob_even_size_l_even(B: _Builder, r: int, s: int, t: int) -> None:
         B.spine(2 * (rs + i), -(2 * i - 1))
         B.leaf(2 * (rs + i) - 1, 1, -2 * (t + 1 - i))
         B.leaf(2 * (rs + i), 1, 2 * (t + 1 - i))
-    for i in range(1, rs + 1):
-        B.spine(2 * i - 1, 2 * t + i)
-        B.spine(2 * i, -(2 * t + i))
+    B.spine_pairs(1, rs, 2 * t + 1)
     _paired_leaves(B, rs + 2 * t + 1, spec.j + 1)
 
 
@@ -305,12 +271,8 @@ def _lob_jkl_even_odd_odd(B: _Builder, r: int, s: int, t: int) -> None:
         B.leaf(2 * r + 1, 1, -1)
         B.leaf(2 * (r + s), 1, big)
         B.leaf(2 * r + 1, 2, -big)
-        for i in range(1, r + 1):
-            B.spine(2 * i - 1, 1 + i)
-            B.spine(2 * i, -(1 + i))
-        for i in range(1, s):
-            B.spine(2 * (r + i), r + 1 + i)
-            B.spine(2 * (r + i) + 1, -(r + 1 + i))
+        B.spine_pairs(1, r, 2)
+        B.spine_pairs(2 * r + 2, s - 1, r + 2)
         first = r + s + 1
     else:
         for i in range(1, t + 1):
@@ -325,12 +287,8 @@ def _lob_jkl_even_odd_odd(B: _Builder, r: int, s: int, t: int) -> None:
         for i in range(1, t):
             B.leaf(2 * (r + s + i), 1, -2 * (t - i + 1))
             B.leaf(2 * (r + s + i) + 1, 1, 2 * (t - i + 1))
-        for i in range(1, r + 1):
-            B.spine(2 * i - 1, 2 * t + 1 + i)
-            B.spine(2 * i, -(2 * t + 1 + i))
-        for i in range(1, s):
-            B.spine(2 * (r + i), r + 2 * t + 1 + i)
-            B.spine(2 * (r + i) + 1, -(r + 2 * t + 1 + i))
+        B.spine_pairs(1, r, 2 * t + 2)
+        B.spine_pairs(2 * r + 2, s - 1, r + 2 * t + 2)
         first = r + s + 2 * t + 1
     _paired_leaves(B, first, 2 * r + 1, placed=(2 * r + 1,))
 
@@ -351,12 +309,8 @@ def _lob_jkl_even_odd_even(B: _Builder, r: int, s: int, t: int) -> None:
         B.spine(2 * r + 3, big)
         B.leaf(2 * r + 1, 1, -1)
         B.leaf(2 * r + 1, 2, -big)
-        for i in range(1, r + 1):
-            B.spine(2 * i - 1, 1 + i)
-            B.spine(2 * i, -(1 + i))
-        for i in range(2, s + 1):
-            B.spine(2 * (r + i), r + i)
-            B.spine(2 * (r + i) + 1, -(r + i))
+        B.spine_pairs(1, r, 2)
+        B.spine_pairs(2 * r + 4, s - 1, r + 2)
         first = r + s + 1
     else:
         big = r + s + 2 * t + sb
@@ -366,12 +320,8 @@ def _lob_jkl_even_odd_even(B: _Builder, r: int, s: int, t: int) -> None:
         B.leaf(2 * r + 1, 2, 2 * t + 1)
         B.leaf(2 * (r + s + 1), 1, big)
         B.leaf(2 * (r + s + 1) + 1, 1, -big)
-        for i in range(1, r + 1):
-            B.spine(2 * i - 1, 2 * t + 1 + i)
-            B.spine(2 * i, -(2 * t + 1 + i))
-        for i in range(2, s + 1):
-            B.spine(2 * (r + i), 2 * t + r + i)
-            B.spine(2 * (r + i) + 1, -(2 * t + r + i))
+        B.spine_pairs(1, r, 2 * t + 2)
+        B.spine_pairs(2 * r + 4, s - 1, 2 * t + r + 2)
         for i in range(1, t + 1):
             B.spine(2 * (r + s + i), 2 * i - 1)
             B.spine(2 * (r + s + i) + 1, -(2 * i - 1))
@@ -399,14 +349,10 @@ def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
         B.leaf(2 * r + 2, 1, -1)
         B.leaf(n, 1, big)
         B.leaf(2 * r + 2, 2, -big)
-        for i in range(1, r + 1):
-            B.spine(2 * i - 1, 1 + i)
-            B.spine(2 * i, -(1 + i))
+        B.spine_pairs(1, r, 2)
         B.spine(2 * r + 1, r + 2)
         B.spine(2 * r + 3, -(r + 2))
-        for i in range(2, s + 1):
-            B.spine(2 * (r + i), r + 1 + i)
-            B.spine(2 * (r + i) + 1, -(r + 1 + i))
+        B.spine_pairs(2 * r + 4, s - 1, r + 3)
         _paired_leaves(B, r + s + 2, 2 * r + 2, placed=(2 * r + 2,))
         return
     # l == 2
@@ -422,12 +368,8 @@ def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
     B.leaf(2 * (r + s + 1) + 1, 1, 4)
     B.spine(2 * r + 3, big)
     B.leaf(2 * r + 2, 2, -big)
-    for i in range(1, r + 1):
-        B.spine(2 * i, 4 + i)
-        B.spine(2 * i + 1, -(4 + i))
-    for i in range(2, s + 1):
-        B.spine(2 * (r + i), r + 3 + i)
-        B.spine(2 * (r + i) + 1, -(r + 3 + i))
+    B.spine_pairs(2, r, 5)
+    B.spine_pairs(2 * r + 4, s - 1, r + 5)
     _paired_leaves(B, r + s + 4, 2 * r + 2, placed=(2 * r + 2, 2 * r + 3))
 
 

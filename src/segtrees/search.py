@@ -201,11 +201,10 @@ def _run(spec: TreeSpec, config: SearchConfig):
             root = 0
             for v in spine_vals:
                 root += v
+            required = {spine_vals[i] for i in branch}
             if q % 2 == 0:
-                required = {spine_vals[i] for i in branch}
                 required.add(0)
             else:
-                required = {spine_vals[i] for i in branch}
                 required.discard(0)
                 half = (q + 1) // 2
                 required.add(half)
@@ -213,12 +212,10 @@ def _run(spec: TreeSpec, config: SearchConfig):
             if root not in required:
                 return
             required.remove(root)
-            saved = r_rem.copy()
-            r_rem.clear()
+            # r_rem is empty here: the spine completes only outside the leaf phase
             r_rem.update(required)
             dfs_branches(0, pool)
             r_rem.clear()
-            r_rem.update(saved)
             return
         pendant = counts[d] == 0
         lo = spine_idxs[d - 1] + 1 if (s_on and same_as_prev[d]) else 0
@@ -256,7 +253,13 @@ def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
             f"{spec} has q={spec.q} > {GUARD_Q}; exhaustive search refused "
             "(pass override_guard to insist)"
         )
-    return _run(spec, config)
+    try:
+        return _run(spec, config)
+    except RecursionError:
+        # the DFS recurses once per spine vertex and leaf edge
+        raise GuardRefused(
+            f"{spec} has q={spec.q}; the tree is too deep for the search"
+        ) from None
 
 
 def count_all(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:

@@ -266,6 +266,18 @@ def test_search_guard_refused_exit2(capsys):
     assert "refused" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "RT(0^1500,1,1)", "--override-guard"],
+    ["label", "RT(0^1500,4,1^4)", "--search-budget", "10^6", "--override-guard"],
+])
+def test_search_too_deep_refused_exit2(capsys, argv):
+    # the DFS recurses once per spine vertex: 1,500 of them exceed the stack
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("refused: ")
+    assert "too deep for the search" in err
+
+
 def test_search_no_break_flags_same_answer(capsys):
     code, out, _ = run(capsys, "search", "RT(1,1)", "--count",
                        "--no-break-negation", "--no-break-leaves",

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 from pathlib import Path
@@ -80,6 +81,21 @@ def test_golden_fidelity(stem):
     out = label_any(spec)
     assert out.kind == LABELED
     assert out.labeling == golden
+
+
+# sha256 over label_any's answer for every spec with q <= 16, labels in
+# assignment order: `label --format json` lists edges in that order, and
+# dict equality cannot see it
+ASSIGNMENT_ORDER_DIGEST_Q16 = "d0544a0f5790c0acfbd2a6a292ff35f1f1691f3ea24e12c2d00fc1d30d30208f"
+
+
+def test_assignment_order_digest_q16():
+    h = hashlib.sha256()
+    for spec in enumerate_specs(16):
+        out = label_any(spec)
+        items = list(out.labeling.items()) if out.labeling is not None else None
+        h.update(repr((spec.counts, out.kind, out.tag, out.case, items)).encode())
+    assert h.hexdigest() == ASSIGNMENT_ORDER_DIGEST_Q16
 
 
 def test_all_constructive_specs_verify_q13():
