@@ -321,6 +321,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
                 "theory": theory,
                 "oracle": oracle,
                 "agreement": agreement,
+                "nodes": nodes,
             }
         )
     if args.format == "json":

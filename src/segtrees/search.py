@@ -6,14 +6,34 @@ flags cut the space; raw counts are re-expanded exactly, so every flag
 combination reports the same existence answer and the same raw labeling
 count.
 
-Exact pruning after the spine is labeled: pendant vertices repeat their
-edge labels, so the induced labels still to be realized, by the root and
-the branch vertices, are forced to be exactly
-``R = {branch spine labels} + {0}`` for even q, or
-``R = {nonzero branch spine labels} + {+-(q+1)/2}`` for odd q.
-The root sum is checked against R when the spine completes and each branch
-sum against the remainder when its leaf group completes; this is a
-consequence of the two bijection requirements, not a heuristic.
+Exact pruning.  Each cut below is a theorem: it skips only subtrees that
+hold no solution, and candidates are still tried in ascending index order,
+so the outcome, the count and the first labeling (key order included) are
+those of the uncut search; only ``nodes_visited`` falls.
+
+- Forced targets.  Pendant vertices repeat their edge labels, so once the
+  spine is labeled the induced labels still to be realized, by the root
+  and the branch vertices, are exactly
+  ``R = {branch spine labels} + {0}`` for even q, or
+  ``R = {nonzero branch spine labels} + {+-(q+1)/2}`` for odd q.  The root
+  sum is checked against R when the spine completes.
+- Zero placement (odd q).  The vertex target of an even p = q+1 has no 0,
+  and a leaf or a pendant spine vertex induces its edge's label, so 0 sits
+  on a branch spine edge.  While 0 is in the pool a spine vertex takes
+  another label only if a later branch vertex can still take 0: there is
+  none when no branch vertex follows, and none when equal-spine breaking
+  is on, the label's index passes 0's, and every later branch vertex is in
+  the vertex's equal-count run (whose indices ascend).
+- Sum interval (leaf breaking on).  A group's labels ascend, so with k
+  leaves left, partial sum ``base`` and next leaf ``avail[j]``, the group
+  sum lies between ``base`` plus the k available labels from j and
+  ``base`` plus ``avail[j]`` plus the top k-1 available labels.  It must
+  be some t in R, so an interval missing ``[min R, max R]`` is skipped;
+  its lower end rises with j, so the scan stops once that end passes
+  ``max R``.
+- Last leaf.  The completed group sum must be some t in R, so the last
+  leaf's label is ``t - base``: the candidates are read off R, in index
+  order, instead of scanned.
 
 Symmetry soundness notes.  Negation pairs solutions f/-f; with the
 equal-spine flag off, the representative is fixed in-search by requiring
@@ -105,6 +125,19 @@ def _run(spec: TreeSpec, config: SearchConfig):
             start = i
     runs.append((start, n))
     same_as_prev = [i > 0 and counts[i] == counts[i - 1] for i in range(n)]
+    index_of = {v: i for i, v in enumerate(values)}
+
+    # odd q: the index window a spine vertex may take while 0 is in the pool,
+    # so that 0 can still land on a branch spine edge
+    zero_window = [(0, q)] * n
+    if zero_idx >= 0:
+        last_branch = branch[-1] if branch else -1
+        for st, en in runs:
+            for d in range(st, en):
+                if d >= last_branch:
+                    zero_window[d] = (zero_idx, zero_idx + 1)  # 0 now or never
+                elif s_on and last_branch < en:
+                    zero_window[d] = (0, zero_idx + 1)  # the run's indices ascend past 0
 
     base_factor = 1
     if l_on:
@@ -167,25 +200,46 @@ def _run(spec: TreeSpec, config: SearchConfig):
     def dfs_group(bi: int, a: int, pos: int, last_idx: int, psum: int, pool: int, gi: int) -> None:
         lo = last_idx + 1 if l_on else 0
         grp = groups[bi]
-        for idx in range(lo, q):
-            if not (pool >> idx) & 1:
-                continue
-            v = values[idx]
-            if pos == a - 1:
-                total = spine_vals[bi] + psum + v
-                if total not in r_rem:
-                    continue
+        base = spine_vals[bi] + psum
+        if pos == a - 1:
+            # the last leaf is read off R: its label is t - base for some t in R
+            hits = []
+            for t in r_rem:
+                idx = index_of.get(t - base, -1)
+                if idx >= lo and (pool >> idx) & 1:
+                    hits.append((idx, t))
+            hits.sort()
+            for idx, t in hits:
                 tick()
-                grp.append(v)
-                r_rem.remove(total)
+                grp.append(values[idx])
+                r_rem.remove(t)
                 dfs_branches(gi + 1, pool & ~(1 << idx))
-                r_rem.add(total)
+                r_rem.add(t)
                 grp.pop()
-            else:
-                tick()
-                grp.append(v)
-                dfs_group(bi, a, pos + 1, idx, psum + v, pool & ~(1 << idx), gi)
-                grp.pop()
+            return
+        avail = [idx for idx in range(lo, q) if (pool >> idx) & 1]
+        end = len(avail)
+        if l_on:
+            # sum interval: base + the k labels from j .. base + avail[j] + the top k-1
+            k = a - pos
+            end = max(end - k + 1, 0)  # later leaves need k-1 labels above j
+            sums = [0]
+            for idx in avail:
+                sums.append(sums[-1] + values[idx])
+            top = sums[-1] - sums[end]
+            r_min, r_max = min(r_rem), max(r_rem)
+        for j in range(end):
+            idx = avail[j]
+            v = values[idx]
+            if l_on:
+                if base + sums[j + k] - sums[j] > r_max:
+                    break  # the least sum only rises with j
+                if base + v + top < r_min:
+                    continue
+            tick()
+            grp.append(v)
+            dfs_group(bi, a, pos + 1, idx, psum + v, pool & ~(1 << idx), gi)
+            grp.pop()
 
     def dfs_branches(gi: int, pool: int) -> None:
         if gi == len(branch):
@@ -196,8 +250,6 @@ def _run(spec: TreeSpec, config: SearchConfig):
 
     def dfs_spine(d: int, pool: int, sign_fixed: bool) -> None:
         if d == n:
-            if zero_idx >= 0 and (pool >> zero_idx) & 1:
-                return  # 0 sits in the pool but only pendant edges remain
             root = 0
             for v in spine_vals:
                 root += v
@@ -219,7 +271,11 @@ def _run(spec: TreeSpec, config: SearchConfig):
             return
         pendant = counts[d] == 0
         lo = spine_idxs[d - 1] + 1 if (s_on and same_as_prev[d]) else 0
-        for idx in range(lo, q):
+        hi = q
+        if zero_idx >= 0 and (pool >> zero_idx) & 1:
+            zlo, hi = zero_window[d]
+            lo = max(lo, zlo)
+        for idx in range(lo, hi):
             if not (pool >> idx) & 1:
                 continue
             v = values[idx]

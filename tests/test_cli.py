@@ -9,10 +9,12 @@ import pytest
 
 from segtrees import (
     CONJECTURED,
+    SearchConfig,
     build_tree,
     parse_dot_spec,
     parse_spec,
     read_labeling,
+    search,
     verify,
 )
 from segtrees import cli, constructions
@@ -241,7 +243,7 @@ def test_search_exhaust_stops_at_first_labeling(capsys, tmp_path):
                            "--certificates-dir", str(tmp_path))
         assert code == 0
         nodes[flag] = json.loads(out)["nodes_visited"]
-    assert nodes["--exhaust"] < nodes["--count"] == 52
+    assert nodes["--exhaust"] < nodes["--count"] == 44
     assert not any(tmp_path.iterdir())
 
 
@@ -310,6 +312,20 @@ def test_survey_json_rows(capsys):
     assert first["agreement"] == "yes"
     not_seg = [r for r in data["rows"] if r["theory"] == "not-SEG"]
     assert all(r["oracle"] == "none" and r["agreement"] == "yes" for r in not_seg)
+
+
+def test_survey_json_rows_report_nodes(capsys):
+    code, out, _ = run(capsys, "survey", "--max-size", "7", "--format", "json")
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        cfg = SearchConfig(node_budget=cli.SURVEY_DEFAULT_BUDGET)
+        assert row["nodes"] == search(parse_spec(row["spec"]), cfg).nodes_visited > 0
+    code, out, _ = run(capsys, "survey", "--max-size", "7", "--search-budget", "5",
+                       "--format", "json")
+    assert code == 0
+    budget_rows = [r for r in json.loads(out)["rows"] if r["oracle"] == "budget"]
+    assert budget_rows
+    assert all(r["nodes"] == 5 for r in budget_rows)
 
 
 def test_survey_marks_open_rows_informational(capsys):

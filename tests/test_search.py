@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -94,6 +96,38 @@ def test_deterministic_across_runs():
 def test_mode_constants_distinct():
     assert len({FIND_ONE, COUNT_ALL}) == 2
     assert len({FOUND, EXHAUSTED_NONE, BUDGET_EXCEEDED}) == 3
+
+
+# outcome, count, first labeling and its key order under every flag set and
+# both modes for q <= 9; the exact cuts skip only subtrees without solutions
+# and keep the candidate order, so this digest does not move with them
+SEARCH_ORDER_DIGEST_Q9 = "61ae2916f1208ff2ef9c706754b7e27e19f919843a76b069e977d8fade23a86e"
+
+
+def test_search_order_digest_q9():
+    h = hashlib.sha256()
+    runs = 0
+    for spec in enumerate_specs(9):
+        for cfg in ALL_FLAGS:
+            flags = (cfg.break_negation, cfg.break_leaf_permutations,
+                     cfg.break_equal_spine_vertices)
+            for mode in (FIND_ONE, COUNT_ALL):
+                r = search(spec, replace(cfg, mode=mode))
+                items = list(r.labeling.items()) if r.labeling is not None else None
+                h.update(repr((spec.counts, flags, mode, r.outcome, r.count, items)).encode())
+                runs += 1
+    assert runs == 816
+    assert h.hexdigest() == SEARCH_ORDER_DIGEST_Q9
+
+
+@pytest.mark.parametrize("text, mode, nodes", [
+    ("RT(0^3,1^5)", FIND_ONE, 76_017),  # 154,527 before the exact cuts
+    ("RT(0,1^6)", FIND_ONE, 20_577),  # 37,839
+    ("RT(4,1^4)", COUNT_ALL, 53_926),  # 98,255
+])
+def test_node_counts_pinned(text, mode, nodes):
+    r = search(parse_spec(text), SearchConfig(mode=mode))
+    assert r.nodes_visited == nodes
 
 
 # ---------------------------------------------------------------------------
