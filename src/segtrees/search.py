@@ -1,50 +1,53 @@
 """Exhaustive SEG search: find, count, or certify absence, deterministically.
 
-The engine assigns spine edges first (index order), then each branch
-vertex's leaf edges.  Three independent and individually sound symmetry
-flags cut the space; raw counts are re-expanded exactly, so every flag
-combination reports the same existence answer and the same raw labeling
-count.
+The engine has two phases.  The spine phase labels the branch spine edges
+(spine vertices with leaves), in index order.  The group phase then fills
+the leaf groups, one group at a time, with one routine.  Three independent
+and individually sound symmetry flags cut the space; raw counts are
+re-expanded exactly, so every flag combination reports the same existence
+answer and the same raw labeling count.
 
-Exact pruning.  Each cut below is a theorem: it skips only subtrees that
-hold no solution, and candidates are still tried in ascending index order,
-so the outcome, the count and the first labeling (key order included) are
-those of the uncut search; only ``nodes_visited`` falls.
+Each statement below is a theorem: a cut skips only subtrees that hold no
+solution, so outcomes and counts are those of the uncut search.
 
-- Forced targets.  Pendant vertices repeat their edge labels, so once the
-  spine is labeled the induced labels still to be realized, by the root
-  and the branch vertices, are exactly
-  ``R = {branch spine labels} + {0}`` for even q, or
-  ``R = {nonzero branch spine labels} + {+-(q+1)/2}`` for odd q.  The root
-  sum is checked against R when the spine completes.
+- Pendants are the root's group.  A leaf or a pendant spine vertex induces
+  its own edge's label, and a pendant's label also adds to the root's sum.
+  So the pendant edges form one more leaf group: the root's, whose base is
+  the sum of the branch spine labels.  Its labels land on the pendant
+  spine edges, so the slot order is unchanged.
+- Forced targets.  Once the branch spine is labeled, the induced labels
+  still to be realized, one per group sum (branch vertices and the root),
+  are exactly ``R = {branch spine labels} + {0}`` for even q, or
+  ``R = {nonzero branch spine labels} + {+-(q+1)/2}`` for odd q.  With no
+  pendants the root sum is fixed by the spine and checked against R there.
 - Zero placement (odd q).  The vertex target of an even p = q+1 has no 0,
-  and a leaf or a pendant spine vertex induces its edge's label, so 0 sits
-  on a branch spine edge.  While 0 is in the pool a spine vertex takes
-  another label only if a later branch vertex can still take 0: there is
-  none when no branch vertex follows, and none when equal-spine breaking
-  is on, the label's index passes 0's, and every later branch vertex is in
-  the vertex's equal-count run (whose indices ascend).
-- Sum interval (leaf breaking on).  A group's labels ascend, so with k
-  leaves left, partial sum ``base`` and next leaf ``avail[j]``, the group
-  sum lies between ``base`` plus the k available labels from j and
-  ``base`` plus ``avail[j]`` plus the top k-1 available labels.  It must
-  be some t in R, so an interval missing ``[min R, max R]`` is skipped;
-  its lower end rises with j, so the scan stops once that end passes
-  ``max R``.
-- Last leaf.  The completed group sum must be some t in R, so the last
-  leaf's label is ``t - base``: the candidates are read off R, in index
+  and every group label induces itself, so 0 sits on a branch spine edge:
+  the spine phase completes only when it has placed 0.
+- Groups smallest first.  Groups are filled in ascending size, so the
+  largest group comes last and its label set is whatever is left.
+- Sum interval (sorted groups).  A branch group is sorted when leaf
+  breaking is on; the pendant group is sorted when equal-spine breaking is
+  on, since the pendants are one equal-count run.  In a sorted group with
+  k labels left, partial sum ``base`` and next label ``avail[j]``, the
+  group sum lies between ``base`` plus the k available labels from j and
+  ``base`` plus ``avail[j]`` plus the top k-1 available labels.  It must be
+  some t in R, so an interval missing ``[min R, max R]`` is skipped; its
+  lower end rises with j, so the scan stops once that end passes ``max R``.
+- Last label.  The completed group sum must be some t in R, so a group's
+  last label is ``t - base``: the candidates are read off R, in index
   order, instead of scanned.
 
 Symmetry soundness notes.  Negation pairs solutions f/-f; with the
 equal-spine flag off, the representative is fixed in-search by requiring
-the first nonzero assigned label (always a spine edge) to be positive,
-worth an exact factor 2.  With both the negation and equal-spine flags on,
-an in-search sign prune would be unsound: re-sorting equal spine vertices
-can map -f back to f, and such self-paired solutions exist (RT(1,1)).
-Instead every enumerated solution f is compared against canon(-f)
-(negate, re-sort leaf groups if that flag is on, re-sort equal-count spine
-runs): f < canon(-f) counts double, f == canon(-f) counts once,
-f > canon(-f) is the partner and counts zero.
+the first nonzero branch spine label to be positive, worth an exact factor
+2 (a diameter-4 tree has at least two branch spine edges, and at most one
+carries 0).  With both the negation and equal-spine flags on, an in-search
+sign prune would be unsound: re-sorting equal spine vertices can map -f
+back to f, and such self-paired solutions exist (RT(1,1)).  Instead every
+enumerated solution f is compared against canon(-f) (negate, re-sort leaf
+groups if that flag is on, re-sort equal-count spine runs): f < canon(-f)
+counts double, f == canon(-f) counts once, f > canon(-f) is the partner
+and counts zero.
 """
 
 from __future__ import annotations
@@ -111,6 +114,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
     values = list(edge_label_target(q))  # ascending
     zero_idx = values.index(0) if q % 2 == 1 else -1
     branch = [i for i in range(n) if counts[i] > 0]  # 0-based spine positions
+    n_pend = n - len(branch)  # canonical order puts the pendants first
     l_on = config.break_leaf_permutations
     s_on = config.break_equal_spine_vertices
     n_on = config.break_negation
@@ -127,18 +131,6 @@ def _run(spec: TreeSpec, config: SearchConfig):
     same_as_prev = [i > 0 and counts[i] == counts[i - 1] for i in range(n)]
     index_of = {v: i for i, v in enumerate(values)}
 
-    # odd q: the index window a spine vertex may take while 0 is in the pool,
-    # so that 0 can still land on a branch spine edge
-    zero_window = [(0, q)] * n
-    if zero_idx >= 0:
-        last_branch = branch[-1] if branch else -1
-        for st, en in runs:
-            for d in range(st, en):
-                if d >= last_branch:
-                    zero_window[d] = (zero_idx, zero_idx + 1)  # 0 now or never
-                elif s_on and last_branch < en:
-                    zero_window[d] = (0, zero_idx + 1)  # the run's indices ascend past 0
-
     base_factor = 1
     if l_on:
         for a in counts:
@@ -151,7 +143,14 @@ def _run(spec: TreeSpec, config: SearchConfig):
     nodes = 0
     spine_vals = [0] * n
     spine_idxs = [-1] * n
-    groups: list[list[int]] = [[] for _ in range(n)]
+    groups = [[0] * a for a in counts]
+    # the groups smallest first, ties in spine order: (size, owner, slots,
+    # sorted); owner n is the root, whose pendant group fills spine_vals[:n_pend]
+    plan = [(counts[i], i, groups[i], l_on) for i in branch]
+    if n_pend:
+        plan.append((n_pend, n, spine_vals, s_on))
+    plan.sort(key=lambda g: g[:2])
+    root_base = 0
     r_rem: set[int] = set()
     raw_count = 0
     first: EdgeLabeling | None = None
@@ -197,12 +196,17 @@ def _run(spec: TreeSpec, config: SearchConfig):
             raise _BudgetHit
         nodes += 1
 
-    def dfs_group(bi: int, a: int, pos: int, last_idx: int, psum: int, pool: int, gi: int) -> None:
-        lo = last_idx + 1 if l_on else 0
-        grp = groups[bi]
-        base = spine_vals[bi] + psum
+    def next_group(gi: int, pool: int) -> None:
+        if gi == len(plan):
+            solution()
+            return
+        owner = plan[gi][1]
+        dfs_group(gi, 0, 0, root_base if owner == n else spine_vals[owner], pool)
+
+    def dfs_group(gi: int, pos: int, lo: int, base: int, pool: int) -> None:
+        a, _, slots, ordered = plan[gi]
         if pos == a - 1:
-            # the last leaf is read off R: its label is t - base for some t in R
+            # the last label is read off R: it is t - base for some t in R
             hits = []
             for t in r_rem:
                 idx = index_of.get(t - base, -1)
@@ -211,15 +215,14 @@ def _run(spec: TreeSpec, config: SearchConfig):
             hits.sort()
             for idx, t in hits:
                 tick()
-                grp.append(values[idx])
+                slots[pos] = values[idx]
                 r_rem.remove(t)
-                dfs_branches(gi + 1, pool & ~(1 << idx))
+                next_group(gi + 1, pool & ~(1 << idx))
                 r_rem.add(t)
-                grp.pop()
             return
         avail = [idx for idx in range(lo, q) if (pool >> idx) & 1]
         end = len(avail)
-        if l_on:
+        if ordered:
             # sum interval: base + the k labels from j .. base + avail[j] + the top k-1
             k = a - pos
             end = max(end - k + 1, 0)  # later leaves need k-1 labels above j
@@ -231,29 +234,22 @@ def _run(spec: TreeSpec, config: SearchConfig):
         for j in range(end):
             idx = avail[j]
             v = values[idx]
-            if l_on:
+            if ordered:
                 if base + sums[j + k] - sums[j] > r_max:
                     break  # the least sum only rises with j
                 if base + v + top < r_min:
                     continue
             tick()
-            grp.append(v)
-            dfs_group(bi, a, pos + 1, idx, psum + v, pool & ~(1 << idx), gi)
-            grp.pop()
+            slots[pos] = v
+            dfs_group(gi, pos + 1, idx + 1 if ordered else 0, base + v, pool & ~(1 << idx))
 
-    def dfs_branches(gi: int, pool: int) -> None:
-        if gi == len(branch):
-            solution()
-            return
-        bi = branch[gi]
-        dfs_group(bi, counts[bi], 0, -1, 0, pool, gi)
-
-    def dfs_spine(d: int, pool: int, sign_fixed: bool) -> None:
-        if d == n:
-            root = 0
-            for v in spine_vals:
-                root += v
+    def dfs_spine(k: int, pool: int, sign_fixed: bool) -> None:
+        nonlocal root_base
+        if k == len(branch):
+            if zero_idx >= 0 and (pool >> zero_idx) & 1:
+                return  # odd q: 0 goes on a branch spine edge
             required = {spine_vals[i] for i in branch}
+            root_base = sum(required)  # the branch spine labels are distinct
             if q % 2 == 0:
                 required.add(0)
             else:
@@ -261,33 +257,27 @@ def _run(spec: TreeSpec, config: SearchConfig):
                 half = (q + 1) // 2
                 required.add(half)
                 required.add(-half)
-            if root not in required:
-                return
-            required.remove(root)
-            # r_rem is empty here: the spine completes only outside the leaf phase
+            if not n_pend:
+                if root_base not in required:
+                    return
+                required.remove(root_base)
+            # r_rem is empty here: the spine completes only outside the group phase
             r_rem.update(required)
-            dfs_branches(0, pool)
+            next_group(0, pool)
             r_rem.clear()
             return
-        pendant = counts[d] == 0
+        d = branch[k]
         lo = spine_idxs[d - 1] + 1 if (s_on and same_as_prev[d]) else 0
-        hi = q
-        if zero_idx >= 0 and (pool >> zero_idx) & 1:
-            zlo, hi = zero_window[d]
-            lo = max(lo, zlo)
-        for idx in range(lo, hi):
+        for idx in range(lo, q):
             if not (pool >> idx) & 1:
                 continue
             v = values[idx]
-            if v == 0 and pendant:
-                continue
             if sign_prune and not sign_fixed and v < 0:
                 continue
             tick()
             spine_vals[d] = v
             spine_idxs[d] = idx
-            dfs_spine(d + 1, pool & ~(1 << idx), sign_fixed or v != 0)
-        spine_idxs[d] = -1
+            dfs_spine(k + 1, pool & ~(1 << idx), sign_fixed or v != 0)
 
     try:
         dfs_spine(0, (1 << q) - 1, False)
@@ -312,7 +302,8 @@ def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
     try:
         return _run(spec, config)
     except RecursionError:
-        # the DFS recurses once per spine vertex and leaf edge
+        # the DFS recurses once per branch spine vertex and group label, and
+        # a pendant run is one group: a long run or many branches is deep
         raise GuardRefused(
             f"{spec} has q={spec.q}; the tree is too deep for the search"
         ) from None

@@ -270,10 +270,12 @@ def test_search_guard_refused_exit2(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["search", "RT(0^1500,1,1)", "--override-guard"],
-    ["label", "RT(0^1500,4,1^4)", "--search-budget", "10^6", "--override-guard"],
+    ["label", "RT(4,1^1500)", "--search-budget", "10^6", "--override-guard"],
 ])
 def test_search_too_deep_refused_exit2(capsys, argv):
-    # the DFS recurses once per spine vertex: 1,500 of them exceed the stack
+    # the DFS recurses once per branch spine vertex and once per leaf of a
+    # group, and a pendant run is one group: either way 1,500 frames exceed
+    # the stack (RT(4,1^1500) is conjecture-1, so label reaches the search)
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("refused: ")
