@@ -16,6 +16,8 @@ labels the leaves of every vertex from a start vertex on with consecutive
 (+x, -x) pairs through ``_Builder.pair``: an even leaf count 2b is consumed
 as b pairs at positions (2m-1, 2m); an odd count 2b+1 leaves its first leaf
 unpaired, for the rule to label explicitly, and pairs at (2m, 2m+1).
+``B.top`` is the largest edge label, q // 2: each odd-q rule's docstring
+gives q = 2 * top + 1, and the rule puts +top and -top on two edges.
 """
 
 from __future__ import annotations
@@ -58,10 +60,6 @@ class LabelOutcome:
         return self.kind == LABELED
 
 
-class WrongFamily(ValueError):
-    """Spec routed to a labeler for a different family."""
-
-
 class ConstructionFault(RuntimeError):
     """A rule produced a labeling that failed verification (formula bug)."""
 
@@ -78,6 +76,7 @@ class _Builder:
         self.tree = tree
         self.spec = tree.spec
         self.tag = tag
+        self.top = tree.q // 2  # the largest edge label
         self.f: dict[int, int] = {}  # slot -> label, in assignment order
 
     def _put(self, slot: int, value: int) -> None:
@@ -162,48 +161,44 @@ def _cat_q_even_j_odd(B: _Builder, r: int, s: int, t: int) -> None:
 
 def _cat_q_odd_j_even(B: _Builder, r: int, s: int, t: int) -> None:
     """j = 2r, counts 2s then 2t-1; r >= 0, s, t >= 1; q = 2(r+s+t)+1."""
-    big = r + s + t
     B.spine(2 * r + 1, 0)
     B.spine(2 * r + 2, 1)
     B.leaf(2 * r + 1, 1, -1)
-    B.leaf(2 * r + 1, 2, -big)
-    B.leaf(2 * r + 2, 1, big)
+    B.leaf(2 * r + 1, 2, -B.top)
+    B.leaf(2 * r + 2, 1, B.top)
     B.spine_pairs(1, r, 2)
     _paired_leaves(B, r + 2, 2 * r + 1, placed=(2 * r + 1,))
 
 
 def _cat_q_odd_j_odd_evens(B: _Builder, r: int, s: int, t: int) -> None:
     """j = 2r-1, counts 2s and 2t, 1 <= s <= t; q = 2(r+s+t)+1."""
-    big = r + s + t
     B.spine(1, 1)
     B.spine(2 * r, 0)
-    B.spine(2 * r + 1, big)
+    B.spine(2 * r + 1, B.top)
     B.leaf(2 * r, 1, -1)
-    B.leaf(2 * r, 2, -big)
+    B.leaf(2 * r, 2, -B.top)
     B.spine_pairs(2, r - 1, 2)
     _paired_leaves(B, r + 1, 2 * r, placed=(2 * r,))
 
 
 def _cat_q_odd_single_leaf(B: _Builder, r: int, s: None, t: int) -> None:
     """j = 2r+1 >= 3, counts 1 and 2t+1 >= 3; q = 2(r+t+2)+1; no s."""
-    big = r + t + 2
     B.spine(1, -1)
     B.spine(2, -2)
     B.spine(3, 3)
     B.spine(2 * r + 2, 1)
     B.spine(2 * r + 3, 0)
-    B.leaf(2 * r + 2, 1, big)
+    B.leaf(2 * r + 2, 1, B.top)
     B.leaf(2 * r + 3, 1, 2)
     B.leaf(2 * r + 3, 2, -3)
-    B.leaf(2 * r + 3, 3, -big)
+    B.leaf(2 * r + 3, 3, -B.top)
     B.spine_pairs(4, r - 1, 4)
     _paired_leaves(B, r + 3, 2 * r + 3, placed=(2 * r + 3,))
 
 
 def _cat_q_odd_j_odd_odds(B: _Builder, r: int, s: int, t: int) -> None:
     """j = 2r+1, counts 2s+1 and 2t+1, 1 <= s <= t; q = 2(r+s+t+2)+1."""
-    big = r + s + t + 2
-    B.spine(1, big)
+    B.spine(1, B.top)
     B.spine(2 * r + 2, 1)
     B.spine(2 * r + 3, 0)
     B.leaf(2 * r + 2, 1, -1)
@@ -211,7 +206,7 @@ def _cat_q_odd_j_odd_odds(B: _Builder, r: int, s: int, t: int) -> None:
     B.leaf(2 * r + 2, 3, 3)
     B.leaf(2 * r + 3, 1, 2)
     B.leaf(2 * r + 3, 2, -3)
-    B.leaf(2 * r + 3, 3, -big)
+    B.leaf(2 * r + 3, 3, -B.top)
     B.spine_pairs(2, r, 4)
     _paired_leaves(B, r + 4, 2 * r + 2, placed=(2 * r + 2, 2 * r + 3))
 
@@ -260,17 +255,13 @@ def _lob_jkl_even_odd_odd(B: _Builder, r: int, s: int, t: int) -> None:
     Branch blocks: even counts at 2r+1 .. 2(r+s)-1, odd counts at
     2(r+s) .. n = 2(r+s+t).
     """
-    spec = B.spec
-    n = spec.n
-    sb = sum(spec.a(i) // 2 for i in range(spec.j + 1, n + 1))
-    big = r + s + 2 * t + sb
     B.spine(2 * r + 1, 0)
     if t == 0:
         # single odd-count vertex at 2(r+s); here s >= 2
         B.spine(2 * (r + s), 1)
         B.leaf(2 * r + 1, 1, -1)
-        B.leaf(2 * (r + s), 1, big)
-        B.leaf(2 * r + 1, 2, -big)
+        B.leaf(2 * (r + s), 1, B.top)
+        B.leaf(2 * r + 1, 2, -B.top)
         B.spine_pairs(1, r, 2)
         B.spine_pairs(2 * r + 2, s - 1, r + 2)
         first = r + s + 1
@@ -282,8 +273,8 @@ def _lob_jkl_even_odd_odd(B: _Builder, r: int, s: int, t: int) -> None:
         B.leaf(2 * r + 1, 1, -(2 * t + 1))
         B.leaf(2 * (r + s + t), 1, -2)
         B.leaf(2 * r + 1, 2, 2)
-        B.leaf(2 * (r + s), 1, big)
-        B.leaf(2 * (r + s) + 1, 1, -big)
+        B.leaf(2 * (r + s), 1, B.top)
+        B.leaf(2 * (r + s) + 1, 1, -B.top)
         for i in range(1, t):
             B.leaf(2 * (r + s + i), 1, -2 * (t - i + 1))
             B.leaf(2 * (r + s + i) + 1, 1, 2 * (t - i + 1))
@@ -299,27 +290,22 @@ def _lob_jkl_even_odd_even(B: _Builder, r: int, s: int, t: int) -> None:
     Branch blocks: even counts at 2r+1 .. 2(r+s)+1, odd counts at
     2(r+s)+2 .. n = 2(r+s+t)+1.
     """
-    spec = B.spec
-    n = spec.n
-    sb = sum(spec.a(i) // 2 for i in range(spec.j + 1, n + 1))
     B.spine(2 * r + 1, 0)
     if t == 0:
-        big = r + s + sb
         B.spine(2 * r + 2, 1)
-        B.spine(2 * r + 3, big)
+        B.spine(2 * r + 3, B.top)
         B.leaf(2 * r + 1, 1, -1)
-        B.leaf(2 * r + 1, 2, -big)
+        B.leaf(2 * r + 1, 2, -B.top)
         B.spine_pairs(1, r, 2)
         B.spine_pairs(2 * r + 4, s - 1, r + 2)
         first = r + s + 1
     else:
-        big = r + s + 2 * t + sb
         B.spine(2 * r + 2, 2)
         B.spine(2 * r + 3, -(2 * t + 1))
         B.leaf(2 * r + 1, 1, -2)
         B.leaf(2 * r + 1, 2, 2 * t + 1)
-        B.leaf(2 * (r + s + 1), 1, big)
-        B.leaf(2 * (r + s + 1) + 1, 1, -big)
+        B.leaf(2 * (r + s + 1), 1, B.top)
+        B.leaf(2 * (r + s + 1) + 1, 1, -B.top)
         B.spine_pairs(1, r, 2 * t + 2)
         B.spine_pairs(2 * r + 4, s - 1, 2 * t + r + 2)
         for i in range(1, t + 1):
@@ -338,17 +324,13 @@ def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
     Branch blocks: even counts at 2r+2 .. 2(r+s)+1, odd counts at the last
     l spine positions.
     """
-    spec = B.spec
-    n = spec.n
-    l = spec.l
-    sb = sum(spec.a(i) // 2 for i in range(spec.j + 1, n + 1))
-    if l == 1:
-        big = r + s + 1 + sb
+    n = B.spec.n
+    if B.spec.l == 1:
         B.spine(2 * r + 2, 0)
         B.spine(n, 1)
         B.leaf(2 * r + 2, 1, -1)
-        B.leaf(n, 1, big)
-        B.leaf(2 * r + 2, 2, -big)
+        B.leaf(n, 1, B.top)
+        B.leaf(2 * r + 2, 2, -B.top)
         B.spine_pairs(1, r, 2)
         B.spine(2 * r + 1, r + 2)
         B.spine(2 * r + 3, -(r + 2))
@@ -356,7 +338,6 @@ def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
         _paired_leaves(B, r + s + 2, 2 * r + 2, placed=(2 * r + 2,))
         return
     # l == 2
-    big = r + s + 2 + sb
     B.spine(2 * r + 2, 0)
     B.spine(1, 1)
     B.leaf(2 * r + 2, 1, -1)
@@ -366,8 +347,8 @@ def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
     B.leaf(2 * r + 3, 2, -3)
     B.leaf(2 * (r + s + 1), 1, -4)
     B.leaf(2 * (r + s + 1) + 1, 1, 4)
-    B.spine(2 * r + 3, big)
-    B.leaf(2 * r + 2, 2, -big)
+    B.spine(2 * r + 3, B.top)
+    B.leaf(2 * r + 2, 2, -B.top)
     B.spine_pairs(2, r, 5)
     B.spine_pairs(2 * r + 4, s - 1, r + 5)
     _paired_leaves(B, r + s + 4, 2 * r + 2, placed=(2 * r + 2, 2 * r + 3))
@@ -415,39 +396,8 @@ def _verified(
     return LabelOutcome(LABELED, tag, f, case, tree, report.vertex_labels, search)
 
 
-def _run(cls: Classification) -> LabelOutcome:
-    if cls.status == NOT_SEG:
-        return LabelOutcome(PROVED_NOT_SEG, cls.tag)
-    if cls.status != CONSTRUCTIVE:
-        return LabelOutcome(UNKNOWN, cls.tag)
-    tree = build_tree(cls.spec)
-    return _verified(tree, _build_for(cls, tree), cls.tag, cls.case)
-
-
-def _family_labeler(spec: TreeSpec, family: str) -> LabelOutcome:
-    if spec.family != family:
-        raise WrongFamily(f"{spec} is a {spec.family}, not a {family}")
-    return _run(classify(spec))
-
-
-def label_even_caterpillar(spec: TreeSpec) -> LabelOutcome:
-    return _family_labeler(spec, "EvenCaterpillar")
-
-
-def label_odd_caterpillar(spec: TreeSpec) -> LabelOutcome:
-    return _family_labeler(spec, "OddCaterpillar")
-
-
-def label_even_lobster(spec: TreeSpec) -> LabelOutcome:
-    return _family_labeler(spec, "EvenLobster")
-
-
-def label_odd_lobster(spec: TreeSpec) -> LabelOutcome:
-    return _family_labeler(spec, "OddLobster")
-
-
 def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcome:
-    """Dispatch to the right family labeler; with a config, fall back to search.
+    """Run the closed-form rule for the spec's case; with a config, fall back to search.
 
     Given a search config, an UNKNOWN outcome (conjectured or uncovered
     family) is retried by one FIND_ONE search under that config: a found
@@ -455,15 +405,20 @@ def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcom
     exhaustion to PROVED_NOT_SEG with tag "by-exhaustion", and a spent
     budget stays UNKNOWN.
     """
-    outcome = _run(classify(spec))
-    if outcome.kind != UNKNOWN or config is None:
-        return outcome
+    cls = classify(spec)
+    if cls.status == NOT_SEG:
+        return LabelOutcome(PROVED_NOT_SEG, cls.tag)
+    if cls.status == CONSTRUCTIVE:
+        tree = build_tree(spec)
+        return _verified(tree, _build_for(cls, tree), cls.tag, cls.case)
+    if config is None:
+        return LabelOutcome(UNKNOWN, cls.tag)
     # looked up per call, so a patched or wrapped segtrees.search.search runs
     from .search import search
 
     result = search(spec, replace(config, mode=FIND_ONE))
     if result.outcome == BUDGET_EXCEEDED:
-        return replace(outcome, search=result)
+        return LabelOutcome(UNKNOWN, cls.tag, search=result)
     if result.outcome == EXHAUSTED_NONE:
         return LabelOutcome(PROVED_NOT_SEG, "by-exhaustion", search=result)
     return _verified(build_tree(spec), result.labeling, "by-search", search=result)

@@ -128,7 +128,6 @@ def _run(spec: TreeSpec, config: SearchConfig):
             runs.append((start, i))
             start = i
     runs.append((start, n))
-    same_as_prev = [i > 0 and counts[i] == counts[i - 1] for i in range(n)]
     index_of = {v: i for i, v in enumerate(values)}
 
     base_factor = 1
@@ -142,7 +141,6 @@ def _run(spec: TreeSpec, config: SearchConfig):
     budget = config.node_budget
     nodes = 0
     spine_vals = [0] * n
-    spine_idxs = [-1] * n
     groups = [[0] * a for a in counts]
     # the groups smallest first, ties in spine order: (size, owner, slots,
     # sorted); owner n is the root, whose pendant group fills spine_vals[:n_pend]
@@ -267,7 +265,9 @@ def _run(spec: TreeSpec, config: SearchConfig):
             r_rem.clear()
             return
         d = branch[k]
-        lo = spine_idxs[d - 1] + 1 if (s_on and same_as_prev[d]) else 0
+        # an equal-count predecessor is a branch vertex, already labeled
+        same = s_on and d > 0 and counts[d] == counts[d - 1]
+        lo = index_of[spine_vals[d - 1]] + 1 if same else 0
         for idx in range(lo, q):
             if not (pool >> idx) & 1:
                 continue
@@ -276,7 +276,6 @@ def _run(spec: TreeSpec, config: SearchConfig):
                 continue
             tick()
             spine_vals[d] = v
-            spine_idxs[d] = idx
             dfs_spine(k + 1, pool & ~(1 << idx), sign_fixed or v != 0)
 
     try:

@@ -230,9 +230,9 @@ class Classification:
 
     ``tag`` names the applicable rule (or conjecture/uncovered region);
     ``case`` splits multi-case rules; ``params`` carries the substitution
-    parameters (r, s, t and the per-branch-vertex half-counts b) so the
-    labeler never re-derives them.  Family, (j, k, l), q and p are read
-    from ``spec``.
+    parameters r, s and t, which the rules read, and the per-branch-vertex
+    half-counts b, which ``classify`` reports.  Family, (j, k, l), q and p
+    are read from ``spec``.
     """
 
     spec: TreeSpec

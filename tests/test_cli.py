@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -403,3 +404,36 @@ def test_console_script_help_runs():
     assert proc.returncode == 0
     assert "classify" in proc.stdout
     assert "survey" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# README examples
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """Each ``$ segtrees ...`` line of a README code block that shows output,
+    with the lines shown under it; indented ``#`` lines continue a comment."""
+    examples: list[tuple[str, list[str]]] = []
+    in_block, cmd = False, None
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+            cmd = None
+        elif in_block and line.startswith("$ segtrees "):
+            cmd = line[len("$ segtrees "):]
+            examples.append((cmd, []))
+        elif in_block and cmd is not None and not line.lstrip().startswith("#"):
+            examples[-1][1].append(line)
+    return [(cmd, shown) for cmd, shown in examples if shown]
+
+
+def test_readme_examples_print_what_they_show(capsys, tmp_path, monkeypatch):
+    examples = _readme_examples()
+    assert examples, "README shows no command output"
+    monkeypatch.chdir(tmp_path)
+    for cmd, shown in examples:
+        main(shlex.split(cmd, comments=True))
+        assert capsys.readouterr().out.splitlines() == shown, cmd

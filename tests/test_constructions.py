@@ -12,15 +12,10 @@ from segtrees import (
     UNKNOWN,
     SearchConfig,
     SearchResult,
-    WrongFamily,
     build_tree,
     classify,
     enumerate_specs,
     label_any,
-    label_even_caterpillar,
-    label_even_lobster,
-    label_odd_caterpillar,
-    label_odd_lobster,
     parse_spec,
     verify,
 )
@@ -108,25 +103,6 @@ def test_all_constructive_specs_verify_q13():
         assert verify(build_tree(spec), out.labeling).is_seg, spec.format()
         checked += 1
     assert checked > 150
-
-
-def test_family_labelers_enforce_family():
-    even_cat = parse_spec("RT(1,1)")
-    odd_cat = parse_spec("RT(2,1)")
-    even_lob = parse_spec("RT(1,1,1)")
-    odd_lob = parse_spec("RT(2,2,2)")
-    assert label_even_caterpillar(even_cat).kind == LABELED
-    assert label_odd_caterpillar(odd_cat).kind == LABELED
-    assert label_even_lobster(even_lob).kind == LABELED
-    assert label_odd_lobster(odd_lob).kind == LABELED
-    for fn, wrong in [
-        (label_even_caterpillar, odd_cat),
-        (label_odd_caterpillar, even_lob),
-        (label_even_lobster, odd_lob),
-        (label_odd_lobster, even_cat),
-    ]:
-        with pytest.raises(WrongFamily):
-            fn(wrong)
 
 
 def test_proved_not_seg_without_search():
