@@ -207,12 +207,7 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
-        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    spec, f = read_labeling(text)
+    spec, f = read_labeling(Path(args.file).read_text())
     tree = build_tree(spec)
     report = verify(tree, f)
     if args.format == "json":
@@ -456,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     except LabelingFormatError as exc:
         print(f"bad labeling file: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:  # SpecSyntaxError, NotDiameterFour, EmptyRange, ...
+    except (ValueError, OSError) as exc:  # SpecSyntaxError, EmptyRange, unusable path, ...
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -37,17 +37,15 @@ solution, so outcomes and counts are those of the uncut search.
   last label is ``t - base``: the candidates are read off R, in index
   order, instead of scanned.
 
-Symmetry soundness notes.  Negation pairs solutions f/-f; with the
-equal-spine flag off, the representative is fixed in-search by requiring
-the first nonzero branch spine label to be positive, worth an exact factor
-2 (a diameter-4 tree has at least two branch spine edges, and at most one
-carries 0).  With both the negation and equal-spine flags on, an in-search
-sign prune would be unsound: re-sorting equal spine vertices can map -f
-back to f, and such self-paired solutions exist (RT(1,1)).  Instead every
-enumerated solution f is compared against canon(-f) (negate, re-sort leaf
-groups if that flag is on, re-sort equal-count spine runs): f < canon(-f)
-counts double, f == canon(-f) counts once, f > canon(-f) is the partner
-and counts zero.
+Symmetry soundness notes.  Negation pairs solutions: f is SEG exactly when
+-f is.  With the negation flag on, every enumerated solution f is compared
+with canon(-f): negate, re-sort the leaf groups if leaf breaking is on, and
+re-sort the equal-count spine runs if equal-spine breaking is on.
+f < canon(-f) counts double, f == canon(-f) counts once, and f > canon(-f)
+is the partner and counts zero.  A solution can be its own partner only
+through a spine-run re-sort (RT(1,1) is); with equal-spine breaking off
+that would need every spine label to be 0, so exactly one of f and -f
+counts, double.
 """
 
 from __future__ import annotations
@@ -118,7 +116,6 @@ def _run(spec: TreeSpec, config: SearchConfig):
     l_on = config.break_leaf_permutations
     s_on = config.break_equal_spine_vertices
     n_on = config.break_negation
-    sign_prune = n_on and not s_on
 
     # contiguous runs of equal counts; canonical order makes classes contiguous
     runs: list[tuple[int, int]] = []
@@ -162,13 +159,13 @@ def _run(spec: TreeSpec, config: SearchConfig):
         # canonical form of -f under the enabled breaking constraints
         sp = [-v for v in spine_vals]
         gs = [sorted(-v for v in g) if l_on else [-v for v in g] for g in groups]
-        for st, en in runs:
+        # only equal-spine breaking sorts the equal-count runs
+        for st, en in runs if s_on else ():
             if en - st > 1:
                 order = sorted(range(st, en), key=sp.__getitem__)
                 sp[st:en] = [sp[i] for i in order]
                 gs[st:en] = [gs[i] for i in order]
-        flat = tuple(sp) + tuple(v for g in gs for v in g)
-        return flat
+        return tuple(sp) + tuple(v for g in gs for v in g)
 
     def solution() -> None:
         nonlocal raw_count, first
@@ -176,15 +173,13 @@ def _run(spec: TreeSpec, config: SearchConfig):
             first = snapshot()
         if config.mode == FIND_ONE:
             raise _Stop
-        if n_on and s_on:
+        if n_on:
             fvec = tuple(spine_vals) + tuple(v for g in groups for v in g)
             gvec = canon_negated()
             if fvec < gvec:
                 raw_count += 2 * base_factor
             elif fvec == gvec:
                 raw_count += base_factor
-        elif n_on:
-            raw_count += 2 * base_factor
         else:
             raw_count += base_factor
 
@@ -241,7 +236,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
             slots[pos] = v
             dfs_group(gi, pos + 1, idx + 1 if ordered else 0, base + v, pool & ~(1 << idx))
 
-    def dfs_spine(k: int, pool: int, sign_fixed: bool) -> None:
+    def dfs_spine(k: int, pool: int) -> None:
         nonlocal root_base
         if k == len(branch):
             if zero_idx >= 0 and (pool >> zero_idx) & 1:
@@ -271,15 +266,12 @@ def _run(spec: TreeSpec, config: SearchConfig):
         for idx in range(lo, q):
             if not (pool >> idx) & 1:
                 continue
-            v = values[idx]
-            if sign_prune and not sign_fixed and v < 0:
-                continue
             tick()
-            spine_vals[d] = v
-            dfs_spine(k + 1, pool & ~(1 << idx), sign_fixed or v != 0)
+            spine_vals[d] = values[idx]
+            dfs_spine(k + 1, pool & ~(1 << idx))
 
     try:
-        dfs_spine(0, (1 << q) - 1, False)
+        dfs_spine(0, (1 << q) - 1)
     except _Stop:
         return SearchResult(FOUND, nodes, first, None)
     except _BudgetHit:

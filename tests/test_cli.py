@@ -370,6 +370,26 @@ def test_export_bad_spec_exit1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export", "{tmp}"],
+        ["label", "RT(1,1)", "--out", "{tmp}/missing/x.json"],
+        ["search", "RT(0,1,3)", "--exhaust", "--certificates-dir", "{tmp}/a-file"],
+        ["export", "RT(1,1)", "--out", "{tmp}/missing/x.dot"],
+        ["survey", "--max-size", "4000"],
+    ],
+    ids=["export-directory", "label-out-missing-dir", "certificates-dir-is-file",
+         "export-out-missing-dir", "survey-unlistable-size"],
+)
+def test_unusable_path_or_size_exit1(capsys, tmp_path, argv):
+    (tmp_path / "a-file").write_text("")
+    code, _, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert code == 1
+    assert "Traceback" not in err
+    assert "error" in err
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------

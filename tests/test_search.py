@@ -7,17 +7,20 @@ import pytest
 
 from segtrees import (
     BUDGET_EXCEEDED,
+    CONSTRUCTIVE,
     COUNT_ALL,
     EXHAUSTED_NONE,
     FIND_ONE,
     FOUND,
     GUARD_Q,
+    NOT_SEG,
     BudgetExceeded,
     GuardRefused,
     NotCertifiable,
     SearchConfig,
     build_tree,
     certify_not_seg,
+    classify,
     count_all,
     enumerate_specs,
     make_certificate,
@@ -225,6 +228,18 @@ def test_flag_combos_agree_on_q8_sample():
                    count_all(spec, c) for c in ALL_FLAGS}
         outcomes = {(r.outcome, r.count) for r in results.values()}
         assert len(outcomes) == 1, (spec.format(), outcomes)
+
+
+def test_theory_matches_find_one_under_every_flag_set():
+    # theory-vs-oracle agreement through q = 11, under all 8 flag sets
+    for spec in enumerate_specs(11):
+        status = classify(spec).status
+        if status not in (CONSTRUCTIVE, NOT_SEG):
+            continue
+        for cfg in ALL_FLAGS:
+            r = search(spec, cfg)
+            assert (r.outcome == FOUND) == (status == CONSTRUCTIVE), (spec.format(), cfg)
+            assert r.labeling is None or verify(build_tree(spec), r.labeling).is_seg
 
 
 def test_counts_always_even():
