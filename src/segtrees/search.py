@@ -2,10 +2,11 @@
 
 The engine has two phases.  The spine phase labels the branch spine edges
 (spine vertices with leaves), in index order.  The group phase then fills
-the leaf groups, one group at a time, with one routine.  Three independent
-and individually sound symmetry flags cut the space; raw counts are
-re-expanded exactly, so every flag combination reports the same existence
-answer and the same raw labeling count.
+the single-label groups as one exact-cover step, then the larger leaf
+groups one at a time.  Three independent and individually sound symmetry
+flags cut the space; raw counts are re-expanded exactly, so every flag
+combination reports the same existence answer and the same raw labeling
+count.
 
 Each statement below is a theorem: a cut skips only subtrees that hold no
 solution, so outcomes and counts are those of the uncut search.
@@ -23,19 +24,34 @@ solution, so outcomes and counts are those of the uncut search.
 - Zero placement (odd q).  The vertex target of an even p = q+1 has no 0,
   and every group label induces itself, so 0 sits on a branch spine edge:
   the spine phase completes only when it has placed 0.
-- Groups smallest first.  Groups are filled in ascending size, so the
-  largest group comes last and its label set is whatever is left.
+- Zero window (odd q).  While 0 is in the pool, a branch vertex after which
+  no branch vertex can still take 0 takes no positive label: the last branch
+  vertex, or, with equal-spine breaking on, a vertex of the last equal-count
+  run, whose later members take larger labels.  Labels ascend, so its scan
+  stops after 0.
+- Single-label groups as exact cover.  A group of one label with base s
+  takes one target t in R and the label t - s from the pool, and every
+  group, target and label is used exactly once.  So the single-label groups
+  are filled first, as one exact-cover step: a group's live options are the
+  t in R with t - s in the pool, the group with the fewest goes next, ties
+  in plan order, and a node fails as soon as some group has none.  Each
+  group and target is still covered exactly once, so the order moves only
+  node counts, never outcomes or counts.
+- Groups smallest first.  The larger groups follow in ascending size, so
+  the largest group comes last and its label set is whatever is left.
 - Sum interval (sorted groups).  A branch group is sorted when leaf
   breaking is on; the pendant group is sorted when equal-spine breaking is
   on, since the pendants are one equal-count run.  In a sorted group with
-  k labels left, partial sum ``base`` and next label ``avail[j]``, the
-  group sum lies between ``base`` plus the k available labels from j and
-  ``base`` plus ``avail[j]`` plus the top k-1 available labels.  It must be
-  some t in R, so an interval missing ``[min R, max R]`` is skipped; its
-  lower end rises with j, so the scan stops once that end passes ``max R``.
+  k labels left, partial sum ``base`` and next label ``v_j`` (the j-th
+  available), the group sum lies between ``base`` plus the k available
+  labels from j and ``base`` plus ``v_j`` plus the top k-1 available
+  labels.  It must be some t in R, so an interval missing
+  ``[min R, max R]`` is skipped; its lower end rises with j, so the scan
+  stops once that end passes ``max R``.
 - Last label.  The completed group sum must be some t in R, so a group's
-  last label is ``t - base``: the candidates are read off R, in index
-  order, instead of scanned.
+  last label is ``t - base``: the candidates are read off R, in ascending
+  order, instead of scanned.  The exact-cover step reads its options the
+  same way.
 
 Symmetry soundness notes.  Negation pairs solutions: f is SEG exactly when
 -f is.  With the negation flag on, every enumerated solution f is compared
@@ -109,8 +125,10 @@ def _run(spec: TreeSpec, config: SearchConfig):
     n = spec.n
     counts = spec.counts
     q = spec.q
-    values = list(edge_label_target(q))  # ascending
-    zero_idx = values.index(0) if q % 2 == 1 else -1
+    # the free labels are the set bits of one int, ``pool``: label v is bit
+    # v + h, so bit h (label 0) exists only for odd q
+    h = q // 2
+    n_bits = 2 * h + 1
     branch = [i for i in range(n) if counts[i] > 0]  # 0-based spine positions
     n_pend = n - len(branch)  # canonical order puts the pendants first
     l_on = config.break_leaf_permutations
@@ -125,7 +143,9 @@ def _run(spec: TreeSpec, config: SearchConfig):
             runs.append((start, i))
             start = i
     runs.append((start, n))
-    index_of = {v: i for i, v in enumerate(values)}
+    # odd q: the branch vertices from here on have no later branch vertex that
+    # could still take 0 after a positive label (the last, or its sorted run)
+    zero_from = runs[-1][0] if s_on else n - 1
 
     base_factor = 1
     if l_on:
@@ -145,8 +165,9 @@ def _run(spec: TreeSpec, config: SearchConfig):
     if n_pend:
         plan.append((n_pend, n, spine_vals, s_on))
     plan.sort(key=lambda g: g[:2])
-    root_base = 0
-    r_rem: set[int] = set()
+    n_single = sum(1 for g in plan if g[0] == 1)  # the single-label groups lead
+    bases: list[int] = []  # each group's base, in plan order, once the spine is labeled
+    r_bits = 0  # the targets R still to realize: t is bit t + h + 1
     raw_count = 0
     first: EdgeLabeling | None = None
 
@@ -189,44 +210,70 @@ def _run(spec: TreeSpec, config: SearchConfig):
             raise _BudgetHit
         nodes += 1
 
+    def options(base: int, lo: int, pool: int) -> int:
+        # the labels from bit lo that close a group, as bits: label v (bit
+        # v + h) closes it when t = v + base is in R (bit t + h + 1)
+        shift = base + 1
+        return (pool >> lo << lo) & (r_bits >> shift if shift >= 0 else r_bits << -shift)
+
+    def close(hits: int, base: int, slots: list[int], pos: int, then, arg, pool: int) -> None:
+        # each closing label in ascending order; its target leaves R meanwhile
+        nonlocal r_bits
+        while hits:
+            bit = hits & -hits
+            hits ^= bit
+            v = bit.bit_length() - 1 - h
+            tick()
+            slots[pos] = v
+            target = 1 << (v + base + h + 1)
+            r_bits ^= target
+            then(arg, pool ^ bit)
+            r_bits ^= target
+
+    def cover(open_groups: list[int], pool: int) -> None:
+        # exact cover of the single-label groups: fewest options first
+        if not open_groups:
+            next_group(n_single, pool)
+            return
+        best = None
+        for gi in open_groups:
+            hits = options(bases[gi], 0, pool)
+            if not hits:
+                return
+            c = hits.bit_count()
+            if best is None or c < best[0]:
+                best = c, gi, hits
+        _, gi, hits = best
+        rest = [g for g in open_groups if g != gi]
+        close(hits, bases[gi], plan[gi][2], 0, cover, rest, pool)
+
     def next_group(gi: int, pool: int) -> None:
         if gi == len(plan):
             solution()
             return
-        owner = plan[gi][1]
-        dfs_group(gi, 0, 0, root_base if owner == n else spine_vals[owner], pool)
+        dfs_group(gi, 0, 0, bases[gi], pool)
 
     def dfs_group(gi: int, pos: int, lo: int, base: int, pool: int) -> None:
         a, _, slots, ordered = plan[gi]
         if pos == a - 1:
             # the last label is read off R: it is t - base for some t in R
-            hits = []
-            for t in r_rem:
-                idx = index_of.get(t - base, -1)
-                if idx >= lo and (pool >> idx) & 1:
-                    hits.append((idx, t))
-            hits.sort()
-            for idx, t in hits:
-                tick()
-                slots[pos] = values[idx]
-                r_rem.remove(t)
-                next_group(gi + 1, pool & ~(1 << idx))
-                r_rem.add(t)
+            close(options(base, lo, pool), base, slots, pos, next_group, gi + 1, pool)
             return
-        avail = [idx for idx in range(lo, q) if (pool >> idx) & 1]
+        avail = [b for b in range(lo, n_bits) if (pool >> b) & 1]
         end = len(avail)
         if ordered:
             # sum interval: base + the k labels from j .. base + avail[j] + the top k-1
             k = a - pos
             end = max(end - k + 1, 0)  # later leaves need k-1 labels above j
             sums = [0]
-            for idx in avail:
-                sums.append(sums[-1] + values[idx])
+            for b in avail:
+                sums.append(sums[-1] + b - h)
             top = sums[-1] - sums[end]
-            r_min, r_max = min(r_rem), max(r_rem)
+            r_min = (r_bits & -r_bits).bit_length() - h - 2
+            r_max = r_bits.bit_length() - h - 2
         for j in range(end):
-            idx = avail[j]
-            v = values[idx]
+            b = avail[j]
+            v = b - h
             if ordered:
                 if base + sums[j + k] - sums[j] > r_max:
                     break  # the least sum only rises with j
@@ -234,12 +281,12 @@ def _run(spec: TreeSpec, config: SearchConfig):
                     continue
             tick()
             slots[pos] = v
-            dfs_group(gi, pos + 1, idx + 1 if ordered else 0, base + v, pool & ~(1 << idx))
+            dfs_group(gi, pos + 1, b + 1 if ordered else 0, base + v, pool ^ (1 << b))
 
     def dfs_spine(k: int, pool: int) -> None:
-        nonlocal root_base
+        nonlocal r_bits
         if k == len(branch):
-            if zero_idx >= 0 and (pool >> zero_idx) & 1:
+            if (pool >> h) & 1:
                 return  # odd q: 0 goes on a branch spine edge
             required = {spine_vals[i] for i in branch}
             root_base = sum(required)  # the branch spine labels are distinct
@@ -254,24 +301,28 @@ def _run(spec: TreeSpec, config: SearchConfig):
                 if root_base not in required:
                     return
                 required.remove(root_base)
-            # r_rem is empty here: the spine completes only outside the group phase
-            r_rem.update(required)
-            next_group(0, pool)
-            r_rem.clear()
+            bases[:] = [root_base if g[1] == n else spine_vals[g[1]] for g in plan]
+            # R is empty here: the spine completes only outside the group phase
+            r_bits = sum(1 << (t + h + 1) for t in required)
+            cover(list(range(n_single)), pool)
+            r_bits = 0
             return
         d = branch[k]
         # an equal-count predecessor is a branch vertex, already labeled
         same = s_on and d > 0 and counts[d] == counts[d - 1]
-        lo = index_of[spine_vals[d - 1]] + 1 if same else 0
-        for idx in range(lo, q):
-            if not (pool >> idx) & 1:
+        lo = spine_vals[d - 1] + h + 1 if same else 0
+        # zero window (odd q): with 0 in the pool, a positive label here would
+        # leave no later branch vertex able to take 0
+        hi = h + 1 if d >= zero_from and (pool >> h) & 1 else n_bits
+        for b in range(lo, hi):
+            if not (pool >> b) & 1:
                 continue
             tick()
-            spine_vals[d] = values[idx]
-            dfs_spine(k + 1, pool & ~(1 << idx))
+            spine_vals[d] = b - h
+            dfs_spine(k + 1, pool ^ (1 << b))
 
     try:
-        dfs_spine(0, (1 << q) - 1)
+        dfs_spine(0, sum(1 << (v + h) for v in edge_label_target(q)))
     except _Stop:
         return SearchResult(FOUND, nodes, first, None)
     except _BudgetHit:

@@ -340,6 +340,17 @@ def test_survey_marks_open_rows_informational(capsys):
     assert all(r["agreement"] == "info" for r in open_rows)
 
 
+def test_survey_theory_oracle_agree_to_q15(capsys):
+    # criterion 4 compares q <= 11; this widens it to 12 <= q <= 15, where
+    # every row must be decided within the survey's node budget
+    code, out, _ = run(capsys, "survey", "--max-size", "15", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["disagreements"] == 0
+    assert [r["spec"] for r in data["rows"] if r["oracle"] == "budget"] == []
+    assert any(r["q"] >= 12 and r["agreement"] == "yes" for r in data["rows"])
+
+
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------

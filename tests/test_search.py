@@ -134,9 +134,12 @@ def test_search_order_digest_q9():
 
 
 @pytest.mark.parametrize("text, mode, nodes", [
-    ("RT(0^3,1^5)", FIND_ONE, 5_317),  # 76,017 with the pendants on the spine
-    ("RT(0,1^6)", FIND_ONE, 10_824),  # 20,577
-    ("RT(4,1^4)", COUNT_ALL, 14_390),  # 53,926
+    # 5,317 before the exact cover and the zero window; 76,017 with the
+    # pendants on the spine
+    ("RT(0^3,1^5)", FIND_ONE, 856),
+    ("RT(0,1^6)", FIND_ONE, 1_649),  # 10,824; 20,577
+    ("RT(4,1^4)", COUNT_ALL, 5_967),  # 14,390; 53,926
+    ("RT(0,1^8)", FIND_ONE, 26_588),  # 437,935
 ])
 def test_node_counts_pinned(text, mode, nodes):
     r = search(parse_spec(text), SearchConfig(mode=mode))
