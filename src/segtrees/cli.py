@@ -114,8 +114,7 @@ def _print_json(obj) -> None:
 
 
 def _print_labeling(tree: RootedTree, f: dict[str, int], g: dict[str, int]) -> None:
-    for e in tree.edge_ids:
-        print(f"  {e} = {f[e]}")
+    print("\n".join([f"  {e} = {f[e]}" for e in tree.edge_ids]))
     print("  induced: " + ", ".join(f"{v}={g[v]}" for v in tree.vertex_ids))
 
 

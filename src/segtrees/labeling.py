@@ -123,31 +123,47 @@ class VerificationReport:
     vertex_labels: VertexLabeling | None = None
 
 
-def _multiset_violation(kind: str, values, target) -> Violation | None:
+def _multiset_violation(kind: str, values, target, strays: tuple = ()) -> Violation | None:
+    """None when values equal target as multisets; else what differs.
+
+    One sort decides; ``Counter`` runs only to describe a failure.  strays
+    are labels that are not ints: they are listed as unexpected after the
+    sorted integer extras.
+    """
+    if not strays and sorted(values) == list(target):
+        return None
     have = Counter(values)
     want = Counter(target)
     missing = tuple(sorted((want - have).elements()))
-    extra = tuple(sorted((have - want).elements()))
-    if missing or extra:
-        return Violation(kind, missing, extra)
-    return None
+    extra = tuple(sorted((have - want).elements())) + strays
+    return Violation(kind, missing, extra)
 
 
 def verify(tree: RootedTree, f: EdgeLabeling) -> VerificationReport:
-    """Full SEG check.  Never raises; every failure is listed in the report."""
+    """Full SEG check.  Never raises; every failure is listed in the report.
+
+    A label that is not an int is listed as unexpected in
+    ``EdgeLabelsNotTargetSet``; induced labels are then not computed, so
+    ``vertex_labels`` is None, as it is for a domain mismatch.
+    """
     violations: list[Violation] = []
     try:
         x = _slots(tree, f)
     except DomainMismatch as exc:
         violations.append(Violation("DomainMismatch", exc.missing, exc.extra))
         x = None
+    labels = f.values()
+    strays: tuple = ()
+    if set(map(type, labels)) != {int}:
+        strays = tuple(v for v in labels if type(v) is not int)
+        labels = [v for v in labels if type(v) is int]
     edge_bad = _multiset_violation(
-        "EdgeLabelsNotTargetSet", f.values(), edge_label_target(tree.q)
+        "EdgeLabelsNotTargetSet", labels, edge_label_target(tree.q), strays
     )
     if edge_bad:
         violations.append(edge_bad)
     vertex_labels: VertexLabeling | None = None
-    if x is not None:
+    if x is not None and not strays:
         y = _induced(tree, x)
         vertex_labels = dict(zip(tree.vertex_ids, y))
         vertex_bad = _multiset_violation(
@@ -165,12 +181,15 @@ def verify(tree: RootedTree, f: EdgeLabeling) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def write_labeling(tree: RootedTree, f: EdgeLabeling) -> str:
-    """Serialize as a JSON object {spec, edges}, edges in tree order."""
-    obj = {
-        "spec": tree.spec.format(),
-        "edges": dict(zip(tree.edge_ids, _slots(tree, f))),
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    """Serialize as a JSON object {spec, edges}, edges in tree order.
+
+    For int labels the text is exactly ``json.dumps({"spec": ..., "edges":
+    ...}, indent=2)`` plus a newline, formatted here because the indenting
+    encoder runs in pure Python.  Edge ids need no escaping.
+    """
+    edges = ",\n".join([f'    "{e}": {v}' for e, v in zip(tree.edge_ids, _slots(tree, f))])
+    spec = json.dumps(tree.spec.format())
+    return f'{{\n  "spec": {spec},\n  "edges": {{\n{edges}\n  }}\n}}\n'
 
 
 def read_labeling(text: str) -> tuple[TreeSpec, EdgeLabeling]:
@@ -186,13 +205,11 @@ def read_labeling(text: str) -> tuple[TreeSpec, EdgeLabeling]:
     edges = obj.get("edges")
     if not isinstance(edges, dict):
         raise LabelingFormatError("field 'edges' must be an object")
-    f: EdgeLabeling = {}
-    for key, value in edges.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise LabelingFormatError(f"label for {key!r} must be an integer")
-        f[str(key)] = value
+    if not set(map(type, edges.values())) <= {int}:  # bool is not int here
+        key = next(k for k, v in edges.items() if type(v) is not int)
+        raise LabelingFormatError(f"label for {key!r} must be an integer")
     spec = parse_spec(obj["spec"])
-    return spec, f
+    return spec, edges
 
 
 # ---------------------------------------------------------------------------

@@ -208,10 +208,10 @@ def build_tree(spec: TreeSpec) -> RootedTree:
     Spine edge i is ``v<i>`` and the m-th leaf edge (1-based) of v_i is
     ``v<i>.<m>``, listed in slot order.
     """
-    ids = [f"v{i}" for i in range(1, spec.n + 1)]
-    for i, a in enumerate(spec.counts, start=1):
-        ids.extend(f"v{i}.{m}" for m in range(1, a + 1))
-    return RootedTree(spec=spec, edge_ids=tuple(ids))
+    spine = [f"v{i}" for i in range(1, spec.n + 1)]
+    ordinals = [str(m) for m in range(1, max(spec.counts, default=0) + 1)]
+    leaves = [f"{v}.{m}" for v, a in zip(spine, spec.counts) for m in ordinals[:a]]
+    return RootedTree(spec=spec, edge_ids=tuple(spine + leaves))
 
 
 # ---------------------------------------------------------------------------

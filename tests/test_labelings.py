@@ -10,6 +10,7 @@ from segtrees import (
     build_tree,
     edge_label_target,
     induce,
+    label_any,
     negate,
     parse_dot_spec,
     parse_spec,
@@ -103,6 +104,16 @@ def test_verify_flags_bad_vertex_sums():
     assert kinds == {"VertexLabelsNotTargetSet"}
 
 
+def test_verify_lists_non_integer_label_without_raising():
+    f = {"v1": 1, "v2": 1, "v1.1": "a", "v2.1": 2}
+    report = verify(build_tree(parse_spec("RT(1,1)")), f)
+    assert not report.is_seg
+    assert report.vertex_labels is None
+    assert report.violations == (
+        Violation("EdgeLabelsNotTargetSet", (-2, -1), (1, "a")),
+    )
+
+
 def test_verify_reports_domain_mismatch_as_violation():
     _, tree, f = golden("RT_0x3_2_4.json")
     f = dict(f)
@@ -129,6 +140,20 @@ def test_write_read_round_trip(tmp_path):
     # and the serialized edge order follows the tree
     data = json.loads(text)
     assert list(data["edges"]) == list(tree.edge_ids)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.glob("*.json")))
+def test_write_reproduces_golden_file(name):
+    _, tree, f = golden(name)
+    assert write_labeling(tree, f) == (GOLDEN_DIR / name).read_text()
+
+
+def test_write_matches_json_dumps_at_scale():
+    spec = parse_spec("RT(0^2,2^3000,1^6000)")
+    out = label_any(spec)
+    edges = {e: out.labeling[e] for e in out.tree.edge_ids}
+    expected = json.dumps({"spec": spec.format(), "edges": edges}, indent=2) + "\n"
+    assert write_labeling(out.tree, out.labeling) == expected
 
 
 def test_write_rejects_partial_labeling():

@@ -1,6 +1,7 @@
 """Property-based checks of the structural invariants."""
 
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from segtrees import (
     CONSTRUCTIVE,
     NOT_SEG,
     UNCOVERED,
+    VerificationReport,
+    Violation,
     build_tree,
     canonicalize,
     classify,
@@ -20,6 +23,7 @@ from segtrees import (
     negate,
     parse_spec,
     verify,
+    vertex_label_target,
 )
 from oracle import naive_is_seg_assignment
 
@@ -109,6 +113,53 @@ def test_verify_negation_equivariant(spec, seed):
     tree = build_tree(spec)
     f = dict(zip(tree.edge_ids, labels))
     assert verify(tree, f).is_seg == verify(tree, negate(f)).is_seg
+
+
+def counter_report(spec, f):
+    """verify's report for a total, all-int labeling, by Counter diffs only.
+
+    Induced labels are summed from the spec's counts and the edge names,
+    not through the package.
+    """
+    def diff(kind, values, target):
+        have, want = Counter(values), Counter(target)
+        missing = tuple(sorted((want - have).elements()))
+        extra = tuple(sorted((have - want).elements()))
+        return [Violation(kind, missing, extra)] if missing or extra else []
+
+    g = {"v0": sum(f[f"v{i}"] for i in range(1, spec.n + 1))}
+    for i, a in enumerate(spec.counts, start=1):
+        leaves = [f"v{i}.{m}" for m in range(1, a + 1)]
+        g[f"v{i}"] = f[f"v{i}"] + sum(f[e] for e in leaves)
+        g.update((e, f[e]) for e in leaves)
+    violations = diff("EdgeLabelsNotTargetSet", f.values(), edge_label_target(spec.q))
+    violations += diff("VertexLabelsNotTargetSet", g.values(), vertex_label_target(spec.p))
+    return VerificationReport(not violations, tuple(violations), g)
+
+
+@given(
+    st.sampled_from(CONSTRUCTIVE_SPECS),
+    st.sampled_from(("duplicate", "out-of-range", "swap-leaves")),
+    st.randoms(use_true_random=False),
+)
+@settings(deadline=None)
+def test_verify_matches_counter_reference_on_broken_labelings(spec, change, rng):
+    # one change to a valid labeling: the sorted-equality gate must reject
+    # exactly what the Counter diffs reject, with the same report
+    f = dict(label_any(spec).labeling)
+    tree = build_tree(spec)
+    if change == "duplicate":
+        a, b = rng.sample(tree.edge_ids, 2)
+        f[a] = f[b]
+    elif change == "out-of-range":
+        a = rng.choice(tree.edge_ids)
+        f[a] = rng.choice((1, -1)) * (spec.q // 2 + rng.randint(1, 3))
+    else:
+        i, k = rng.sample([i for i, a in enumerate(spec.counts, start=1) if a], 2)
+        a = f"v{i}.{rng.randint(1, spec.counts[i - 1])}"
+        b = f"v{k}.{rng.randint(1, spec.counts[k - 1])}"
+        f[a], f[b] = f[b], f[a]
+    assert verify(tree, f) == counter_report(spec, f)
 
 
 @given(st.sampled_from(enumerate_specs(9)))
