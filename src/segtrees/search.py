@@ -41,13 +41,15 @@ solution, so outcomes and counts are those of the uncut search.
   the largest group comes last and its label set is whatever is left.
 - Sum interval (sorted groups).  A branch group is sorted when leaf
   breaking is on; the pendant group is sorted when equal-spine breaking is
-  on, since the pendants are one equal-count run.  In a sorted group with
-  k labels left, partial sum ``base`` and next label ``v_j`` (the j-th
-  available), the group sum lies between ``base`` plus the k available
-  labels from j and ``base`` plus ``v_j`` plus the top k-1 available
-  labels.  It must be some t in R, so an interval missing
-  ``[min R, max R]`` is skipped; its lower end rises with j, so the scan
-  stops once that end passes ``max R``.
+  on, since the pendants are one equal-count run.  A group lists its free
+  labels and their prefix sums once, at its start.  A sorted group scans
+  the list past its last label (all still free); an unsorted one rescans
+  it and skips used labels.  In a sorted group with k labels left,
+  partial sum ``base`` and next label ``v_j`` (the j-th listed), the
+  group sum lies between ``base`` plus the k listed labels from j and
+  ``base`` plus ``v_j`` plus the top k-1 listed labels.  It must be some
+  t in R, so an interval missing ``[min R, max R]`` is skipped; its lower
+  end rises with j, so the scan stops once that end passes ``max R``.
 - Last label.  The completed group sum must be some t in R, so a group's
   last label is ``t - base``: the candidates are read off R, in ascending
   order, instead of scanned.  The exact-cover step reads its options the
@@ -58,15 +60,17 @@ Symmetry soundness notes.  Negation pairs solutions: f is SEG exactly when
 with canon(-f): negate, re-sort the leaf groups if leaf breaking is on, and
 re-sort the equal-count spine runs if equal-spine breaking is on.
 f < canon(-f) counts double, f == canon(-f) counts once, and f > canon(-f)
-is the partner and counts zero.  A solution can be its own partner only
-through a spine-run re-sort (RT(1,1) is); with equal-spine breaking off
-that would need every spine label to be 0, so exactly one of f and -f
-counts, double.
+is the partner and counts zero.  Both vectors start with the spine labels,
+so the spine part decides; the leaf groups are built and compared only when
+the spine parts tie.  A solution can be its own partner only through a
+spine-run re-sort (RT(1,1) is); with equal-spine breaking off that would
+need every spine label to be 0, so exactly one of f and -f counts, double.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from math import factorial
 
 from ._version import __version__
@@ -147,6 +151,8 @@ def _run(spec: TreeSpec, config: SearchConfig):
     # could still take 0 after a positive label (the last, or its sorted run)
     zero_from = runs[-1][0] if s_on else n - 1
 
+    sorted_runs = [(st, en) for st, en in runs if en - st > 1] if s_on else []
+
     base_factor = 1
     if l_on:
         for a in counts:
@@ -176,17 +182,21 @@ def _run(spec: TreeSpec, config: SearchConfig):
         flat = spine_vals + [v for g in groups for v in g]
         return dict(zip(build_tree(spec).edge_ids, flat))
 
-    def canon_negated() -> tuple[int, ...]:
-        # canonical form of -f under the enabled breaking constraints
-        sp = [-v for v in spine_vals]
-        gs = [sorted(-v for v in g) if l_on else [-v for v in g] for g in groups]
-        # only equal-spine breaking sorts the equal-count runs
-        for st, en in runs if s_on else ():
-            if en - st > 1:
-                order = sorted(range(st, en), key=sp.__getitem__)
-                sp[st:en] = [sp[i] for i in order]
-                gs[st:en] = [gs[i] for i in order]
-        return tuple(sp) + tuple(v for g in gs for v in g)
+    def canon_negated() -> int:
+        # f's weight, 2, 1 or 0, as f <, == or > canon(-f): negate, re-sort
+        # the equal-count spine runs if equal-spine breaking is on, and each
+        # leaf group if leaf breaking is on.  The spine part decides; the
+        # groups are built only on a tie
+        neg = [-v for v in spine_vals]
+        order = list(range(n))
+        for st, en in sorted_runs:
+            order[st:en] = sorted(range(st, en), key=neg.__getitem__)
+        fvec, gvec = spine_vals, [neg[i] for i in order]
+        if fvec == gvec:
+            fvec = [v for g in groups for v in g]
+            gvec = [v for i in order
+                    for v in (sorted(-w for w in groups[i]) if l_on else [-w for w in groups[i]])]
+        return 2 if fvec < gvec else 1 if fvec == gvec else 0
 
     def solution() -> None:
         nonlocal raw_count, first
@@ -194,15 +204,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
             first = snapshot()
         if config.mode == FIND_ONE:
             raise _Stop
-        if n_on:
-            fvec = tuple(spine_vals) + tuple(v for g in groups for v in g)
-            gvec = canon_negated()
-            if fvec < gvec:
-                raw_count += 2 * base_factor
-            elif fvec == gvec:
-                raw_count += base_factor
-        else:
-            raw_count += base_factor
+        raw_count += base_factor * (canon_negated() if n_on else 1)
 
     def tick() -> None:
         nonlocal nodes
@@ -251,37 +253,44 @@ def _run(spec: TreeSpec, config: SearchConfig):
         if gi == len(plan):
             solution()
             return
-        dfs_group(gi, 0, 0, bases[gi], pool)
+        # one label list per group, as bits, with their prefix sums
+        avail = [b for b in range(n_bits) if (pool >> b) & 1]
+        sums = list(accumulate(avail, initial=0)) if plan[gi][3] else None
+        dfs_group(gi, 0, 0, bases[gi], pool, avail, sums)
 
-    def dfs_group(gi: int, pos: int, lo: int, base: int, pool: int) -> None:
+    def dfs_group(gi: int, pos: int, j0: int, base: int, pool: int,
+                  avail: list[int], sums: list[int] | None) -> None:
+        # a sorted group's labels ascend, so it scans avail from j0, past its
+        # last label; an unsorted one rescans from 0 and skips used labels
         a, _, slots, ordered = plan[gi]
+        end = len(avail)
         if pos == a - 1:
             # the last label is read off R: it is t - base for some t in R
+            lo = avail[j0] if j0 < end else n_bits
             close(options(base, lo, pool), base, slots, pos, next_group, gi + 1, pool)
             return
-        avail = [b for b in range(lo, n_bits) if (pool >> b) & 1]
-        end = len(avail)
         if ordered:
-            # sum interval: base + the k labels from j .. base + avail[j] + the top k-1
+            # sum interval: base + the k labels from j .. base + avail[j] + the
+            # top k-1 must meet [min R, max R].  In bits: k labels of bit sum S
+            # add S - k*h, and target t has bit length t + h + 2
             k = a - pos
-            end = max(end - k + 1, 0)  # later leaves need k-1 labels above j
-            sums = [0]
-            for b in avail:
-                sums.append(sums[-1] + b - h)
-            top = sums[-1] - sums[end]
-            r_min = (r_bits & -r_bits).bit_length() - h - 2
-            r_max = r_bits.bit_length() - h - 2
-        for j in range(end):
+            end = max(end - k + 1, j0)  # later leaves need k-1 labels above j
+            off = (k - 1) * h - base - 2
+            least_max = r_bits.bit_length() + off
+            b_min = (r_bits & -r_bits).bit_length() + off - (sums[-1] - sums[end])
+        for j in range(j0, end):
             b = avail[j]
-            v = b - h
             if ordered:
-                if base + sums[j + k] - sums[j] > r_max:
+                if sums[j + k] - sums[j] > least_max:
                     break  # the least sum only rises with j
-                if base + v + top < r_min:
+                if b < b_min:
                     continue
+            elif not (pool >> b) & 1:
+                continue
             tick()
-            slots[pos] = v
-            dfs_group(gi, pos + 1, b + 1 if ordered else 0, base + v, pool ^ (1 << b))
+            slots[pos] = b - h
+            dfs_group(gi, pos + 1, j + 1 if ordered else 0, base + b - h, pool ^ (1 << b),
+                      avail, sums)
 
     def dfs_spine(k: int, pool: int) -> None:
         nonlocal r_bits
@@ -336,6 +345,8 @@ def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
     """Run the engine in the configured mode.  Deterministic for fixed input."""
     if config is None:
         config = SearchConfig()
+    if config.mode not in (FIND_ONE, COUNT_ALL):
+        raise ValueError(f"unknown search mode {config.mode!r}; use {FIND_ONE!r} or {COUNT_ALL!r}")
     if spec.q > GUARD_Q and not config.override_guard:
         raise GuardRefused(
             f"{spec} has q={spec.q} > {GUARD_Q}; exhaustive search refused "
