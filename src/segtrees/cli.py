@@ -113,9 +113,9 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _print_labeling(tree: RootedTree, f: dict[str, int], g: dict[str, int]) -> None:
+def _print_labeling(tree: RootedTree, f: dict[str, int]) -> None:
     print("\n".join([f"  {e} = {f[e]}" for e in tree.edge_ids]))
-    print("  induced: " + ", ".join(f"{v}={g[v]}" for v in tree.vertex_ids))
+    print("  induced: " + ", ".join(f"{v}={g}" for v, g in induce(tree, f).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ def cmd_label(args: argparse.Namespace) -> int:
         else:
             via = f" via {outcome.tag}" + (f" [{outcome.case}]" if outcome.case else "")
             print(f"{spec.format()}: SEG labeling found{via}")
-            _print_labeling(outcome.tree, f, outcome.vertex_labels)
+            _print_labeling(outcome.tree, f)
             if args.out:
                 print(f"  written to {args.out}")
         return EXIT_OK
@@ -257,8 +257,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(f"{spec.format()}: found (nodes={result.nodes_visited})")
         if result.count is not None:
             print(f"  count: {result.count} SEG labelings")
-        tree = build_tree(spec)
-        _print_labeling(tree, result.labeling, induce(tree, result.labeling))
+        _print_labeling(build_tree(spec), result.labeling)
     elif result.outcome == EXHAUSTED_NONE:
         msg = f"{spec.format()}: none (exhausted, nodes={result.nodes_visited})"
         if cert_path:

@@ -9,9 +9,11 @@ silently wrong answer.
 
 Conventions shared by the rules: spine edge i is slot i - 1 of the tree;
 leaf m of v_i, m starting at 1, is slot ``leaf_start[i - 1] + m - 1``.  The
-rules differ only in their formulas; two placers write the patterns they
-share.  ``_Builder.spine_pairs(i, count, value)`` labels spine edges i,
-i+1, ... with (+x, -x) pairs, x running up from value.  ``_paired_leaves``
+rules differ only in their formulas; three placers write the (+x, -x)
+pairs they share.  ``_Builder.spine_pairs(i, count, value, step)`` labels
+spine edges i, i+1, ... with pairs, x = value, value + step, ....
+``_Builder.first_leaf_pairs(i, count, value)`` labels the first leaves of
+v_i, v_i+1, ... with pairs, x rising by 2 from value.  ``_paired_leaves``
 labels the leaves of every vertex from a start vertex on with consecutive
 (+x, -x) pairs through ``_Builder.pair``: an even leaf count 2b is consumed
 as b pairs at positions (2m-1, 2m); an odd count 2b+1 leaves its first leaf
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .labeling import EdgeLabeling, VertexLabeling, verify
+from .labeling import EdgeLabeling, verify
 from .search import BUDGET_EXCEEDED, EXHAUSTED_NONE, FIND_ONE, SearchConfig, SearchResult
 from .trees import (
     CONSTRUCTIVE,
@@ -43,8 +45,8 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class LabelOutcome:
-    """What ``label_any`` decided, and the work behind it: the tree and induced
-    labels that verified ``labeling``, and the fallback search run, if any.
+    """What ``label_any`` decided, and the work behind it: the tree that
+    verified ``labeling``, and the fallback search run, if any.
     """
 
     kind: str
@@ -52,7 +54,6 @@ class LabelOutcome:
     labeling: EdgeLabeling | None = None
     case: str | None = None
     tree: RootedTree | None = None
-    vertex_labels: VertexLabeling | None = None
     search: SearchResult | None = None
 
     @property
@@ -97,11 +98,20 @@ class _Builder:
             raise ConstructionFault(self.spec, self.tag, f"leaf ({i},{m}) out of range")
         self._put(self.tree.leaf_start[i - 1] + m - 1, value)
 
-    def spine_pairs(self, i: int, count: int, value: int) -> None:
-        """``count`` pairs (+x, -x) on spine edges i, i+1, ..., x from ``value`` up."""
-        for k in range(count):
-            self.spine(i + 2 * k, value + k)
-            self.spine(i + 2 * k + 1, -(value + k))
+    def spine_pairs(self, i: int, count: int, value: int, step: int = 1) -> None:
+        """``count`` pairs (+x, -x) on spine edges i, i+1, ..., x = value, value + step, ..."""
+        for x in range(value, value + step * count, step):
+            self.spine(i, x)
+            self.spine(i + 1, -x)
+            i += 2
+
+    def first_leaf_pairs(self, i: int, count: int, value: int) -> None:
+        """``count`` pairs (+x, -x) on the first leaves of v_i, v_i+1, ...,
+        x from ``value`` up by 2."""
+        for x in range(value, value + 2 * count, 2):
+            self.leaf(i, 1, x)
+            self.leaf(i + 1, 1, -x)
+            i += 2
 
     def pair(self, i: int, m: int, value: int) -> None:
         """Leaf pair m (+value, -value) under v_i: at positions (2m-1, 2m) for
@@ -217,32 +227,23 @@ def _cat_q_odd_j_odd_odds(B: _Builder, r: int, s: int, t: int) -> None:
 
 def _lob_even_size_l_odd(B: _Builder, r: int, s: int, t: int) -> None:
     """q even, l = 2t+1; j+k = 2rs with rs = r+s; branch blocks j+1..n."""
-    spec = B.spec
     rs = r + s
-    n = spec.n
-    B.spine(2 * rs + 1, 1)
-    for i in range(1, t + 1):
-        B.spine(2 * (rs + i), -(2 * i - 1))
-        B.spine(2 * (rs + i) + 1, 2 * i + 1)
-    B.leaf(n, 1, -(2 * t + 1))
-    for i in range(1, t + 1):
-        B.leaf(2 * (rs + i) - 1, 1, -2 * (t + 1 - i))
-        B.leaf(2 * (rs + i), 1, 2 * (t + 1 - i))
+    B.spine_pairs(2 * rs + 1, t, 1, step=2)
+    B.spine(2 * rs + 2 * t + 1, 2 * t + 1)
+    B.leaf(B.spec.n, 1, -(2 * t + 1))
+    B.first_leaf_pairs(2 * rs + 1, t, -2 * t)
     B.spine_pairs(1, rs, 2 * t + 2)
-    _paired_leaves(B, rs + 2 * t + 2, spec.j + 1)
+    _paired_leaves(B, rs + 2 * t + 2, B.spec.j + 1)
 
 
 def _lob_even_size_l_even(B: _Builder, r: int, s: int, t: int) -> None:
     """q even, l = 2t; j+k = 2rs with rs = r+s; branch blocks j+1..n."""
-    spec = B.spec
     rs = r + s
     for i in range(1, t + 1):
-        B.spine(2 * (rs + i) - 1, 2 * i - 1)
-        B.spine(2 * (rs + i), -(2 * i - 1))
-        B.leaf(2 * (rs + i) - 1, 1, -2 * (t + 1 - i))
-        B.leaf(2 * (rs + i), 1, 2 * (t + 1 - i))
+        B.spine_pairs(2 * (rs + i) - 1, 1, 2 * i - 1)
+        B.first_leaf_pairs(2 * (rs + i) - 1, 1, -2 * (t + 1 - i))
     B.spine_pairs(1, rs, 2 * t + 1)
-    _paired_leaves(B, rs + 2 * t + 1, spec.j + 1)
+    _paired_leaves(B, rs + 2 * t + 1, B.spec.j + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +267,14 @@ def _lob_jkl_even_odd_odd(B: _Builder, r: int, s: int, t: int) -> None:
         B.spine_pairs(2 * r + 2, s - 1, r + 2)
         first = r + s + 1
     else:
-        for i in range(1, t + 1):
-            B.spine(2 * (r + s + i - 1), 2 * i - 1)
-            B.spine(2 * (r + s + i) - 1, -(2 * i - 1))
+        B.spine_pairs(2 * (r + s), t, 1, step=2)
         B.spine(2 * (r + s + t), 2 * t + 1)
         B.leaf(2 * r + 1, 1, -(2 * t + 1))
         B.leaf(2 * (r + s + t), 1, -2)
         B.leaf(2 * r + 1, 2, 2)
         B.leaf(2 * (r + s), 1, B.top)
         B.leaf(2 * (r + s) + 1, 1, -B.top)
-        for i in range(1, t):
-            B.leaf(2 * (r + s + i), 1, -2 * (t - i + 1))
-            B.leaf(2 * (r + s + i) + 1, 1, 2 * (t - i + 1))
+        B.first_leaf_pairs(2 * (r + s + 1), t - 1, -2 * t)
         B.spine_pairs(1, r, 2 * t + 2)
         B.spine_pairs(2 * r + 2, s - 1, r + 2 * t + 2)
         first = r + s + 2 * t + 1
@@ -308,12 +305,8 @@ def _lob_jkl_even_odd_even(B: _Builder, r: int, s: int, t: int) -> None:
         B.leaf(2 * (r + s + 1) + 1, 1, -B.top)
         B.spine_pairs(1, r, 2 * t + 2)
         B.spine_pairs(2 * r + 4, s - 1, 2 * t + r + 2)
-        for i in range(1, t + 1):
-            B.spine(2 * (r + s + i), 2 * i - 1)
-            B.spine(2 * (r + s + i) + 1, -(2 * i - 1))
-        for i in range(2, t + 1):
-            B.leaf(2 * (r + s + i), 1, -2 * (t + 2 - i))
-            B.leaf(2 * (r + s + i) + 1, 1, 2 * (t + 2 - i))
+        B.spine_pairs(2 * (r + s + 1), t, 1, step=2)
+        B.first_leaf_pairs(2 * (r + s + 2), t - 1, -2 * t)
         first = 2 * t + r + s + 1
     _paired_leaves(B, first, 2 * r + 1, placed=(2 * r + 1,))
 
@@ -393,7 +386,7 @@ def _verified(
     if not report.is_seg:
         detail = "; ".join(v.describe() for v in report.violations)
         raise ConstructionFault(tree.spec, tag, detail)
-    return LabelOutcome(LABELED, tag, f, case, tree, report.vertex_labels, search)
+    return LabelOutcome(LABELED, tag, f, case, tree, search)
 
 
 def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcome:

@@ -120,7 +120,6 @@ class Violation:
 class VerificationReport:
     is_seg: bool
     violations: tuple[Violation, ...]
-    vertex_labels: VertexLabeling | None = None
 
 
 def _multiset_violation(kind: str, values, target, strays: tuple = ()) -> Violation | None:
@@ -143,8 +142,8 @@ def verify(tree: RootedTree, f: EdgeLabeling) -> VerificationReport:
     """Full SEG check.  Never raises; every failure is listed in the report.
 
     A label that is not an int is listed as unexpected in
-    ``EdgeLabelsNotTargetSet``; induced labels are then not computed, so
-    ``vertex_labels`` is None, as it is for a domain mismatch.
+    ``EdgeLabelsNotTargetSet``; induced labels are then not checked, as for
+    a domain mismatch.
     """
     violations: list[Violation] = []
     try:
@@ -162,18 +161,13 @@ def verify(tree: RootedTree, f: EdgeLabeling) -> VerificationReport:
     )
     if edge_bad:
         violations.append(edge_bad)
-    vertex_labels: VertexLabeling | None = None
     if x is not None and not strays:
-        y = _induced(tree, x)
-        vertex_labels = dict(zip(tree.vertex_ids, y))
         vertex_bad = _multiset_violation(
-            "VertexLabelsNotTargetSet", y, vertex_label_target(tree.p)
+            "VertexLabelsNotTargetSet", _induced(tree, x), vertex_label_target(tree.p)
         )
         if vertex_bad:
             violations.append(vertex_bad)
-    return VerificationReport(
-        is_seg=not violations, violations=tuple(violations), vertex_labels=vertex_labels
-    )
+    return VerificationReport(is_seg=not violations, violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------

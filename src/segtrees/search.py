@@ -71,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate
-from math import factorial
+from math import factorial, prod
 
 from ._version import __version__
 from .labeling import EdgeLabeling, edge_label_target, vertex_label_target
@@ -153,14 +153,6 @@ def _run(spec: TreeSpec, config: SearchConfig):
 
     sorted_runs = [(st, en) for st, en in runs if en - st > 1] if s_on else []
 
-    base_factor = 1
-    if l_on:
-        for a in counts:
-            base_factor *= factorial(a)
-    if s_on:
-        for st, en in runs:
-            base_factor *= factorial(en - st)
-
     budget = config.node_budget
     nodes = 0
     spine_vals = [0] * n
@@ -204,7 +196,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
             first = snapshot()
         if config.mode == FIND_ONE:
             raise _Stop
-        raw_count += base_factor * (canon_negated() if n_on else 1)
+        raw_count += canon_negated() if n_on else 1
 
     def tick() -> None:
         nonlocal nodes
@@ -330,13 +322,19 @@ def _run(spec: TreeSpec, config: SearchConfig):
             spine_vals[d] = b - h
             dfs_spine(k + 1, pool ^ (1 << b))
 
+    full = (1 << n_bits) - 1  # every label; even q has no 0
     try:
-        dfs_spine(0, sum(1 << (v + h) for v in edge_label_target(q)))
+        dfs_spine(0, full if q % 2 else full ^ (1 << h))
     except _Stop:
         return SearchResult(FOUND, nodes, first, None)
     except _BudgetHit:
         return SearchResult(BUDGET_EXCEEDED, nodes, None, None)
     if raw_count > 0:  # only COUNT_ALL gets here with solutions
+        # re-expand once: a sorted leaf group or equal-count run of m stands for m! orderings
+        if l_on:
+            raw_count *= prod(map(factorial, counts))
+        if s_on:
+            raw_count *= prod(factorial(en - st) for st, en in runs)
         return SearchResult(FOUND, nodes, first, raw_count)
     return SearchResult(EXHAUSTED_NONE, nodes, None, 0)
 

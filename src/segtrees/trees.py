@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 Q_LIMIT = 10**6  # labels must stay comfortably inside machine ints
 ENUM_Q_LIMIT = 40  # enumerate_specs(40) lists 214,487 specs; +5 on q is ~2.5x
@@ -83,15 +83,8 @@ class TreeSpec:
 
     def format(self) -> str:
         """Compressed spec string, runs of equal counts in exponent notation."""
-        parts: list[str] = []
-        i = 0
-        while i < self.n:
-            run = 1
-            while i + run < self.n and self.counts[i + run] == self.counts[i]:
-                run += 1
-            parts.append(f"{self.counts[i]}^{run}" if run > 1 else str(self.counts[i]))
-            i += run
-        return "RT(" + ",".join(parts) + ")"
+        runs = [(a, len(list(run))) for a, run in groupby(self.counts)]
+        return "RT(" + ",".join(f"{a}^{m}" if m > 1 else str(a) for a, m in runs) + ")"
 
     def __str__(self) -> str:
         return self.format()

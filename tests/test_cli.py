@@ -84,6 +84,31 @@ def test_label_constructive_exit0(capsys, tmp_path):
     assert "SEG labeling found" in out
 
 
+@pytest.mark.parametrize("command, text", [
+    ("label", """\
+RT(1^2): SEG labeling found via cat-q-even-j-even [both-odd]
+  v1 = 1
+  v2 = -1
+  v1.1 = -2
+  v2.1 = 2
+  induced: v0=0, v1=-1, v2=1, v1.1=-2, v2.1=2
+"""),
+    ("search", """\
+RT(1^2): found (nodes=8)
+  v1 = -1
+  v2 = 1
+  v1.1 = 2
+  v2.1 = -2
+  induced: v0=0, v1=1, v2=-1, v1.1=2, v2.1=-2
+"""),
+])
+def test_labeling_text_prints_induced_labels(capsys, command, text):
+    # both commands print the edge labels, then the labels they induce
+    code, out, _ = run(capsys, command, "RT(1,1)")
+    assert code == 0
+    assert out == text
+
+
 def test_label_not_seg_exit3(capsys):
     code, out, _ = run(capsys, "label", "RT(0,1,1,1)")
     assert code == 3
@@ -272,6 +297,8 @@ def test_search_guard_refused_exit2(capsys):
 @pytest.mark.parametrize("argv", [
     ["search", "RT(0^1500,1,1)", "--override-guard"],
     ["label", "RT(4,1^1500)", "--search-budget", "10^6", "--override-guard"],
+    # q = 10^6: refused without first building anything quadratic in q
+    ["search", "RT(1^500000)", "--override-guard"],
 ])
 def test_search_too_deep_refused_exit2(capsys, argv):
     # the DFS recurses once per branch spine vertex and once per leaf of a

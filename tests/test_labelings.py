@@ -71,7 +71,6 @@ def test_induce_requires_total_labeling():
 def test_verify_reports_renamed_edge_without_raising():
     report = verify(build_tree(parse_spec("RT(1,1)")), RENAMED_RT11)
     assert not report.is_seg
-    assert report.vertex_labels is None
     assert Violation("DomainMismatch", ("v2.1",), ("v9",)) in report.violations
 
 
@@ -108,7 +107,6 @@ def test_verify_lists_non_integer_label_without_raising():
     f = {"v1": 1, "v2": 1, "v1.1": "a", "v2.1": 2}
     report = verify(build_tree(parse_spec("RT(1,1)")), f)
     assert not report.is_seg
-    assert report.vertex_labels is None
     assert report.violations == (
         Violation("EdgeLabelsNotTargetSet", (-2, -1), (1, "a")),
     )

@@ -116,7 +116,8 @@ def test_verify_negation_equivariant(spec, seed):
 
 
 def counter_report(spec, f):
-    """verify's report for a total, all-int labeling, by Counter diffs only.
+    """verify's report for a total, all-int labeling, by Counter diffs only,
+    and the induced labels it was judged on.
 
     Induced labels are summed from the spec's counts and the edge names,
     not through the package.
@@ -134,7 +135,7 @@ def counter_report(spec, f):
         g.update((e, f[e]) for e in leaves)
     violations = diff("EdgeLabelsNotTargetSet", f.values(), edge_label_target(spec.q))
     violations += diff("VertexLabelsNotTargetSet", g.values(), vertex_label_target(spec.p))
-    return VerificationReport(not violations, tuple(violations), g)
+    return VerificationReport(not violations, tuple(violations)), g
 
 
 @given(
@@ -159,7 +160,9 @@ def test_verify_matches_counter_reference_on_broken_labelings(spec, change, rng)
         a = f"v{i}.{rng.randint(1, spec.counts[i - 1])}"
         b = f"v{k}.{rng.randint(1, spec.counts[k - 1])}"
         f[a], f[b] = f[b], f[a]
-    assert verify(tree, f) == counter_report(spec, f)
+    report, g = counter_report(spec, f)
+    assert verify(tree, f) == report
+    assert induce(tree, f) == g
 
 
 @given(st.sampled_from(enumerate_specs(9)))
