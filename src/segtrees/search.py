@@ -19,8 +19,10 @@ solution, so outcomes and counts are those of the uncut search.
 - Forced targets.  Once the branch spine is labeled, the induced labels
   still to be realized, one per group sum (branch vertices and the root),
   are exactly ``R = {branch spine labels} + {0}`` for even q, or
-  ``R = {nonzero branch spine labels} + {+-(q+1)/2}`` for odd q.  With no
-  pendants the root sum is fixed by the spine and checked against R there.
+  ``R = {nonzero branch spine labels} + {+-(q+1)/2}`` for odd q.  The
+  labels then missing from the pool are exactly the branch spine labels,
+  so R is read off the pool.  With no pendants the root sum is fixed by
+  the spine and checked against R there.
 - Zero placement (odd q).  The vertex target of an even p = q+1 has no 0,
   and every group label induces itself, so 0 sits on a branch spine edge:
   the spine phase completes only when it has placed 0.
@@ -133,8 +135,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
     # v + h, so bit h (label 0) exists only for odd q
     h = q // 2
     n_bits = 2 * h + 1
-    branch = [i for i in range(n) if counts[i] > 0]  # 0-based spine positions
-    n_pend = n - len(branch)  # canonical order puts the pendants first
+    n_pend = counts.count(0)  # pendants lead: the branch vertices are positions n_pend .. n-1
     l_on = config.break_leaf_permutations
     s_on = config.break_equal_spine_vertices
     n_on = config.break_negation
@@ -159,13 +160,16 @@ def _run(spec: TreeSpec, config: SearchConfig):
     groups = [[0] * a for a in counts]
     # the groups smallest first, ties in spine order: (size, owner, slots,
     # sorted); owner n is the root, whose pendant group fills spine_vals[:n_pend]
-    plan = [(counts[i], i, groups[i], l_on) for i in branch]
+    plan = [(counts[i], i, groups[i], l_on) for i in range(n_pend, n)]
     if n_pend:
         plan.append((n_pend, n, spine_vals, s_on))
     plan.sort(key=lambda g: g[:2])
     n_single = sum(1 for g in plan if g[0] == 1)  # the single-label groups lead
     bases: list[int] = []  # each group's base, in plan order, once the spine is labeled
     r_bits = 0  # the targets R still to realize: t is bit t + h + 1
+    full = (1 << n_bits) - 1  # every label; even q has no 0
+    # odd q: R swaps the target 0 (bit h + 1) for +-(q+1)/2 (bits 0, 2h + 2)
+    r_fix = 1 | (1 << (h + 1)) | (1 << (2 * h + 2)) if q % 2 else 0
     raw_count = 0
     first: EdgeLabeling | None = None
 
@@ -284,31 +288,22 @@ def _run(spec: TreeSpec, config: SearchConfig):
             dfs_group(gi, pos + 1, j + 1 if ordered else 0, base + b - h, pool ^ (1 << b),
                       avail, sums)
 
-    def dfs_spine(k: int, pool: int) -> None:
+    def dfs_spine(d: int, pool: int) -> None:
         nonlocal r_bits
-        if k == len(branch):
+        if d == n:
             if (pool >> h) & 1:
                 return  # odd q: 0 goes on a branch spine edge
-            required = {spine_vals[i] for i in branch}
-            root_base = sum(required)  # the branch spine labels are distinct
-            if q % 2 == 0:
-                required.add(0)
-            else:
-                required.discard(0)
-                half = (q + 1) // 2
-                required.add(half)
-                required.add(-half)
-            if not n_pend:
-                if root_base not in required:
+            # the labels missing from the pool are the branch spine labels (and
+            # 0 for even q): one bit up they are R, up to r_fix for odd q
+            r_bits = (full ^ pool) << 1 ^ r_fix
+            root = sum(spine_vals[n_pend:])
+            if not n_pend:  # the spine fixes the root sum: it must be in R
+                if root < -h - 1 or not (r_bits >> (root + h + 1)) & 1:
                     return
-                required.remove(root_base)
-            bases[:] = [root_base if g[1] == n else spine_vals[g[1]] for g in plan]
-            # R is empty here: the spine completes only outside the group phase
-            r_bits = sum(1 << (t + h + 1) for t in required)
+                r_bits ^= 1 << (root + h + 1)
+            bases[:] = [root if g[1] == n else spine_vals[g[1]] for g in plan]
             cover(list(range(n_single)), pool)
-            r_bits = 0
             return
-        d = branch[k]
         # an equal-count predecessor is a branch vertex, already labeled
         same = s_on and d > 0 and counts[d] == counts[d - 1]
         lo = spine_vals[d - 1] + h + 1 if same else 0
@@ -320,11 +315,10 @@ def _run(spec: TreeSpec, config: SearchConfig):
                 continue
             tick()
             spine_vals[d] = b - h
-            dfs_spine(k + 1, pool ^ (1 << b))
+            dfs_spine(d + 1, pool ^ (1 << b))
 
-    full = (1 << n_bits) - 1  # every label; even q has no 0
     try:
-        dfs_spine(0, full if q % 2 else full ^ (1 << h))
+        dfs_spine(n_pend, full if q % 2 else full ^ (1 << h))
     except _Stop:
         return SearchResult(FOUND, nodes, first, None)
     except _BudgetHit:

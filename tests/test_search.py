@@ -125,7 +125,7 @@ SEARCH_ORDER_DIGEST_Q9 = "72d4c81d19da1d434716fd2fa515a950dc4bde9661a4580e89783d
 
 def test_search_order_digest_q9():
     h = hashlib.sha256()
-    runs = 0
+    runs = nodes = 0
     for spec in enumerate_specs(9):
         tree = build_tree(spec)
         for cfg in ALL_FLAGS:
@@ -135,11 +135,13 @@ def test_search_order_digest_q9():
                 r = search(spec, replace(cfg, mode=mode))
                 h.update(repr((spec.counts, flags, mode, r.outcome, r.count)).encode())
                 runs += 1
+                nodes += r.nodes_visited
                 if r.labeling is not None:
                     assert verify(tree, r.labeling).is_seg, spec.format()
                     flat = [r.labeling[e] for e in tree.edge_ids]
                     assert naive_is_seg_assignment(spec.counts, flat), spec.format()
     assert runs == 816
+    assert nodes == 740_176
     assert h.hexdigest() == SEARCH_ORDER_DIGEST_Q9
 
 
@@ -150,6 +152,9 @@ def test_search_order_digest_q9():
     ("RT(0,1^6)", FIND_ONE, 1_649),  # 10,824; 20,577
     ("RT(4,1^4)", COUNT_ALL, 5_967),  # 14,390; 53,926
     ("RT(0,1^8)", FIND_ONE, 26_588),  # 437,935
+    ("RT(1^6)", COUNT_ALL, 3_849),  # even q, so 0 in R; root sum checked on the spine
+    ("RT(0^4,1^4)", COUNT_ALL, 8_517),  # even q, root sum from the pendant group
+    ("RT(2,1^6)", FIND_ONE, 17_273),  # odd q; root sum checked on the spine
 ])
 def test_node_counts_pinned(text, mode, nodes):
     r = search(parse_spec(text), SearchConfig(mode=mode))
