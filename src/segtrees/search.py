@@ -3,7 +3,7 @@
 The engine has two phases.  The spine phase labels the branch spine edges
 (spine vertices with leaves), in index order.  The group phase then fills
 the single-label groups as one exact-cover step, then the larger leaf
-groups one at a time.  Three independent and individually sound symmetry
+groups one at a time.  Two independent and individually sound symmetry
 flags cut the space; raw counts are re-expanded exactly, so every flag
 combination reports the same existence answer and the same raw labeling
 count.
@@ -57,22 +57,15 @@ solution, so outcomes and counts are those of the uncut search.
   order, instead of scanned.  The exact-cover step reads its options the
   same way.
 
-Symmetry soundness notes.  Negation pairs solutions: f is SEG exactly when
--f is.  With the negation flag on, every enumerated solution f is compared
-with canon(-f): negate, re-sort the leaf groups if leaf breaking is on, and
-re-sort the equal-count spine runs if equal-spine breaking is on.
-f < canon(-f) counts double, f == canon(-f) counts once, and f > canon(-f)
-is the partner and counts zero.  Both vectors start with the spine labels,
-so the spine part decides; the leaf groups are built and compared only when
-the spine parts tie.  A solution can be its own partner only through a
-spine-run re-sort (RT(1,1) is); with equal-spine breaking off that would
-need every spine label to be 0, so exactly one of f and -f counts, double.
+Negation.  f is SEG exactly when -f is, and f != -f (its q distinct labels
+are not all 0), so SEG labelings pair up and every count is even.  The
+engine enumerates both members of each pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import factorial, prod
 
 from ._version import __version__
@@ -103,8 +96,16 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """How one search runs.
+
+    node_budget: stop with BUDGET_EXCEEDED after this many nodes (None: no limit).
+    break_leaf_permutations: label each leaf group in ascending order.
+    break_equal_spine_vertices: label each equal-count spine run in ascending order.
+    mode: FIND_ONE stops at the first labeling; COUNT_ALL enumerates them all.
+    override_guard: search even when q > GUARD_Q.
+    """
+
     node_budget: int | None = None
-    break_negation: bool = True
     break_leaf_permutations: bool = True
     break_equal_spine_vertices: bool = True
     mode: str = FIND_ONE
@@ -138,31 +139,22 @@ def _run(spec: TreeSpec, config: SearchConfig):
     n_pend = counts.count(0)  # pendants lead: the branch vertices are positions n_pend .. n-1
     l_on = config.break_leaf_permutations
     s_on = config.break_equal_spine_vertices
-    n_on = config.break_negation
 
-    # contiguous runs of equal counts; canonical order makes classes contiguous
-    runs: list[tuple[int, int]] = []
-    start = 0
-    for i in range(1, n):
-        if counts[i] != counts[i - 1]:
-            runs.append((start, i))
-            start = i
-    runs.append((start, n))
+    runs = [len(list(g)) for _, g in groupby(counts)]  # equal counts are contiguous
     # odd q: the branch vertices from here on have no later branch vertex that
     # could still take 0 after a positive label (the last, or its sorted run)
-    zero_from = runs[-1][0] if s_on else n - 1
-
-    sorted_runs = [(st, en) for st, en in runs if en - st > 1] if s_on else []
+    zero_from = n - runs[-1] if s_on else n - 1
 
     budget = config.node_budget
     nodes = 0
-    spine_vals = [0] * n
-    groups = [[0] * a for a in counts]
-    # the groups smallest first, ties in spine order: (size, owner, slots,
-    # sorted); owner n is the root, whose pendant group fills spine_vals[:n_pend]
-    plan = [(counts[i], i, groups[i], l_on) for i in range(n_pend, n)]
+    # the labeling in the tree's slot order: spine edges, then each leaf group
+    x = [0] * q
+    leaf_at = accumulate(counts, initial=n)  # each vertex's first leaf slot
+    # the groups smallest first, ties in spine order: (size, owner, first
+    # slot, sorted); owner n is the root, whose pendant group is slots 0 .. n_pend-1
+    plan = [(a, i, at, l_on) for i, (a, at) in enumerate(zip(counts, leaf_at)) if a]
     if n_pend:
-        plan.append((n_pend, n, spine_vals, s_on))
+        plan.append((n_pend, n, 0, s_on))
     plan.sort(key=lambda g: g[:2])
     n_single = sum(1 for g in plan if g[0] == 1)  # the single-label groups lead
     bases: list[int] = []  # each group's base, in plan order, once the spine is labeled
@@ -173,34 +165,13 @@ def _run(spec: TreeSpec, config: SearchConfig):
     raw_count = 0
     first: EdgeLabeling | None = None
 
-    def snapshot() -> EdgeLabeling:
-        # spine labels, then each leaf group in turn: the tree's slot order
-        flat = spine_vals + [v for g in groups for v in g]
-        return dict(zip(build_tree(spec).edge_ids, flat))
-
-    def canon_negated() -> int:
-        # f's weight, 2, 1 or 0, as f <, == or > canon(-f): negate, re-sort
-        # the equal-count spine runs if equal-spine breaking is on, and each
-        # leaf group if leaf breaking is on.  The spine part decides; the
-        # groups are built only on a tie
-        neg = [-v for v in spine_vals]
-        order = list(range(n))
-        for st, en in sorted_runs:
-            order[st:en] = sorted(range(st, en), key=neg.__getitem__)
-        fvec, gvec = spine_vals, [neg[i] for i in order]
-        if fvec == gvec:
-            fvec = [v for g in groups for v in g]
-            gvec = [v for i in order
-                    for v in (sorted(-w for w in groups[i]) if l_on else [-w for w in groups[i]])]
-        return 2 if fvec < gvec else 1 if fvec == gvec else 0
-
     def solution() -> None:
         nonlocal raw_count, first
         if first is None:
-            first = snapshot()
+            first = dict(zip(build_tree(spec).edge_ids, x))
         if config.mode == FIND_ONE:
             raise _Stop
-        raw_count += canon_negated() if n_on else 1
+        raw_count += 1
 
     def tick() -> None:
         nonlocal nodes
@@ -214,7 +185,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
         shift = base + 1
         return (pool >> lo << lo) & (r_bits >> shift if shift >= 0 else r_bits << -shift)
 
-    def close(hits: int, base: int, slots: list[int], pos: int, then, arg, pool: int) -> None:
+    def close(hits: int, base: int, slot: int, then, arg, pool: int) -> None:
         # each closing label in ascending order; its target leaves R meanwhile
         nonlocal r_bits
         while hits:
@@ -222,7 +193,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
             hits ^= bit
             v = bit.bit_length() - 1 - h
             tick()
-            slots[pos] = v
+            x[slot] = v
             target = 1 << (v + base + h + 1)
             r_bits ^= target
             then(arg, pool ^ bit)
@@ -243,7 +214,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
                 best = c, gi, hits
         _, gi, hits = best
         rest = [g for g in open_groups if g != gi]
-        close(hits, bases[gi], plan[gi][2], 0, cover, rest, pool)
+        close(hits, bases[gi], plan[gi][2], cover, rest, pool)
 
     def next_group(gi: int, pool: int) -> None:
         if gi == len(plan):
@@ -258,12 +229,13 @@ def _run(spec: TreeSpec, config: SearchConfig):
                   avail: list[int], sums: list[int] | None) -> None:
         # a sorted group's labels ascend, so it scans avail from j0, past its
         # last label; an unsorted one rescans from 0 and skips used labels
-        a, _, slots, ordered = plan[gi]
+        a, _, slot, ordered = plan[gi]
+        slot += pos
         end = len(avail)
         if pos == a - 1:
             # the last label is read off R: it is t - base for some t in R
             lo = avail[j0] if j0 < end else n_bits
-            close(options(base, lo, pool), base, slots, pos, next_group, gi + 1, pool)
+            close(options(base, lo, pool), base, slot, next_group, gi + 1, pool)
             return
         if ordered:
             # sum interval: base + the k labels from j .. base + avail[j] + the
@@ -284,7 +256,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
             elif not (pool >> b) & 1:
                 continue
             tick()
-            slots[pos] = b - h
+            x[slot] = b - h
             dfs_group(gi, pos + 1, j + 1 if ordered else 0, base + b - h, pool ^ (1 << b),
                       avail, sums)
 
@@ -296,17 +268,17 @@ def _run(spec: TreeSpec, config: SearchConfig):
             # the labels missing from the pool are the branch spine labels (and
             # 0 for even q): one bit up they are R, up to r_fix for odd q
             r_bits = (full ^ pool) << 1 ^ r_fix
-            root = sum(spine_vals[n_pend:])
+            root = sum(x[n_pend:n])
             if not n_pend:  # the spine fixes the root sum: it must be in R
                 if root < -h - 1 or not (r_bits >> (root + h + 1)) & 1:
                     return
                 r_bits ^= 1 << (root + h + 1)
-            bases[:] = [root if g[1] == n else spine_vals[g[1]] for g in plan]
+            bases[:] = [root if g[1] == n else x[g[1]] for g in plan]
             cover(list(range(n_single)), pool)
             return
         # an equal-count predecessor is a branch vertex, already labeled
         same = s_on and d > 0 and counts[d] == counts[d - 1]
-        lo = spine_vals[d - 1] + h + 1 if same else 0
+        lo = x[d - 1] + h + 1 if same else 0
         # zero window (odd q): with 0 in the pool, a positive label here would
         # leave no later branch vertex able to take 0
         hi = h + 1 if d >= zero_from and (pool >> h) & 1 else n_bits
@@ -314,7 +286,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
             if not (pool >> b) & 1:
                 continue
             tick()
-            spine_vals[d] = b - h
+            x[d] = b - h
             dfs_spine(d + 1, pool ^ (1 << b))
 
     try:
@@ -328,7 +300,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
         if l_on:
             raw_count *= prod(map(factorial, counts))
         if s_on:
-            raw_count *= prod(factorial(en - st) for st, en in runs)
+            raw_count *= prod(map(factorial, runs))
         return SearchResult(FOUND, nodes, first, raw_count)
     return SearchResult(EXHAUSTED_NONE, nodes, None, 0)
 
@@ -379,7 +351,6 @@ def make_certificate(spec: TreeSpec, config: SearchConfig, result: SearchResult)
         "edge_target": list(edge_label_target(spec.q)),
         "vertex_target": list(vertex_label_target(spec.p)),
         "flags": {
-            "break_negation": config.break_negation,
             "break_leaf_permutations": config.break_leaf_permutations,
             "break_equal_spine_vertices": config.break_equal_spine_vertices,
         },

@@ -164,7 +164,7 @@ def test_label_by_exhaustion_certifies_its_one_search(capsys, monkeypatch, tmp_p
     data = json.loads(out)
     assert data["tag"] == "by-exhaustion"
     cert = data["certificate"]
-    assert cert["flags"] == {"break_negation": True, "break_leaf_permutations": False,
+    assert cert["flags"] == {"break_leaf_permutations": False,
                              "break_equal_spine_vertices": True}
     assert cert["nodes_visited"] == runs[0].nodes_visited
     assert json.loads((tmp_path / "RT_0_1_3.cert.json").read_text()) == cert
@@ -311,8 +311,7 @@ def test_search_too_deep_refused_exit2(capsys, argv):
 
 
 def test_search_no_break_flags_same_answer(capsys):
-    code, out, _ = run(capsys, "search", "RT(1,1)", "--count",
-                       "--no-break-negation", "--no-break-leaves",
+    code, out, _ = run(capsys, "search", "RT(1,1)", "--count", "--no-break-leaves",
                        "--no-break-spine", "--format", "json")
     assert code == 0
     assert json.loads(out)["count"] == 2
@@ -444,9 +443,11 @@ def test_unusable_path_or_size_exit1(capsys, tmp_path, argv):
         (["label", "RT(2,1,1)", "--search-budget", "10^-1"], 1),
         (["survey", "--search-budget", "0^-1"], 1),
         (["survey", "--search-budget", "nan"], 1),
+        (["search", "RT(1,1)", "--count", "--no-break-negation"], 1),
     ],
     ids=["help", "no-command", "unknown-command", "budget-word", "budget-overflow",
-         "budget-negative", "budget-fraction", "budget-zero-division", "budget-nan"],
+         "budget-negative", "budget-fraction", "budget-zero-division", "budget-nan",
+         "retired-negation-flag"],
 )
 def test_usage_exit_codes(capsys, argv, expected):
     code, _, err = run(capsys, *argv)

@@ -31,9 +31,8 @@ from segtrees import (
 from oracle import naive_count, naive_exists, naive_is_seg_assignment
 
 ALL_FLAGS = [
-    SearchConfig(break_negation=n, break_leaf_permutations=l,
-                 break_equal_spine_vertices=s)
-    for n, l, s in itertools.product([True, False], repeat=3)
+    SearchConfig(break_leaf_permutations=l, break_equal_spine_vertices=s)
+    for l, s in itertools.product([True, False], repeat=2)
 ]
 
 
@@ -49,19 +48,15 @@ def test_counts_match_naive_oracle(spec):
     assert (result.outcome == FOUND) == (expected > 0)
 
 
-# each tree's brute-force count is shared by its 8 flag sets
+# each tree's brute-force count is shared by its 4 flag sets
 _naive_count = cache(naive_count)
 
 
-# some RT(2^2) solutions tie with their canonical negation on the spine but
-# not in the leaf groups, which then decide the weight (negation and
-# equal-spine breaking on)
 @pytest.mark.parametrize("text", ["RT(1,1)", "RT(0,1,1)", "RT(2,1)", "RT(1,1,1)",
                                   "RT(0^2,1,1)", "RT(0^2,2,1)", "RT(0^4,1,1)",
                                   "RT(2^2)"])
 @pytest.mark.parametrize("cfg", ALL_FLAGS,
-                         ids=lambda c: f"N{int(c.break_negation)}"
-                                       f"L{int(c.break_leaf_permutations)}"
+                         ids=lambda c: f"L{int(c.break_leaf_permutations)}"
                                        f"S{int(c.break_equal_spine_vertices)}")
 def test_every_flag_combo_matches_naive(text, cfg):
     spec = parse_spec(text)
@@ -119,8 +114,9 @@ def test_mode_constants_distinct():
 
 # outcome and count under every flag set and both modes for q <= 9: no search
 # order may move them.  The first labeling found depends on the order, so
-# each one is checked, not hashed
-SEARCH_ORDER_DIGEST_Q9 = "72d4c81d19da1d434716fd2fa515a950dc4bde9661a4580e89783dd22d90bc63"
+# each one is checked, not hashed.  Every count is even: the engine must
+# find both f and -f
+SEARCH_ORDER_DIGEST_Q9 = "b3a519fbd570b61f60821f1323415701eeefacc99b66af63a060be2a800f198d"
 
 
 def test_search_order_digest_q9():
@@ -129,19 +125,20 @@ def test_search_order_digest_q9():
     for spec in enumerate_specs(9):
         tree = build_tree(spec)
         for cfg in ALL_FLAGS:
-            flags = (cfg.break_negation, cfg.break_leaf_permutations,
-                     cfg.break_equal_spine_vertices)
+            flags = (cfg.break_leaf_permutations, cfg.break_equal_spine_vertices)
             for mode in (FIND_ONE, COUNT_ALL):
                 r = search(spec, replace(cfg, mode=mode))
                 h.update(repr((spec.counts, flags, mode, r.outcome, r.count)).encode())
                 runs += 1
                 nodes += r.nodes_visited
+                if mode == COUNT_ALL:
+                    assert r.count % 2 == 0, (spec.format(), flags)
                 if r.labeling is not None:
                     assert verify(tree, r.labeling).is_seg, spec.format()
                     flat = [r.labeling[e] for e in tree.edge_ids]
                     assert naive_is_seg_assignment(spec.counts, flat), spec.format()
-    assert runs == 816
-    assert nodes == 740_176
+    assert runs == 408
+    assert nodes == 370_088
     assert h.hexdigest() == SEARCH_ORDER_DIGEST_Q9
 
 
@@ -209,9 +206,7 @@ def test_certificate_contents():
     assert cert["outcome"] == EXHAUSTED_NONE
     assert cert["result"] == "none"
     assert cert["nodes_visited"] > 0
-    assert set(cert["flags"]) == {
-        "break_negation", "break_leaf_permutations", "break_equal_spine_vertices"
-    }
+    assert set(cert["flags"]) == {"break_leaf_permutations", "break_equal_spine_vertices"}
     assert cert["version"]
 
 
@@ -241,15 +236,14 @@ def test_make_certificate_from_result():
 
 def test_flag_combos_agree_on_q8_sample():
     for spec in enumerate_specs(8):
-        results = {(c.break_negation, c.break_leaf_permutations,
-                    c.break_equal_spine_vertices):
+        results = {(c.break_leaf_permutations, c.break_equal_spine_vertices):
                    count_all(spec, c) for c in ALL_FLAGS}
         outcomes = {(r.outcome, r.count) for r in results.values()}
         assert len(outcomes) == 1, (spec.format(), outcomes)
 
 
 def test_theory_matches_find_one_under_every_flag_set():
-    # theory-vs-oracle agreement through q = 11, under all 8 flag sets
+    # theory-vs-oracle agreement through q = 11, under all 4 flag sets
     for spec in enumerate_specs(11):
         status = classify(spec).status
         if status not in (CONSTRUCTIVE, NOT_SEG):
@@ -271,7 +265,6 @@ def test_breaking_reduces_nodes():
     broken = count_all(spec, SearchConfig()).nodes_visited
     unbroken = count_all(
         spec,
-        SearchConfig(break_negation=False, break_leaf_permutations=False,
-                     break_equal_spine_vertices=False),
+        SearchConfig(break_leaf_permutations=False, break_equal_spine_vertices=False),
     ).nodes_visited
     assert broken < unbroken
