@@ -48,19 +48,34 @@ def test_counts_match_naive_oracle(spec):
     assert (result.outcome == FOUND) == (expected > 0)
 
 
-# each tree's brute-force count is shared by its 4 flag sets
+# each tree's brute-force count is shared by its 8 cases
 _naive_count = cache(naive_count)
 
 
+# the ids keep the N digit of the retired negation flag, which now picks the
+# check: N1 compares the count with the oracle, N0 compares find-one's outcome
+# and checks that the negation of the labeling found is SEG too
 @pytest.mark.parametrize("text", ["RT(1,1)", "RT(0,1,1)", "RT(2,1)", "RT(1,1,1)",
                                   "RT(0^2,1,1)", "RT(0^2,2,1)", "RT(0^4,1,1)",
                                   "RT(2^2)"])
-@pytest.mark.parametrize("cfg", ALL_FLAGS,
-                         ids=lambda c: f"L{int(c.break_leaf_permutations)}"
-                                       f"S{int(c.break_equal_spine_vertices)}")
-def test_every_flag_combo_matches_naive(text, cfg):
+@pytest.mark.parametrize("check, cfg", [
+    pytest.param(n, c, id=f"{n}L{int(c.break_leaf_permutations)}"
+                          f"S{int(c.break_equal_spine_vertices)}")
+    for n in ("N1", "N0") for c in ALL_FLAGS
+])
+def test_every_flag_combo_matches_naive(text, check, cfg):
     spec = parse_spec(text)
-    assert count_all(spec, cfg).count == _naive_count(spec.counts)
+    expected = _naive_count(spec.counts)
+    if check == "N1":
+        assert count_all(spec, cfg).count == expected
+        return
+    r = search(spec, replace(cfg, mode=FIND_ONE))
+    assert (r.outcome == FOUND) == (expected > 0)
+    if r.labeling is not None:
+        tree = build_tree(spec)
+        negated = {e: -lab for e, lab in r.labeling.items()}
+        assert verify(tree, negated).is_seg
+        assert naive_is_seg_assignment(spec.counts, [negated[e] for e in tree.edge_ids])
 
 
 def test_existence_matches_naive_q6():
