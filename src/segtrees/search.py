@@ -3,10 +3,10 @@
 The engine has two phases.  The spine phase labels the branch spine edges
 (spine vertices with leaves), in index order.  The group phase then fills
 the single-label groups as one exact-cover step, then the larger leaf
-groups one at a time.  Two independent and individually sound symmetry
-flags cut the space; raw counts are re-expanded exactly, so every flag
-combination reports the same existence answer and the same raw labeling
-count.
+groups one at a time, and places the last.  Two independent and
+individually sound symmetry flags cut the space; raw counts are
+re-expanded exactly, so every flag combination reports the same existence
+answer and the same raw labeling count.
 
 Each statement below is a theorem: a cut skips only subtrees that hold no
 solution, so outcomes and counts are those of the uncut search.
@@ -40,7 +40,7 @@ solution, so outcomes and counts are those of the uncut search.
   group and target is still covered exactly once, so the order moves only
   node counts, never outcomes or counts.
 - Groups smallest first.  The larger groups follow in ascending size, so
-  the largest group comes last and its label set is whatever is left.
+  the largest group comes last; it is placed, not searched (below).
 - Sum interval (sorted groups).  A branch group is sorted when leaf
   breaking is on; the pendant group is sorted when equal-spine breaking is
   on, since the pendants are one equal-count run.  A group lists its free
@@ -56,6 +56,13 @@ solution, so outcomes and counts are those of the uncut search.
   last label is ``t - base``: the candidates are read off R, in ascending
   order, instead of scanned.  The exact-cover step reads its options the
   same way.
+- Last group.  When every other group has closed, the pool holds exactly
+  the last group's labels, and they close it.  The induced labels add up
+  to 2 * (sum of the edge labels) = 0, and the vertex target is symmetric,
+  so it also sums to 0; every other vertex already holds a distinct target
+  value, so the last group's owner gets the one value left.  Its labels are
+  placed in ascending order, one node each, with no sum check, and an
+  unsorted last group counts once for its a! orderings.
 
 Negation.  f is SEG exactly when -f is, and f != -f (its q distinct labels
 are not all 0), so SEG labelings pair up and every count is even.  The
@@ -217,6 +224,16 @@ def _run(spec: TreeSpec, config: SearchConfig):
         close(hits, bases[gi], plan[gi][2], cover, rest, pool)
 
     def next_group(gi: int, pool: int) -> None:
+        if gi == len(plan) - 1:
+            # last group: the pool is its labels and they close it, so they are
+            # placed in ascending order, one node each, the nodes a sorted
+            # search of it visits
+            a, _, slot, _ = plan[gi]
+            for _ in range(a):
+                tick()
+            if first is None:
+                x[slot:slot + a] = [b - h for b in range(n_bits) if (pool >> b) & 1]
+            gi += 1
         if gi == len(plan):
             solution()
             return
@@ -301,6 +318,8 @@ def _run(spec: TreeSpec, config: SearchConfig):
             raw_count *= prod(map(factorial, counts))
         if s_on:
             raw_count *= prod(map(factorial, runs))
+        if not plan[-1][3]:  # an unsorted last group was placed once for its a! orderings
+            raw_count *= factorial(plan[-1][0])
         return SearchResult(FOUND, nodes, first, raw_count)
     return SearchResult(EXHAUSTED_NONE, nodes, None, 0)
 
@@ -319,8 +338,9 @@ def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
     try:
         return _run(spec, config)
     except RecursionError:
-        # the DFS recurses once per branch spine vertex and group label, and
-        # a pendant run is one group: a long run or many branches is deep
+        # the DFS recurses once per branch spine vertex and once per label of
+        # every group but the last, and a pendant run is one group: a long
+        # run before the last group, or many branches, is deep
         raise GuardRefused(
             f"{spec} has q={spec.q}; the tree is too deep for the search"
         ) from None

@@ -295,19 +295,32 @@ def test_search_guard_refused_exit2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["search", "RT(0^1500,1,1)", "--override-guard"],
+    # the 1,500 pendants are one group searched before the last (a 1,600-leaf one)
+    ["search", "RT(0^1500,1600^2)", "--override-guard"],
     ["label", "RT(4,1^1500)", "--search-budget", "10^6", "--override-guard"],
     # q = 10^6: refused without first building anything quadratic in q
     ["search", "RT(1^500000)", "--override-guard"],
 ])
 def test_search_too_deep_refused_exit2(capsys, argv):
-    # the DFS recurses once per branch spine vertex and once per leaf of a
-    # group, and a pendant run is one group: either way 1,500 frames exceed
-    # the stack (RT(4,1^1500) is conjecture-1, so label reaches the search)
+    # the DFS recurses once per branch spine vertex and once per label of
+    # every group but the last, and a pendant run is one group: either way
+    # 1,500 frames exceed the stack (RT(4,1^1500) is conjecture-1, so label
+    # reaches the search)
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("refused: ")
     assert "too deep for the search" in err
+
+
+def test_search_deep_last_group_is_placed(capsys):
+    # the pendant run of 1,500 is the last group, placed without recursion,
+    # so the search goes no deeper than the spine
+    code, out, _ = run(capsys, "search", "RT(0^1500,1,1)", "--override-guard",
+                       "--format", "json")
+    assert code == 0
+    d = json.loads(out)
+    assert (d["outcome"], d["nodes_visited"]) == ("found", 1_504)
+    assert verify(build_tree(parse_spec("RT(0^1500,1,1)")), d["labeling"]).is_seg
 
 
 def test_search_no_break_flags_same_answer(capsys):

@@ -153,7 +153,9 @@ def test_search_order_digest_q9():
                     flat = [r.labeling[e] for e in tree.edge_ids]
                     assert naive_is_seg_assignment(spec.counts, flat), spec.format()
     assert runs == 408
-    assert nodes == 370_088
+    # 370,088 while the last group was searched: its a! orderings in the
+    # flags-off count runs are now placed once and re-expanded
+    assert nodes == 150_684
     assert h.hexdigest() == SEARCH_ORDER_DIGEST_Q9
 
 
@@ -171,6 +173,26 @@ def test_search_order_digest_q9():
 def test_node_counts_pinned(text, mode, nodes):
     r = search(parse_spec(text), SearchConfig(mode=mode))
     assert r.nodes_visited == nodes
+
+
+@pytest.mark.parametrize("text, cfg, nodes, count", [
+    # unsorted last groups, placed once and re-expanded by a!: the pendant
+    # group with equal-spine breaking off (5,080 nodes when searched) and a
+    # leaf group of 3 with leaf breaking off (542 when searched)
+    ("RT(0^4,1,1)", SearchConfig(break_equal_spine_vertices=False), 520, 1_824),
+    ("RT(2,3)", SearchConfig(break_leaf_permutations=False), 206, 168),
+    ("RT(0^4,1,1)", SearchConfig(), 264, 1_824),
+])
+def test_count_nodes_pinned_and_budget_exact(text, cfg, nodes, count):
+    # a budget b below the run's nodes stops it after exactly b nodes, also
+    # when it runs out inside a placed last group; b = nodes is enough
+    spec = parse_spec(text)
+    for b in (None, nodes):
+        r = count_all(spec, replace(cfg, node_budget=b))
+        assert (r.outcome, r.nodes_visited, r.count) == (FOUND, nodes, count)
+    for b in range(nodes):
+        r = count_all(spec, replace(cfg, node_budget=b))
+        assert (r.outcome, r.nodes_visited, r.count) == (BUDGET_EXCEEDED, b, None), b
 
 
 # ---------------------------------------------------------------------------
