@@ -26,11 +26,15 @@ solution, so outcomes and counts are those of the uncut search.
 - Zero placement (odd q).  The vertex target of an even p = q+1 has no 0,
   and every group label induces itself, so 0 sits on a branch spine edge:
   the spine phase completes only when it has placed 0.
-- Zero window (odd q).  While 0 is in the pool, a branch vertex after which
-  no branch vertex can still take 0 takes no positive label: the last branch
-  vertex, or, with equal-spine breaking on, a vertex of the last equal-count
-  run, whose later members take larger labels.  Labels ascend, so its scan
-  stops after 0.
+- One-leaf zero (odd q).  A vertex with one leaf and spine label 0 induces
+  0 + l = l, and its leaf, labeled l, induces l too.  So 0 sits on the spine
+  edge of a vertex with two or more leaves; one with a single leaf skips 0.
+- Zero window (odd q).  ``zero_last[d]`` holds when no vertex with two or
+  more leaves comes after branch vertex d, or, with equal-spine breaking on,
+  after d's equal-count run, whose later members take larger labels.  While
+  0 is in the pool at such a d, a single-leaf d returns before any node: 0
+  has no home left.  Any other d takes no positive label, so its scan stops
+  after 0.
 - Single-label groups as exact cover.  A group of one label with base s
   takes one target t in R and the label t - s from the pool, and every
   group, target and label is used exactly once.  So the single-label groups
@@ -65,8 +69,15 @@ solution, so outcomes and counts are those of the uncut search.
   unsorted last group counts once for its a! orderings.
 
 Negation.  f is SEG exactly when -f is, and f != -f (its q distinct labels
-are not all 0), so SEG labelings pair up and every count is even.  The
-engine enumerates both members of each pair.
+are not all 0), so SEG labelings pair up and every count is even.
+
+- Sign of the spine sum (count mode).  Let S be the sum of the branch spine
+  labels, the root's base.  Sorting a group or an equal-count run only
+  permutes labels, so S is the same on every labeling a canonical one
+  stands for, and negation maps S to -S.  So a count run returns at spine
+  completion when S < 0 and weighs each solution 2 when S > 0.  A solution
+  with S = 0 weighs 1: the engine enumerates both f and -f only then.
+  Find-one runs keep every sign, so their first labelings do not move.
 """
 
 from __future__ import annotations
@@ -148,9 +159,11 @@ def _run(spec: TreeSpec, config: SearchConfig):
     s_on = config.break_equal_spine_vertices
 
     runs = [len(list(g)) for _, g in groupby(counts)]  # equal counts are contiguous
-    # odd q: the branch vertices from here on have no later branch vertex that
-    # could still take 0 after a positive label (the last, or its sorted run)
-    zero_from = n - runs[-1] if s_on else n - 1
+    # odd q: only a vertex with two or more leaves can take 0.  zero_last[d]:
+    # no such vertex comes after d, or after d's equal-count run when it is
+    # sorted (its later members take larger labels)
+    last0 = max((d for d, a in enumerate(counts) if a >= 2), default=-1)
+    zero_last = [d >= last0 or (s_on and a == counts[last0]) for d, a in enumerate(counts)]
 
     budget = config.node_budget
     nodes = 0
@@ -170,6 +183,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
     # odd q: R swaps the target 0 (bit h + 1) for +-(q+1)/2 (bits 0, 2h + 2)
     r_fix = 1 | (1 << (h + 1)) | (1 << (2 * h + 2)) if q % 2 else 0
     raw_count = 0
+    weight = 1  # count mode: the solutions each one found stands for, by sign of S
     first: EdgeLabeling | None = None
 
     def solution() -> None:
@@ -178,7 +192,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
             first = dict(zip(build_tree(spec).edge_ids, x))
         if config.mode == FIND_ONE:
             raise _Stop
-        raw_count += 1
+        raw_count += weight
 
     def tick() -> None:
         nonlocal nodes
@@ -278,14 +292,18 @@ def _run(spec: TreeSpec, config: SearchConfig):
                       avail, sums)
 
     def dfs_spine(d: int, pool: int) -> None:
-        nonlocal r_bits
+        nonlocal r_bits, weight
         if d == n:
             if (pool >> h) & 1:
                 return  # odd q: 0 goes on a branch spine edge
+            root = sum(x[n_pend:n])  # S, the branch spine sum
+            if config.mode == COUNT_ALL:
+                if root < 0:
+                    return  # negation: the S > 0 solutions stand for these
+                weight = 2 if root else 1
             # the labels missing from the pool are the branch spine labels (and
             # 0 for even q): one bit up they are R, up to r_fix for odd q
             r_bits = (full ^ pool) << 1 ^ r_fix
-            root = sum(x[n_pend:n])
             if not n_pend:  # the spine fixes the root sum: it must be in R
                 if root < -h - 1 or not (r_bits >> (root + h + 1)) & 1:
                     return
@@ -296,11 +314,16 @@ def _run(spec: TreeSpec, config: SearchConfig):
         # an equal-count predecessor is a branch vertex, already labeled
         same = s_on and d > 0 and counts[d] == counts[d - 1]
         lo = x[d - 1] + h + 1 if same else 0
-        # zero window (odd q): with 0 in the pool, a positive label here would
-        # leave no later branch vertex able to take 0
-        hi = h + 1 if d >= zero_from and (pool >> h) & 1 else n_bits
+        free, hi = pool, n_bits
+        if (pool >> h) & 1:  # odd q, 0 still free
+            if counts[d] == 1:  # one-leaf zero: 0 cannot go here
+                if zero_last[d]:
+                    return  # nor on any later vertex
+                free ^= 1 << h
+            elif zero_last[d]:
+                hi = h + 1  # zero window: no positive label here
         for b in range(lo, hi):
-            if not (pool >> b) & 1:
+            if not (free >> b) & 1:
                 continue
             tick()
             x[d] = b - h

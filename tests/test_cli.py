@@ -323,6 +323,14 @@ def test_search_deep_last_group_is_placed(capsys):
     assert verify(build_tree(parse_spec("RT(0^1500,1,1)")), d["labeling"]).is_seg
 
 
+def test_search_one_leaf_zero_refutes_without_a_node(capsys):
+    # q = 999,999 and every branch vertex has one leaf: 0 has no spine edge to
+    # sit on, so the search ends before it recurses (it was refused as too deep)
+    code, out, _ = run(capsys, "search", "RT(0,1^499999)", "--override-guard")
+    assert code == 3
+    assert "nodes=0" in out
+
+
 def test_search_no_break_flags_same_answer(capsys):
     code, out, _ = run(capsys, "search", "RT(1,1)", "--count", "--no-break-leaves",
                        "--no-break-spine", "--format", "json")
@@ -360,8 +368,13 @@ def test_survey_json_rows_report_nodes(capsys):
     code, out, _ = run(capsys, "survey", "--max-size", "7", "--format", "json")
     assert code == 0
     for row in json.loads(out)["rows"]:
+        spec = parse_spec(row["spec"])
         cfg = SearchConfig(node_budget=cli.SURVEY_DEFAULT_BUDGET)
-        assert row["nodes"] == search(parse_spec(row["spec"]), cfg).nodes_visited > 0
+        assert row["nodes"] == search(spec, cfg).nodes_visited
+        # one-leaf zero: an odd-q tree whose branch vertices all have one leaf
+        # is refuted before the first node; every other row searches
+        one_leaf = spec.q % 2 == 1 and max(spec.counts) == 1
+        assert (row["nodes"] == 0) == one_leaf, row
     code, out, _ = run(capsys, "survey", "--max-size", "7", "--search-budget", "5",
                        "--format", "json")
     assert code == 0

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from collections import Counter
 from dataclasses import replace
 from functools import cache
 
@@ -28,7 +29,7 @@ from segtrees import (
     search,
     verify,
 )
-from oracle import naive_count, naive_exists, naive_is_seg_assignment
+from oracle import naive_count, naive_exists, naive_is_seg_assignment, naive_solutions
 
 ALL_FLAGS = [
     SearchConfig(break_leaf_permutations=l, break_equal_spine_vertices=s)
@@ -103,7 +104,9 @@ def test_found_labeling_is_seg():
 
 
 def test_find_one_exhaustion_reports_zero_count():
-    r = search(parse_spec("RT(0,1,1)"), SearchConfig(mode=FIND_ONE))
+    # RT(0,1,1) is refused before the first node (one-leaf zero); this
+    # refutation still searches
+    r = search(parse_spec("RT(0,1,3)"), SearchConfig(mode=FIND_ONE))
     assert r.outcome == EXHAUSTED_NONE
     assert r.count == 0
     assert r.labeling is None
@@ -154,34 +157,40 @@ def test_search_order_digest_q9():
                     assert naive_is_seg_assignment(spec.counts, flat), spec.format()
     assert runs == 408
     # 370,088 while the last group was searched: its a! orderings in the
-    # flags-off count runs are now placed once and re-expanded
-    assert nodes == 150_684
+    # flags-off count runs are now placed once and re-expanded; 150,684
+    # before the one-leaf zero and spine-sum sign cuts
+    assert nodes == 76_397
     assert h.hexdigest() == SEARCH_ORDER_DIGEST_Q9
 
 
+# earlier values, newest first: before the one-leaf zero and sign cuts;
+# before the exact cover and the zero window; with the pendants on the spine
 @pytest.mark.parametrize("text, mode, nodes", [
-    # 5,317 before the exact cover and the zero window; 76,017 with the
-    # pendants on the spine
-    ("RT(0^3,1^5)", FIND_ONE, 856),
-    ("RT(0,1^6)", FIND_ONE, 1_649),  # 10,824; 20,577
-    ("RT(4,1^4)", COUNT_ALL, 5_967),  # 14,390; 53,926
-    ("RT(0,1^8)", FIND_ONE, 26_588),  # 437,935
-    ("RT(1^6)", COUNT_ALL, 3_849),  # even q, so 0 in R; root sum checked on the spine
-    ("RT(0^4,1^4)", COUNT_ALL, 8_517),  # even q, root sum from the pendant group
-    ("RT(2,1^6)", FIND_ONE, 17_273),  # odd q; root sum checked on the spine
+    # every branch vertex has one leaf and q is odd: refused before a node
+    ("RT(0^3,1^5)", FIND_ONE, 0),  # 856; 5,317; 76,017
+    ("RT(0,1^6)", FIND_ONE, 0),  # 1,649; 10,824; 20,577
+    ("RT(4,1^4)", COUNT_ALL, 1_734),  # 5,967; 14,390; 53,926
+    ("RT(0,1^8)", FIND_ONE, 0),  # 26,588; 437,935
+    # even q, so 0 in R; root sum checked on the spine
+    ("RT(1^6)", COUNT_ALL, 3_279),  # 3,849
+    ("RT(0^4,1^4)", COUNT_ALL, 4_772),  # 8,517; even q, root sum from the pendant group
+    ("RT(2,1^6)", FIND_ONE, 172),  # 17,273; odd q; root sum checked on the spine
+    # a refutation that still searches: 0 has one home, the 35-leaf vertex
+    ("RT(0,1,35)", FIND_ONE, 815),  # 854
 ])
 def test_node_counts_pinned(text, mode, nodes):
-    r = search(parse_spec(text), SearchConfig(mode=mode))
+    r = search(parse_spec(text), SearchConfig(mode=mode, override_guard=True))
     assert r.nodes_visited == nodes
 
 
 @pytest.mark.parametrize("text, cfg, nodes, count", [
     # unsorted last groups, placed once and re-expanded by a!: the pendant
     # group with equal-spine breaking off (5,080 nodes when searched) and a
-    # leaf group of 3 with leaf breaking off (542 when searched)
-    ("RT(0^4,1,1)", SearchConfig(break_equal_spine_vertices=False), 520, 1_824),
-    ("RT(2,3)", SearchConfig(break_leaf_permutations=False), 206, 168),
-    ("RT(0^4,1,1)", SearchConfig(), 264, 1_824),
+    # leaf group of 3 with leaf breaking off (542 when searched).  Before
+    # the spine-sum sign cut: 520, 206 and 264 nodes
+    ("RT(0^4,1,1)", SearchConfig(break_equal_spine_vertices=False), 304, 1_824),
+    ("RT(2,3)", SearchConfig(break_leaf_permutations=False), 120, 168),
+    ("RT(0^4,1,1)", SearchConfig(), 156, 1_824),
 ])
 def test_count_nodes_pinned_and_budget_exact(text, cfg, nodes, count):
     # a budget b below the run's nodes stops it after exactly b nodes, also
@@ -234,12 +243,12 @@ def test_guard_boundary_inclusive():
 # ---------------------------------------------------------------------------
 
 def test_certificate_contents():
-    spec = parse_spec("RT(0,1,1)")
+    spec = parse_spec("RT(0,1,3)")
     cert = certify_not_seg(spec)
-    assert cert["spec"] == "RT(0,1^2)"
-    assert cert["q"] == 5
-    assert cert["edge_target"] == [-2, -1, 0, 1, 2]
-    assert cert["vertex_target"] == [-3, -2, -1, 1, 2, 3]
+    assert cert["spec"] == "RT(0,1,3)"
+    assert cert["q"] == 7
+    assert cert["edge_target"] == [-3, -2, -1, 0, 1, 2, 3]
+    assert cert["vertex_target"] == [-4, -3, -2, -1, 1, 2, 3, 4]
     assert cert["outcome"] == EXHAUSTED_NONE
     assert cert["result"] == "none"
     assert cert["nodes_visited"] > 0
@@ -292,9 +301,24 @@ def test_theory_matches_find_one_under_every_flag_set():
 
 
 def test_counts_always_even():
-    for spec in enumerate_specs(8):
-        r = count_all(spec)
-        assert r.count % 2 == 0, spec.format()
+    # the two theorems the search cuts by, on the oracle's labelings.  For odd
+    # q, 0 sits on the spine edge of a vertex with two or more leaves.  The
+    # branch spine sum S is as often > 0 as < 0, and the S = 0 labelings pair
+    # up under negation, so every count is even
+    solutions = 0
+    for spec in enumerate_specs(7):
+        counts, n = spec.counts, spec.n
+        signs = Counter()
+        for flat in naive_solutions(counts):
+            if spec.q % 2:
+                at = flat.index(0)
+                assert at < n and counts[at] >= 2, (spec.format(), flat)
+            s = sum(v for v, a in zip(flat, counts) if a)
+            signs[(s > 0) - (s < 0)] += 1
+        assert signs[1] == signs[-1], (spec.format(), signs)
+        assert signs[0] % 2 == 0, (spec.format(), signs)
+        solutions += sum(signs.values())
+    assert solutions == 586
 
 
 def test_breaking_reduces_nodes():
