@@ -88,8 +88,6 @@ def _config_from(
 ) -> SearchConfig:
     return SearchConfig(
         node_budget=default_budget if args.search_budget is None else args.search_budget,
-        break_leaf_permutations=args.break_leaves,
-        break_equal_spine_vertices=args.break_spine,
         mode=mode,
         override_guard=args.override_guard,
     )
@@ -371,10 +369,6 @@ def _add_search_flags(p: argparse.ArgumentParser) -> None:
                    metavar="N", help="node budget (accepts 10^6 / 1e6 forms)")
     p.add_argument("--override-guard", action="store_true",
                    help=f"search even when q > {GUARD_Q}")
-    p.add_argument("--no-break-leaves", dest="break_leaves",
-                   action="store_false", help="disable leaf-permutation breaking")
-    p.add_argument("--no-break-spine", dest="break_spine",
-                   action="store_false", help="disable equal-spine-vertex breaking")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,10 +3,11 @@
 The engine has two phases.  The spine phase labels the branch spine edges
 (spine vertices with leaves), in index order.  The group phase then fills
 the single-label groups as one exact-cover step, then the larger leaf
-groups one at a time, and places the last.  Two independent and
-individually sound symmetry flags cut the space; raw counts are
-re-expanded exactly, so every flag combination reports the same existence
-answer and the same raw labeling count.
+groups one at a time, and places the last.  Two symmetries cut the space:
+each leaf group takes its labels in ascending order, and so does each run
+of spine vertices with equal leaf counts.  Reordering a group or a run
+keeps a labeling SEG, so a raw count is re-expanded exactly by the product
+of their sizes' factorials.
 
 Each statement below is a theorem: a cut skips only subtrees that hold no
 solution, so outcomes and counts are those of the uncut search.
@@ -30,11 +31,10 @@ solution, so outcomes and counts are those of the uncut search.
   0 + l = l, and its leaf, labeled l, induces l too.  So 0 sits on the spine
   edge of a vertex with two or more leaves; one with a single leaf skips 0.
 - Zero window (odd q).  ``zero_last[d]`` holds when no vertex with two or
-  more leaves comes after branch vertex d, or, with equal-spine breaking on,
-  after d's equal-count run, whose later members take larger labels.  While
-  0 is in the pool at such a d, a single-leaf d returns before any node: 0
-  has no home left.  Any other d takes no positive label, so its scan stops
-  after 0.
+  more leaves comes after branch vertex d, or after d's equal-count run,
+  whose later members take larger labels.  While 0 is in the pool at such
+  a d, a single-leaf d returns before any node: 0 has no home left.  Any
+  other d takes no positive label, so its scan stops after 0.
 - Single-label groups as exact cover.  A group of one label with base s
   takes one target t in R and the label t - s from the pool, and every
   group, target and label is used exactly once.  So the single-label groups
@@ -45,17 +45,15 @@ solution, so outcomes and counts are those of the uncut search.
   node counts, never outcomes or counts.
 - Groups smallest first.  The larger groups follow in ascending size, so
   the largest group comes last; it is placed, not searched (below).
-- Sum interval (sorted groups).  A branch group is sorted when leaf
-  breaking is on; the pendant group is sorted when equal-spine breaking is
-  on, since the pendants are one equal-count run.  A group lists its free
-  labels and their prefix sums once, at its start.  A sorted group scans
-  the list past its last label (all still free); an unsorted one rescans
-  it and skips used labels.  In a sorted group with k labels left,
-  partial sum ``base`` and next label ``v_j`` (the j-th listed), the
-  group sum lies between ``base`` plus the k listed labels from j and
-  ``base`` plus ``v_j`` plus the top k-1 listed labels.  It must be some
-  t in R, so an interval missing ``[min R, max R]`` is skipped; its lower
-  end rises with j, so the scan stops once that end passes ``max R``.
+- Sum interval.  Every group takes its labels in ascending order (the
+  pendants are one equal-count run, so theirs ascend too).  A group lists
+  its free labels and their prefix sums once, at its start, and scans the
+  list past its last label (all still free).  With k labels left, partial
+  sum ``base`` and next label ``v_j`` (the j-th listed), the group sum lies
+  between ``base`` plus the k listed labels from j and ``base`` plus
+  ``v_j`` plus the top k-1 listed labels.  It must be some t in R, so an
+  interval missing ``[min R, max R]`` is skipped; its lower end rises with
+  j, so the scan stops once that end passes ``max R``.
 - Last label.  The completed group sum must be some t in R, so a group's
   last label is ``t - base``: the candidates are read off R, in ascending
   order, instead of scanned.  The exact-cover step reads its options the
@@ -65,8 +63,7 @@ solution, so outcomes and counts are those of the uncut search.
   to 2 * (sum of the edge labels) = 0, and the vertex target is symmetric,
   so it also sums to 0; every other vertex already holds a distinct target
   value, so the last group's owner gets the one value left.  Its labels are
-  placed in ascending order, one node each, with no sum check, and an
-  unsorted last group counts once for its a! orderings.
+  placed in ascending order, one node each, with no sum check.
 
 Negation.  f is SEG exactly when -f is, and f != -f (its q distinct labels
 are not all 0), so SEG labelings pair up and every count is even.
@@ -117,15 +114,11 @@ class SearchConfig:
     """How one search runs.
 
     node_budget: stop with BUDGET_EXCEEDED after this many nodes (None: no limit).
-    break_leaf_permutations: label each leaf group in ascending order.
-    break_equal_spine_vertices: label each equal-count spine run in ascending order.
     mode: FIND_ONE stops at the first labeling; COUNT_ALL enumerates them all.
     override_guard: search even when q > GUARD_Q.
     """
 
     node_budget: int | None = None
-    break_leaf_permutations: bool = True
-    break_equal_spine_vertices: bool = True
     mode: str = FIND_ONE
     override_guard: bool = False
 
@@ -155,15 +148,13 @@ def _run(spec: TreeSpec, config: SearchConfig):
     h = q // 2
     n_bits = 2 * h + 1
     n_pend = counts.count(0)  # pendants lead: the branch vertices are positions n_pend .. n-1
-    l_on = config.break_leaf_permutations
-    s_on = config.break_equal_spine_vertices
 
-    runs = [len(list(g)) for _, g in groupby(counts)]  # equal counts are contiguous
+    runs = tuple(len(list(g)) for _, g in groupby(counts))  # equal counts are contiguous
     # odd q: only a vertex with two or more leaves can take 0.  zero_last[d]:
-    # no such vertex comes after d, or after d's equal-count run when it is
-    # sorted (its later members take larger labels)
+    # no such vertex comes after d, or after d's equal-count run (its later
+    # members take larger labels)
     last0 = max((d for d, a in enumerate(counts) if a >= 2), default=-1)
-    zero_last = [d >= last0 or (s_on and a == counts[last0]) for d, a in enumerate(counts)]
+    zero_last = [d >= last0 or a == counts[last0] for d, a in enumerate(counts)]
 
     budget = config.node_budget
     nodes = 0
@@ -171,11 +162,11 @@ def _run(spec: TreeSpec, config: SearchConfig):
     x = [0] * q
     leaf_at = accumulate(counts, initial=n)  # each vertex's first leaf slot
     # the groups smallest first, ties in spine order: (size, owner, first
-    # slot, sorted); owner n is the root, whose pendant group is slots 0 .. n_pend-1
-    plan = [(a, i, at, l_on) for i, (a, at) in enumerate(zip(counts, leaf_at)) if a]
+    # slot); owner n is the root, whose pendant group is slots 0 .. n_pend-1
+    plan = [(a, i, at) for i, (a, at) in enumerate(zip(counts, leaf_at)) if a]
     if n_pend:
-        plan.append((n_pend, n, 0, s_on))
-    plan.sort(key=lambda g: g[:2])
+        plan.append((n_pend, n, 0))
+    plan.sort()
     n_single = sum(1 for g in plan if g[0] == 1)  # the single-label groups lead
     bases: list[int] = []  # each group's base, in plan order, once the spine is labeled
     r_bits = 0  # the targets R still to realize: t is bit t + h + 1
@@ -240,9 +231,9 @@ def _run(spec: TreeSpec, config: SearchConfig):
     def next_group(gi: int, pool: int) -> None:
         if gi == len(plan) - 1:
             # last group: the pool is its labels and they close it, so they are
-            # placed in ascending order, one node each, the nodes a sorted
-            # search of it visits
-            a, _, slot, _ = plan[gi]
+            # placed in ascending order, one node each, the nodes a search
+            # of it visits
+            a, _, slot = plan[gi]
             for _ in range(a):
                 tick()
             if first is None:
@@ -253,14 +244,12 @@ def _run(spec: TreeSpec, config: SearchConfig):
             return
         # one label list per group, as bits, with their prefix sums
         avail = [b for b in range(n_bits) if (pool >> b) & 1]
-        sums = list(accumulate(avail, initial=0)) if plan[gi][3] else None
-        dfs_group(gi, 0, 0, bases[gi], pool, avail, sums)
+        dfs_group(gi, 0, 0, bases[gi], pool, avail, list(accumulate(avail, initial=0)))
 
     def dfs_group(gi: int, pos: int, j0: int, base: int, pool: int,
-                  avail: list[int], sums: list[int] | None) -> None:
-        # a sorted group's labels ascend, so it scans avail from j0, past its
-        # last label; an unsorted one rescans from 0 and skips used labels
-        a, _, slot, ordered = plan[gi]
+                  avail: list[int], sums: list[int]) -> None:
+        # the group's labels ascend, so it scans avail from j0, past its last label
+        a, _, slot = plan[gi]
         slot += pos
         end = len(avail)
         if pos == a - 1:
@@ -268,28 +257,23 @@ def _run(spec: TreeSpec, config: SearchConfig):
             lo = avail[j0] if j0 < end else n_bits
             close(options(base, lo, pool), base, slot, next_group, gi + 1, pool)
             return
-        if ordered:
-            # sum interval: base + the k labels from j .. base + avail[j] + the
-            # top k-1 must meet [min R, max R].  In bits: k labels of bit sum S
-            # add S - k*h, and target t has bit length t + h + 2
-            k = a - pos
-            end = max(end - k + 1, j0)  # later leaves need k-1 labels above j
-            off = (k - 1) * h - base - 2
-            least_max = r_bits.bit_length() + off
-            b_min = (r_bits & -r_bits).bit_length() + off - (sums[-1] - sums[end])
+        # sum interval: base + the k labels from j .. base + avail[j] + the top
+        # k-1 must meet [min R, max R].  In bits: k labels of bit sum S add
+        # S - k*h, and target t has bit length t + h + 2
+        k = a - pos
+        end = max(end - k + 1, j0)  # later leaves need k-1 labels above j
+        off = (k - 1) * h - base - 2
+        least_max = r_bits.bit_length() + off
+        b_min = (r_bits & -r_bits).bit_length() + off - (sums[-1] - sums[end])
         for j in range(j0, end):
+            if sums[j + k] - sums[j] > least_max:
+                break  # the least sum only rises with j
             b = avail[j]
-            if ordered:
-                if sums[j + k] - sums[j] > least_max:
-                    break  # the least sum only rises with j
-                if b < b_min:
-                    continue
-            elif not (pool >> b) & 1:
+            if b < b_min:
                 continue
             tick()
             x[slot] = b - h
-            dfs_group(gi, pos + 1, j + 1 if ordered else 0, base + b - h, pool ^ (1 << b),
-                      avail, sums)
+            dfs_group(gi, pos + 1, j + 1, base + b - h, pool ^ (1 << b), avail, sums)
 
     def dfs_spine(d: int, pool: int) -> None:
         nonlocal r_bits, weight
@@ -312,7 +296,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
             cover(list(range(n_single)), pool)
             return
         # an equal-count predecessor is a branch vertex, already labeled
-        same = s_on and d > 0 and counts[d] == counts[d - 1]
+        same = d > 0 and counts[d] == counts[d - 1]
         lo = x[d - 1] + h + 1 if same else 0
         free, hi = pool, n_bits
         if (pool >> h) & 1:  # odd q, 0 still free
@@ -336,13 +320,8 @@ def _run(spec: TreeSpec, config: SearchConfig):
     except _BudgetHit:
         return SearchResult(BUDGET_EXCEEDED, nodes, None, None)
     if raw_count > 0:  # only COUNT_ALL gets here with solutions
-        # re-expand once: a sorted leaf group or equal-count run of m stands for m! orderings
-        if l_on:
-            raw_count *= prod(map(factorial, counts))
-        if s_on:
-            raw_count *= prod(map(factorial, runs))
-        if not plan[-1][3]:  # an unsorted last group was placed once for its a! orderings
-            raw_count *= factorial(plan[-1][0])
+        # re-expand once: a leaf group or equal-count run of m stands for m! orderings
+        raw_count *= prod(map(factorial, counts + runs))
         return SearchResult(FOUND, nodes, first, raw_count)
     return SearchResult(EXHAUSTED_NONE, nodes, None, 0)
 
@@ -393,10 +372,6 @@ def make_certificate(spec: TreeSpec, config: SearchConfig, result: SearchResult)
         "q": spec.q,
         "edge_target": list(edge_label_target(spec.q)),
         "vertex_target": list(vertex_label_target(spec.p)),
-        "flags": {
-            "break_leaf_permutations": config.break_leaf_permutations,
-            "break_equal_spine_vertices": config.break_equal_spine_vertices,
-        },
         "nodes_visited": result.nodes_visited,
         "outcome": EXHAUSTED_NONE,
         "result": "none",

@@ -1,12 +1,17 @@
-"""Brute-force reference oracle, independent of the package under test.
+"""Reference counters, independent of the package under test.
 
-Enumerates every bijection from the edge set to the symmetric label set by
-raw permutation and checks the induced vertex multiset directly.  Only
-usable for tiny trees (q <= 7 or so), which is exactly what makes it a
-trustworthy cross-check for the real search engine.
+``naive_count`` enumerates every bijection from the edge set to the
+symmetric label set by raw permutation and checks the induced vertex
+multiset directly.  Only usable for tiny trees (q <= 7 or so), which is
+exactly what makes it a trustworthy cross-check for the real search engine.
+
+``cover_count`` poses the same question as an exact cover (Knuth, *Dancing
+Links*) and reaches q = 12 in seconds per tree.  It shares no cut with the
+search engine: no forced targets, no zero rules, no sign of the spine sum.
 """
 
-from itertools import permutations
+from itertools import combinations, groupby, permutations
+from math import factorial
 
 
 def sym_target(m: int) -> list[int]:
@@ -76,3 +81,52 @@ def naive_is_seg_assignment(counts, flat) -> bool:
             pos += 1
     induced += sums + leaves
     return sorted(induced) == sorted(sym_target(q + 1))
+
+
+def cover_count(counts) -> int:
+    """Count the SEG labelings of RT(counts) as an exact cover.
+
+    Spine vertex i takes one option: a spine label s and a set X of a_i
+    leaf labels.  It covers the labels s and X, and the vertex values X
+    (each leaf induces its own label) and s + sum(X).  Every label is
+    covered once and every value at most once; the root's sum, the sum of
+    the spine labels, must be the one value left.  Leaves are taken as sets
+    and spine labels ascend within a run of equal leaf counts, so the count
+    is re-expanded by a_i! per vertex and m! per run of m.  Each node
+    branches on the run whose next vertex has the fewest options.
+    """
+    q = len(counts) + sum(counts)
+    runs = [(a, len(list(g))) for a, g in groupby(counts)]
+    weight = 1
+    for a, m in runs:
+        weight *= factorial(m) * factorial(a) ** m
+
+    def options(a, lo, labels, values):
+        leaves = [x for x in labels if x in values]
+        for s in labels:
+            if s > lo:
+                for X in combinations([x for x in leaves if x != s], a):
+                    v = s + sum(X)
+                    if v in values and v not in X:
+                        yield s, X, v
+
+    def count(state, labels, values, root):
+        # state: per run, the vertices left and the last spine label taken
+        best = None
+        for r, (left, lo) in enumerate(state):
+            if left:
+                opts = list(options(runs[r][0], lo, labels, values))
+                if not opts:
+                    return 0
+                if best is None or len(opts) < len(best[1]):
+                    best = r, opts
+        if best is None:
+            return int(values == {root})
+        r, opts = best
+        left = state[r][0]
+        return sum(count(state[:r] + ((left - 1, s),) + state[r + 1:],
+                         labels - {s, *X}, values - {v, *X}, root + s)
+                   for s, X, v in opts)
+
+    start = tuple((m, -q) for _, m in runs)
+    return weight * count(start, frozenset(sym_target(q)), frozenset(sym_target(q + 1)), 0)

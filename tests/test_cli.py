@@ -157,15 +157,13 @@ def test_label_by_exhaustion_certifies_its_one_search(capsys, monkeypatch, tmp_p
     monkeypatch.setattr(engine, "search", counting_search)
     monkeypatch.setattr(cli, "search", counting_search)
     code, out, _ = run(capsys, "label", "RT(0,1,3)", "--search-budget", "10^6",
-                       "--no-break-leaves", "--format", "json",
-                       "--certificates-dir", str(tmp_path))
+                       "--format", "json", "--certificates-dir", str(tmp_path))
     assert code == 3
     assert len(runs) == 1
     data = json.loads(out)
     assert data["tag"] == "by-exhaustion"
     cert = data["certificate"]
-    assert cert["flags"] == {"break_leaf_permutations": False,
-                             "break_equal_spine_vertices": True}
+    assert "flags" not in cert
     assert cert["nodes_visited"] == runs[0].nodes_visited
     assert json.loads((tmp_path / "RT_0_1_3.cert.json").read_text()) == cert
 
@@ -331,13 +329,6 @@ def test_search_one_leaf_zero_refutes_without_a_node(capsys):
     assert "nodes=0" in out
 
 
-def test_search_no_break_flags_same_answer(capsys):
-    code, out, _ = run(capsys, "search", "RT(1,1)", "--count", "--no-break-leaves",
-                       "--no-break-spine", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["count"] == 2
-
-
 # ---------------------------------------------------------------------------
 # survey
 # ---------------------------------------------------------------------------
@@ -470,10 +461,12 @@ def test_unusable_path_or_size_exit1(capsys, tmp_path, argv):
         (["survey", "--search-budget", "0^-1"], 1),
         (["survey", "--search-budget", "nan"], 1),
         (["search", "RT(1,1)", "--count", "--no-break-negation"], 1),
+        (["search", "RT(1,1)", "--count", "--no-break-leaves"], 1),
+        (["label", "RT(2,1,1)", "--search-budget", "10^3", "--no-break-spine"], 1),
     ],
     ids=["help", "no-command", "unknown-command", "budget-word", "budget-overflow",
          "budget-negative", "budget-fraction", "budget-zero-division", "budget-nan",
-         "retired-negation-flag"],
+         "retired-negation-flag", "retired-leaf-flag", "retired-spine-flag"],
 )
 def test_usage_exit_codes(capsys, argv, expected):
     code, _, err = run(capsys, *argv)

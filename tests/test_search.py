@@ -1,8 +1,8 @@
 import hashlib
-import itertools
 from collections import Counter
-from dataclasses import replace
 from functools import cache
+from itertools import accumulate, groupby, permutations, product
+from math import factorial, prod
 
 import pytest
 
@@ -29,12 +29,13 @@ from segtrees import (
     search,
     verify,
 )
-from oracle import naive_count, naive_exists, naive_is_seg_assignment, naive_solutions
-
-ALL_FLAGS = [
-    SearchConfig(break_leaf_permutations=l, break_equal_spine_vertices=s)
-    for l, s in itertools.product([True, False], repeat=2)
-]
+from oracle import (
+    cover_count,
+    naive_count,
+    naive_exists,
+    naive_is_seg_assignment,
+    naive_solutions,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -45,38 +46,107 @@ ALL_FLAGS = [
 def test_counts_match_naive_oracle(spec):
     expected = naive_count(spec.counts)
     result = count_all(spec)
-    assert result.count == expected
+    assert result.count == expected == cover_count(spec.counts)
     assert (result.outcome == FOUND) == (expected > 0)
 
 
-# each tree's brute-force count is shared by its 8 cases
-_naive_count = cache(naive_count)
+def test_cover_count_matches_count_all_q10():
+    # the exact-cover counter shares no cut with the search; CI runs this to q <= 12
+    specs = enumerate_specs(10)
+    assert len(specs) == 83
+    for spec in specs:
+        assert cover_count(spec.counts) == count_all(spec).count, spec.format()
 
 
-# the ids keep the N digit of the retired negation flag, which now picks the
-# check: N1 compares the count with the oracle, N0 compares find-one's outcome
-# and checks that the negation of the labeling found is SEG too
+# each tree's brute-force solutions are shared by its 8 cases
+_naive_solutions = cache(lambda counts: list(naive_solutions(counts)))
+
+
+def _leaf_groups_and_runs(counts):
+    # the slots of each vertex's leaves, and the vertices of each equal-count run
+    n = len(counts)
+    at = list(accumulate(counts, initial=n))
+    runs = list(accumulate((len(list(g)) for _, g in groupby(counts)), initial=0))
+    return ([range(at[i], at[i + 1]) for i in range(n)],
+            [range(runs[k], runs[k + 1]) for k in range(len(runs) - 1)])
+
+
+def _leaves_ascend(flat, groups):
+    return all(flat[s] < flat[s + 1] for g in groups for s in g[:-1])
+
+
+def _runs_ascend(flat, runs):
+    return all(flat[d] < flat[d + 1] for r in runs for d in r[:-1])
+
+
+def _leaf_reorderings(flat, groups):
+    for perms in product(*(permutations(g) for g in groups)):
+        out = list(flat)
+        for g, p in zip(groups, perms):
+            for s, t in zip(g, p):
+                out[s] = flat[t]
+        yield out
+
+
+def _run_reorderings(flat, groups, runs):
+    # whole vertices, spine label and leaves, move within their run
+    for perms in product(*(permutations(r) for r in runs)):
+        out = list(flat)
+        for r, p in zip(runs, perms):
+            for d, e in zip(r, p):
+                out[d] = flat[e]
+                for s, t in zip(groups[d], groups[e]):
+                    out[s] = flat[t]
+        yield out
+
+
+# the ids keep the digits of the retired flags, which now pick checks against
+# the brute-force oracle.  N1 checks count_all and cover_count against the
+# oracle's count; there L1 (S1) checks that the oracle's solutions whose leaf
+# groups (equal-count runs) ascend, times the a! (m!) orderings each stands
+# for, are all of them: the re-expansion the search relies on.  N0 checks
+# find-one's outcome and that the negation of its labeling is SEG; there L1
+# (S1) checks that its leaf groups (runs) ascend, and L0 (S0) that every
+# reordering of them is SEG too
 @pytest.mark.parametrize("text", ["RT(1,1)", "RT(0,1,1)", "RT(2,1)", "RT(1,1,1)",
                                   "RT(0^2,1,1)", "RT(0^2,2,1)", "RT(0^4,1,1)",
                                   "RT(2^2)"])
-@pytest.mark.parametrize("check, cfg", [
-    pytest.param(n, c, id=f"{n}L{int(c.break_leaf_permutations)}"
-                          f"S{int(c.break_equal_spine_vertices)}")
-    for n in ("N1", "N0") for c in ALL_FLAGS
+@pytest.mark.parametrize("check, leaves, spine", [
+    pytest.param(n, l, s, id=f"{n}L{int(l)}S{int(s)}")
+    for n in ("N1", "N0") for l in (True, False) for s in (True, False)
 ])
-def test_every_flag_combo_matches_naive(text, check, cfg):
+def test_every_flag_combo_matches_naive(text, check, leaves, spine):
     spec = parse_spec(text)
-    expected = _naive_count(spec.counts)
+    solutions = _naive_solutions(spec.counts)
+    groups, runs = _leaf_groups_and_runs(spec.counts)
     if check == "N1":
-        assert count_all(spec, cfg).count == expected
+        assert count_all(spec).count == cover_count(spec.counts) == len(solutions)
+        if leaves:
+            kept = sum(1 for f in solutions if _leaves_ascend(f, groups))
+            assert kept * prod(map(factorial, spec.counts)) == len(solutions)
+        if spine:
+            kept = sum(1 for f in solutions if _runs_ascend(f, runs))
+            assert kept * prod(factorial(len(r)) for r in runs) == len(solutions)
         return
-    r = search(spec, replace(cfg, mode=FIND_ONE))
-    assert (r.outcome == FOUND) == (expected > 0)
-    if r.labeling is not None:
-        tree = build_tree(spec)
-        negated = {e: -lab for e, lab in r.labeling.items()}
-        assert verify(tree, negated).is_seg
-        assert naive_is_seg_assignment(spec.counts, [negated[e] for e in tree.edge_ids])
+    r = search(spec)
+    assert (r.outcome == FOUND) == bool(solutions)
+    if r.labeling is None:
+        return
+    tree = build_tree(spec)
+    flat = [r.labeling[e] for e in tree.edge_ids]
+    negated = {e: -lab for e, lab in r.labeling.items()}
+    assert verify(tree, negated).is_seg
+    assert naive_is_seg_assignment(spec.counts, [-v for v in flat])
+    if leaves:
+        assert _leaves_ascend(flat, groups)
+    else:
+        assert all(naive_is_seg_assignment(spec.counts, f)
+                   for f in _leaf_reorderings(flat, groups))
+    if spine:
+        assert _runs_ascend(flat, runs)
+    else:
+        assert all(naive_is_seg_assignment(spec.counts, f)
+                   for f in _run_reorderings(flat, groups, runs))
 
 
 def test_existence_matches_naive_q6():
@@ -130,11 +200,10 @@ def test_mode_constants_distinct():
     assert len({FOUND, EXHAUSTED_NONE, BUDGET_EXCEEDED}) == 3
 
 
-# outcome and count under every flag set and both modes for q <= 9: no search
-# order may move them.  The first labeling found depends on the order, so
-# each one is checked, not hashed.  Every count is even: the engine must
-# find both f and -f
-SEARCH_ORDER_DIGEST_Q9 = "b3a519fbd570b61f60821f1323415701eeefacc99b66af63a060be2a800f198d"
+# outcome and count in both modes for q <= 9: no search order may move them.
+# The first labeling found depends on the order, so each one is checked, not
+# hashed.  Every count is even: the engine must find both f and -f
+SEARCH_ORDER_DIGEST_Q9 = "ebc7e824ebd44f574ab0fc37f3776678c6b9b6af3158b071fd30003e79c691e6"
 
 
 def test_search_order_digest_q9():
@@ -142,24 +211,21 @@ def test_search_order_digest_q9():
     runs = nodes = 0
     for spec in enumerate_specs(9):
         tree = build_tree(spec)
-        for cfg in ALL_FLAGS:
-            flags = (cfg.break_leaf_permutations, cfg.break_equal_spine_vertices)
-            for mode in (FIND_ONE, COUNT_ALL):
-                r = search(spec, replace(cfg, mode=mode))
-                h.update(repr((spec.counts, flags, mode, r.outcome, r.count)).encode())
-                runs += 1
-                nodes += r.nodes_visited
-                if mode == COUNT_ALL:
-                    assert r.count % 2 == 0, (spec.format(), flags)
-                if r.labeling is not None:
-                    assert verify(tree, r.labeling).is_seg, spec.format()
-                    flat = [r.labeling[e] for e in tree.edge_ids]
-                    assert naive_is_seg_assignment(spec.counts, flat), spec.format()
-    assert runs == 408
-    # 370,088 while the last group was searched: its a! orderings in the
-    # flags-off count runs are now placed once and re-expanded; 150,684
-    # before the one-leaf zero and spine-sum sign cuts
-    assert nodes == 76_397
+        for mode in (FIND_ONE, COUNT_ALL):
+            r = search(spec, SearchConfig(mode=mode))
+            h.update(repr((spec.counts, mode, r.outcome, r.count)).encode())
+            runs += 1
+            nodes += r.nodes_visited
+            if mode == COUNT_ALL:
+                assert r.count % 2 == 0, spec.format()
+            if r.labeling is not None:
+                assert verify(tree, r.labeling).is_seg, spec.format()
+                flat = [r.labeling[e] for e in tree.edge_ids]
+                assert naive_is_seg_assignment(spec.counts, flat), spec.format()
+    assert runs == 102
+    # 76,397 over 408 runs while two symmetry flags made 4 configurations
+    # (this configuration was one of them, with these same 10,014 nodes)
+    assert nodes == 10_014
     assert h.hexdigest() == SEARCH_ORDER_DIGEST_Q9
 
 
@@ -183,24 +249,23 @@ def test_node_counts_pinned(text, mode, nodes):
     assert r.nodes_visited == nodes
 
 
-@pytest.mark.parametrize("text, cfg, nodes, count", [
-    # unsorted last groups, placed once and re-expanded by a!: the pendant
-    # group with equal-spine breaking off (5,080 nodes when searched) and a
-    # leaf group of 3 with leaf breaking off (542 when searched).  Before
-    # the spine-sum sign cut: 520, 206 and 264 nodes
-    ("RT(0^4,1,1)", SearchConfig(break_equal_spine_vertices=False), 304, 1_824),
-    ("RT(2,3)", SearchConfig(break_leaf_permutations=False), 120, 168),
-    ("RT(0^4,1,1)", SearchConfig(), 156, 1_824),
+@pytest.mark.parametrize("text, nodes, count", [
+    # placed last groups of 3 or more labels: a leaf group of 3, a pendant
+    # group of 3 and one of 4.  RT(0^4,1,1) took 264 nodes before the
+    # spine-sum sign cut
+    ("RT(2,3)", 82, 168),
+    ("RT(0^3,1,3)", 127, 576),
+    ("RT(0^4,1,1)", 156, 1_824),
 ])
-def test_count_nodes_pinned_and_budget_exact(text, cfg, nodes, count):
+def test_count_nodes_pinned_and_budget_exact(text, nodes, count):
     # a budget b below the run's nodes stops it after exactly b nodes, also
     # when it runs out inside a placed last group; b = nodes is enough
     spec = parse_spec(text)
     for b in (None, nodes):
-        r = count_all(spec, replace(cfg, node_budget=b))
+        r = count_all(spec, SearchConfig(node_budget=b))
         assert (r.outcome, r.nodes_visited, r.count) == (FOUND, nodes, count)
     for b in range(nodes):
-        r = count_all(spec, replace(cfg, node_budget=b))
+        r = count_all(spec, SearchConfig(node_budget=b))
         assert (r.outcome, r.nodes_visited, r.count) == (BUDGET_EXCEEDED, b, None), b
 
 
@@ -252,8 +317,9 @@ def test_certificate_contents():
     assert cert["outcome"] == EXHAUSTED_NONE
     assert cert["result"] == "none"
     assert cert["nodes_visited"] > 0
-    assert set(cert["flags"]) == {"break_leaf_permutations", "break_equal_spine_vertices"}
     assert cert["version"]
+    assert set(cert) == {"spec", "q", "edge_target", "vertex_target", "nodes_visited",
+                         "outcome", "result", "version"}
 
 
 def test_certify_refuses_seg_tree():
@@ -281,23 +347,24 @@ def test_make_certificate_from_result():
 # ---------------------------------------------------------------------------
 
 def test_flag_combos_agree_on_q8_sample():
+    # the one configuration's two modes agree on existence, and count mode's
+    # first labeling is SEG
     for spec in enumerate_specs(8):
-        results = {(c.break_leaf_permutations, c.break_equal_spine_vertices):
-                   count_all(spec, c) for c in ALL_FLAGS}
-        outcomes = {(r.outcome, r.count) for r in results.values()}
-        assert len(outcomes) == 1, (spec.format(), outcomes)
+        counted, found = count_all(spec), search(spec)
+        assert counted.outcome == found.outcome, spec.format()
+        assert (counted.outcome == FOUND) == (counted.count > 0), spec.format()
+        assert counted.labeling is None or verify(build_tree(spec), counted.labeling).is_seg
 
 
 def test_theory_matches_find_one_under_every_flag_set():
-    # theory-vs-oracle agreement through q = 11, under all 4 flag sets
+    # theory-vs-oracle agreement through q = 11
     for spec in enumerate_specs(11):
         status = classify(spec).status
         if status not in (CONSTRUCTIVE, NOT_SEG):
             continue
-        for cfg in ALL_FLAGS:
-            r = search(spec, cfg)
-            assert (r.outcome == FOUND) == (status == CONSTRUCTIVE), (spec.format(), cfg)
-            assert r.labeling is None or verify(build_tree(spec), r.labeling).is_seg
+        r = search(spec)
+        assert (r.outcome == FOUND) == (status == CONSTRUCTIVE), spec.format()
+        assert r.labeling is None or verify(build_tree(spec), r.labeling).is_seg
 
 
 def test_counts_always_even():
@@ -322,10 +389,7 @@ def test_counts_always_even():
 
 
 def test_breaking_reduces_nodes():
-    spec = parse_spec("RT(0^2,1^2)")
-    broken = count_all(spec, SearchConfig()).nodes_visited
-    unbroken = count_all(
-        spec,
-        SearchConfig(break_leaf_permutations=False, break_equal_spine_vertices=False),
-    ).nodes_visited
-    assert broken < unbroken
+    # a search that enumerated every labeling would visit a node per labeling
+    # at least; the symmetry breaking visits fewer than the count it reports
+    r = count_all(parse_spec("RT(0^4,1,1)"))
+    assert r.nodes_visited < r.count
