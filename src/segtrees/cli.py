@@ -399,10 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="run the exhaustive oracle")
     p.add_argument("spec")
-    p.add_argument("--exhaust", action="store_true",
-                   help="stop at the first labeling; certify absence if none exists")
-    p.add_argument("--count", action="store_true",
-                   help="count all SEG labelings (symmetry re-expanded)")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exhaust", action="store_true",
+                      help="stop at the first labeling; certify absence if none exists")
+    mode.add_argument("--count", action="store_true",
+                      help="count all SEG labelings (symmetry re-expanded)")
     p.add_argument("--certificates-dir", metavar="PATH", default="certificates")
     _add_format(p)
     _add_search_flags(p)

@@ -1,8 +1,14 @@
 """Closed-form SEG labelings for every covered diameter-4 family.
 
-Each rule below realizes one branch of the classification: given the
-substitution parameters (r, s, t) it writes explicit labels onto spine and
-leaf edges.  Rules are named by the dispatch tags in ``trees.classify``.
+Each rule below writes explicit labels onto spine and leaf edges from a
+few substitution parameters.  Each odd-q rule realizes one dispatch tag of
+``trees.classify`` and reads its (r, s, t).  Even q needs only two rules:
+q is the sum of 1 + a_i over the spine vertices, a term that is odd for a
+zero or positive even count and even for an odd one, so q = j + k (mod 2).
+Every even-q tree, caterpillar (k + l = 2) or lobster, thus has j + k = 2rs,
+and ``_even_q_l_odd`` / ``_even_q_l_even``, picked by the parity of l, read
+just rs and t = l // 2.
+
 Every constructed labeling passes through the verifier before it is
 returned; a formula bug therefore surfaces as ConstructionFault, never as a
 silently wrong answer.
@@ -94,7 +100,7 @@ class _Builder:
         self._put(i - 1, value)
 
     def leaf(self, i: int, m: int, value: int) -> None:
-        if not 1 <= m <= self.spec.a(i):
+        if not (1 <= i <= self.spec.n and 1 <= m <= self.spec.a(i)):
             raise ConstructionFault(self.spec, self.tag, f"leaf ({i},{m}) out of range")
         self._put(self.tree.leaf_start[i - 1] + m - 1, value)
 
@@ -138,31 +144,26 @@ def _paired_leaves(
 
 
 # ---------------------------------------------------------------------------
-# caterpillars, q even
+# q even: every caterpillar and lobster
 # ---------------------------------------------------------------------------
 
-def _cat_q_even_j_even_both_even(B: _Builder, r: int, s: int, t: int) -> None:
-    """j = 2r, counts 2s and 2t, 1 <= s <= t; q = 2(r+s+t+1)."""
-    B.spine_pairs(1, r + 1, 1)
-    _paired_leaves(B, r + 2, 2 * r + 1)
+def _even_q_l_odd(B: _Builder, rs: int, t: int) -> None:
+    """q even, l = 2t+1, j+k = 2rs; branch blocks j+1..n."""
+    B.spine_pairs(2 * rs + 1, t, 1, step=2)
+    B.spine(2 * rs + 2 * t + 1, 2 * t + 1)
+    B.leaf(B.spec.n, 1, -(2 * t + 1))
+    B.first_leaf_pairs(2 * rs + 1, t, -2 * t)
+    B.spine_pairs(1, rs, 2 * t + 2)
+    _paired_leaves(B, rs + 2 * t + 2, B.spec.j + 1)
 
 
-def _cat_q_even_j_even_both_odd(B: _Builder, r: int, s: int, t: int) -> None:
-    """j = 2r, counts 2s-1 and 2t-1, 1 <= s <= t; q = 2(r+s+t)."""
-    B.spine(2 * r + 1, 1)
-    B.spine(2 * r + 2, -1)
-    B.leaf(2 * r + 1, 1, -2)
-    B.leaf(2 * r + 2, 1, 2)
-    B.spine_pairs(1, r, 3)
-    _paired_leaves(B, r + 3, 2 * r + 1)
-
-
-def _cat_q_even_j_odd(B: _Builder, r: int, s: int, t: int) -> None:
-    """j = 2r-1, counts 2s then 2t-1; r, s, t >= 1; q = 2(r+s+t)."""
-    B.spine(2 * r + 1, 1)
-    B.leaf(2 * r + 1, 1, -1)
-    B.spine_pairs(1, r, 2)
-    _paired_leaves(B, r + 2, 2 * r)
+def _even_q_l_even(B: _Builder, rs: int, t: int) -> None:
+    """q even, l = 2t, j+k = 2rs; branch blocks j+1..n."""
+    for i in range(1, t + 1):
+        B.spine_pairs(2 * (rs + i) - 1, 1, 2 * i - 1)
+        B.first_leaf_pairs(2 * (rs + i) - 1, 1, -2 * (t + 1 - i))
+    B.spine_pairs(1, rs, 2 * t + 1)
+    _paired_leaves(B, rs + 2 * t + 1, B.spec.j + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -219,31 +220,6 @@ def _cat_q_odd_j_odd_odds(B: _Builder, r: int, s: int, t: int) -> None:
     B.leaf(2 * r + 3, 3, -B.top)
     B.spine_pairs(2, r, 4)
     _paired_leaves(B, r + 4, 2 * r + 2, placed=(2 * r + 2, 2 * r + 3))
-
-
-# ---------------------------------------------------------------------------
-# lobsters, q even
-# ---------------------------------------------------------------------------
-
-def _lob_even_size_l_odd(B: _Builder, r: int, s: int, t: int) -> None:
-    """q even, l = 2t+1; j+k = 2rs with rs = r+s; branch blocks j+1..n."""
-    rs = r + s
-    B.spine_pairs(2 * rs + 1, t, 1, step=2)
-    B.spine(2 * rs + 2 * t + 1, 2 * t + 1)
-    B.leaf(B.spec.n, 1, -(2 * t + 1))
-    B.first_leaf_pairs(2 * rs + 1, t, -2 * t)
-    B.spine_pairs(1, rs, 2 * t + 2)
-    _paired_leaves(B, rs + 2 * t + 2, B.spec.j + 1)
-
-
-def _lob_even_size_l_even(B: _Builder, r: int, s: int, t: int) -> None:
-    """q even, l = 2t; j+k = 2rs with rs = r+s; branch blocks j+1..n."""
-    rs = r + s
-    for i in range(1, t + 1):
-        B.spine_pairs(2 * (rs + i) - 1, 1, 2 * i - 1)
-        B.first_leaf_pairs(2 * (rs + i) - 1, 1, -2 * (t + 1 - i))
-    B.spine_pairs(1, rs, 2 * t + 1)
-    _paired_leaves(B, rs + 2 * t + 1, B.spec.j + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -347,20 +323,12 @@ def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
     _paired_leaves(B, r + s + 4, 2 * r + 2, placed=(2 * r + 2, 2 * r + 3))
 
 
-#: dispatch tag -> rule(B, r, s, t); the one tag whose cases take different
-#: rules is keyed "tag/case"
+#: odd-q dispatch tag -> rule(B, r, s, t)
 _RULES = {
-    "cat-q-even-j-even/both-even": _cat_q_even_j_even_both_even,
-    "cat-q-even-j-even/both-odd": _cat_q_even_j_even_both_odd,
-    "cat-q-even-j-odd": _cat_q_even_j_odd,
     "cat-q-odd-j-even": _cat_q_odd_j_even,
     "cat-q-odd-j-odd-evens": _cat_q_odd_j_odd_evens,
     "cat-q-odd-single-leaf": _cat_q_odd_single_leaf,
     "cat-q-odd-j-odd-odds": _cat_q_odd_j_odd_odds,
-    "lob-jkl-odd-odd-odd": _lob_even_size_l_odd,
-    "lob-jkl-even-even-odd": _lob_even_size_l_odd,
-    "lob-jkl-odd-odd-even": _lob_even_size_l_even,
-    "lob-jkl-even-even-even": _lob_even_size_l_even,
     "lob-jkl-even-odd-odd": _lob_jkl_even_odd_odd,
     "lob-jkl-even-odd-even": _lob_jkl_even_odd_even,
     "lob-jkl-odd-even-small-l": _lob_jkl_odd_even_small_l,
@@ -368,12 +336,15 @@ _RULES = {
 
 
 def _build_for(cls: Classification, tree: RootedTree) -> EdgeLabeling:
-    rule = _RULES.get(f"{cls.tag}/{cls.case}") or _RULES.get(cls.tag)
-    if rule is None:
-        raise ConstructionFault(cls.spec, cls.tag, "no rule implemented for this tag")
+    spec, p = cls.spec, cls.params
     B = _Builder(tree, cls.tag)
-    p = cls.params
-    rule(B, p.get("r"), p.get("s"), p.get("t"))
+    if spec.q % 2 == 0:
+        rule = _even_q_l_odd if spec.l % 2 else _even_q_l_even
+        rule(B, (spec.j + spec.k) // 2, spec.l // 2)
+    elif cls.tag in _RULES:
+        _RULES[cls.tag](B, p.get("r"), p.get("s"), p.get("t"))
+    else:
+        raise ConstructionFault(spec, cls.tag, "no rule implemented for this tag")
     return {tree.edge_ids[slot]: v for slot, v in B.f.items()}
 
 

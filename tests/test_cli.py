@@ -169,14 +169,13 @@ def test_label_by_exhaustion_certifies_its_one_search(capsys, monkeypatch, tmp_p
 
 
 def test_label_construction_fault_exit3(capsys, monkeypatch):
-    tag = "cat-q-even-j-even/both-odd"  # RT(1,1)
-    good_rule = constructions._RULES[tag]
+    good_rule = constructions._even_q_l_even  # RT(1,1): q = 4, l = 2
 
-    def bad_rule(B, r, s, t):
-        good_rule(B, r, s, t)
+    def bad_rule(B, rs, t):
+        good_rule(B, rs, t)
         B.f[0] = -B.f[0]  # slot 0 is v1: now v1 and v2 share a label
 
-    monkeypatch.setitem(constructions._RULES, tag, bad_rule)
+    monkeypatch.setattr(constructions, "_even_q_l_even", bad_rule)
     code, out, err = run(capsys, "label", "RT(1,1)")
     assert code == 3
     assert out == ""
@@ -463,10 +462,12 @@ def test_unusable_path_or_size_exit1(capsys, tmp_path, argv):
         (["search", "RT(1,1)", "--count", "--no-break-negation"], 1),
         (["search", "RT(1,1)", "--count", "--no-break-leaves"], 1),
         (["label", "RT(2,1,1)", "--search-budget", "10^3", "--no-break-spine"], 1),
+        (["search", "RT(0,1,3)", "--exhaust", "--count"], 1),
     ],
     ids=["help", "no-command", "unknown-command", "budget-word", "budget-overflow",
          "budget-negative", "budget-fraction", "budget-zero-division", "budget-nan",
-         "retired-negation-flag", "retired-leaf-flag", "retired-spine-flag"],
+         "retired-negation-flag", "retired-leaf-flag", "retired-spine-flag",
+         "exhaust-with-count"],
 )
 def test_usage_exit_codes(capsys, argv, expected):
     code, _, err = run(capsys, *argv)

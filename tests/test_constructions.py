@@ -10,6 +10,7 @@ from segtrees import (
     LABELED,
     PROVED_NOT_SEG,
     UNKNOWN,
+    ConstructionFault,
     SearchConfig,
     SearchResult,
     build_tree,
@@ -19,6 +20,7 @@ from segtrees import (
     parse_spec,
     verify,
 )
+from segtrees.constructions import _Builder
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -47,6 +49,10 @@ FROZEN = {
     "RT(0,2,2,1,1)": {"v1": 1, "v2": 0, "v3": 5, "v4": 2, "v5": -2,
                       "v2.1": -1, "v2.2": -5, "v3.1": 3, "v3.2": -3,
                       "v4.1": -4, "v5.1": 4},
+    "RT(0,0,0,1,3)": {"v1": -1, "v2": -2, "v3": 3, "v4": 1, "v5": 0, "v4.1": 4,
+                      "v5.1": 2, "v5.2": -3, "v5.3": -4},
+    "RT(2,2,2,1)": {"v1": 0, "v2": 2, "v3": -2, "v4": 1, "v1.1": -1, "v1.2": -5,
+                    "v2.1": 3, "v2.2": -3, "v3.1": 4, "v3.2": -4, "v4.1": 5},
     "RT(0,2,4,1,1)": {"v1": 1, "v2": 0, "v3": 6, "v4": 2, "v5": -2,
                       "v2.1": -1, "v2.2": -6, "v3.1": 3, "v3.2": -3,
                       "v3.3": 5, "v3.4": -5, "v4.1": -4, "v5.1": 4},
@@ -78,19 +84,19 @@ def test_golden_fidelity(stem):
     assert out.labeling == golden
 
 
-# sha256 over label_any's answer for every spec with q <= 16, labels in
-# assignment order: `label --format json` lists edges in that order, and
-# dict equality cannot see it
-ASSIGNMENT_ORDER_DIGEST_Q16 = "d0544a0f5790c0acfbd2a6a292ff35f1f1691f3ea24e12c2d00fc1d30d30208f"
+# sha256 over label_any's answer for every spec with q <= 24 (7,037 specs),
+# labels in assignment order: `label --format json` lists edges in that
+# order, and dict equality cannot see it
+ASSIGNMENT_ORDER_DIGEST_Q24 = "473b4d4d54e3e9dc63115e0bb8d0a948ffa990dcd5c993c24aa2a12da0410836"
 
 
-def test_assignment_order_digest_q16():
+def test_assignment_order_digest_q24():
     h = hashlib.sha256()
-    for spec in enumerate_specs(16):
+    for spec in enumerate_specs(24):
         out = label_any(spec)
         items = list(out.labeling.items()) if out.labeling is not None else None
         h.update(repr((spec.counts, out.kind, out.tag, out.case, items)).encode())
-    assert h.hexdigest() == ASSIGNMENT_ORDER_DIGEST_Q16
+    assert h.hexdigest() == ASSIGNMENT_ORDER_DIGEST_Q24
 
 
 def test_all_constructive_specs_verify_q13():
@@ -145,6 +151,14 @@ def test_search_fallback_exhaustion_proves_not_seg(monkeypatch):
     out = label_any(parse_spec("RT(2,1,1)"), SearchConfig(node_budget=100))
     assert out.kind == PROVED_NOT_SEG
     assert out.tag == "by-exhaustion"
+
+
+@pytest.mark.parametrize("i", [0, 3], ids=["vertex-0", "vertex-n+1"])
+def test_builder_leaf_checks_vertex_index(i):
+    B = _Builder(build_tree(parse_spec("RT(2,1)")), "test")
+    with pytest.raises(ConstructionFault, match="out of range"):
+        B.leaf(i, 1, 1)
+    assert B.f == {}
 
 
 def test_outcome_shape():

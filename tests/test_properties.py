@@ -70,6 +70,12 @@ def test_classification_is_total_and_parity_consistent(counts):
     is_cat = spec.k + spec.l == 2
     assert spec.family.endswith("Caterpillar" if is_cat else "Lobster")
     assert spec.j + spec.k + spec.l == spec.n
+    if even:
+        # q sums 1 + a_i, odd for a zero or positive even count and even
+        # for an odd one, so q = j + k (mod 2); the even-q constructions
+        # read only (j + k) / 2 and l
+        assert (spec.j + spec.k) % 2 == 0
+        assert cls.status == CONSTRUCTIVE
 
 
 @given(st.sampled_from(CONSTRUCTIVE_SPECS))
