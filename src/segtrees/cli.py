@@ -14,6 +14,7 @@ import json
 import math
 import re
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .constructions import LABELED, PROVED_NOT_SEG, ConstructionFault, label_any
@@ -23,8 +24,10 @@ from .labeling import (
     read_labeling,
     to_dot,
     verify,
-    write_labeling,
+    write_slots,
 )
+# not called here any more; perfbench/spans.py still wraps this module's name
+from .labeling import write_labeling  # noqa: F401
 from .search import (
     BUDGET_EXCEEDED,
     COUNT_ALL,
@@ -110,9 +113,10 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _print_labeling(tree: RootedTree, f: dict[str, int]) -> None:
-    print("\n".join([f"  {e} = {f[e]}" for e in tree.edge_ids]))
-    print("  induced: " + ", ".join(f"{v}={g}" for v, g in induce(tree, f).items()))
+def _print_labeling(tree: RootedTree, x: Iterable[int], induced: Iterable[int]) -> None:
+    """Edge labels x in slot order, then the induced labels in vertex order."""
+    print("\n".join([f"  {e} = {v}" for e, v in zip(tree.edge_ids, x)]))
+    print("  induced: " + ", ".join([f"{v}={g}" for v, g in zip(tree.vertex_ids, induced)]))
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +156,8 @@ def cmd_label(args: argparse.Namespace) -> int:
     cfg = None if args.search_budget is None else _config_from(args, FIND_ONE)
     outcome = label_any(spec, cfg)
     if outcome.kind == LABELED:
-        f = outcome.labeling
         if args.out:
-            Path(args.out).write_text(write_labeling(outcome.tree, f))
+            Path(args.out).write_text(write_slots(outcome.tree, outcome.slot_labels))
         if args.format == "json":
             _print_json(
                 {
@@ -162,14 +165,14 @@ def cmd_label(args: argparse.Namespace) -> int:
                     "status": "labeled",
                     "tag": outcome.tag,
                     "case": outcome.case,
-                    "labeling": f,
+                    "labeling": outcome.labeling,
                     "verified": True,
                 }
             )
         else:
             via = f" via {outcome.tag}" + (f" [{outcome.case}]" if outcome.case else "")
             print(f"{spec.format()}: SEG labeling found{via}")
-            _print_labeling(outcome.tree, f)
+            _print_labeling(outcome.tree, outcome.slot_labels, outcome.induced)
             if args.out:
                 print(f"  written to {args.out}")
         return EXIT_OK
@@ -254,7 +257,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(f"{spec.format()}: found (nodes={result.nodes_visited})")
         if result.count is not None:
             print(f"  count: {result.count} SEG labelings")
-        _print_labeling(build_tree(spec), result.labeling)
+        tree, f = build_tree(spec), result.labeling
+        _print_labeling(tree, [f[e] for e in tree.edge_ids], induce(tree, f).values())
     elif result.outcome == EXHAUSTED_NONE:
         msg = f"{spec.format()}: none (exhausted, nodes={result.nodes_visited})"
         if cert_path:

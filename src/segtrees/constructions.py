@@ -9,30 +9,40 @@ Every even-q tree, caterpillar (k + l = 2) or lobster, thus has j + k = 2rs,
 and ``_even_q_l_odd`` / ``_even_q_l_even``, picked by the parity of l, read
 just rs and t = l // 2.
 
-Every constructed labeling passes through the verifier before it is
-returned; a formula bug therefore surfaces as ConstructionFault, never as a
-silently wrong answer.
+Every constructed labeling is checked before it is returned: every edge
+labeled, then ``labeling.verify_slots`` on the slot list (edge labels, then
+induced labels).  A formula bug therefore surfaces as ConstructionFault,
+never as a silently wrong answer.
 
 Conventions shared by the rules: spine edge i is slot i - 1 of the tree;
-leaf m of v_i, m starting at 1, is slot ``leaf_start[i - 1] + m - 1``.  The
-rules differ only in their formulas; three placers write the (+x, -x)
-pairs they share.  ``_Builder.spine_pairs(i, count, value, step)`` labels
-spine edges i, i+1, ... with pairs, x = value, value + step, ....
+leaf m of v_i, m starting at 1, is slot ``leaf_start[i - 1] + m - 1``.  A
+``_Builder`` holds one slot list, ``x``, and the slots in the order they
+were assigned, ``order``.  Every placer range-checks its vertices and leaf
+positions, then writes its labels as one block of slices, checked for a
+collision before anything is written.  The rules differ only in their
+formulas; four placers write the (+x, -x) pairs they share.
+``_Builder.spine_pairs(i, count, value, step)`` labels spine edges i,
+i+1, ... with pairs, x = value, value + step, ....
 ``_Builder.first_leaf_pairs(i, count, value)`` labels the first leaves of
-v_i, v_i+1, ... with pairs, x rising by 2 from value.  ``_paired_leaves``
-labels the leaves of every vertex from a start vertex on with consecutive
-(+x, -x) pairs through ``_Builder.pair``: an even leaf count 2b is consumed
-as b pairs at positions (2m-1, 2m); an odd count 2b+1 leaves its first leaf
-unpaired, for the rule to label explicitly, and pairs at (2m, 2m+1).
+v_i, v_i+1, ... with pairs, x rising by 2 from value.
+``_Builder.spine_leaf_pairs`` alternates the two, a spine pair and then a
+first-leaf pair on each two vertices.  ``_paired_leaves`` labels the
+leaves of every vertex from a start vertex on with consecutive (+x, -x)
+pairs, in slot order: an even leaf count 2b is consumed as b pairs at
+positions (2m-1, 2m); an odd count 2b+1 leaves its first leaf unpaired,
+for the rule to label explicitly, and pairs at (2m, 2m+1), the positions
+``_Builder.pair`` writes one pair to.
 ``B.top`` is the largest edge label, q // 2: each odd-q rule's docstring
 gives q = 2 * top + 1, and the rule puts +top and -top on two edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
-from .labeling import EdgeLabeling, verify
+from .labeling import DomainMismatch, EdgeLabeling, _slots, verify_slots
+# not called here any more; perfbench/spans.py still wraps this module's name
+from .labeling import verify  # noqa: F401
 from .search import BUDGET_EXCEEDED, EXHAUSTED_NONE, FIND_ONE, SearchConfig, SearchResult
 from .trees import (
     CONSTRUCTIVE,
@@ -53,6 +63,11 @@ UNKNOWN = "unknown"
 class LabelOutcome:
     """What ``label_any`` decided, and the work behind it: the tree that
     verified ``labeling``, and the fallback search run, if any.
+
+    A labeled outcome also carries ``slot_labels``, the labeling in
+    ``tree.edge_ids`` order, and ``induced``, its induced labels in
+    ``tree.vertex_ids`` order.  ``labeling`` lists a constructed labeling in
+    the order its rule assigned the labels.
     """
 
     kind: str
@@ -61,6 +76,8 @@ class LabelOutcome:
     case: str | None = None
     tree: RootedTree | None = None
     search: SearchResult | None = None
+    slot_labels: list[int] | None = field(default=None, repr=False)
+    induced: list[int] | None = field(default=None, repr=False)
 
     @property
     def is_labeled(self) -> bool:
@@ -77,54 +94,119 @@ class ConstructionFault(RuntimeError):
 
 
 class _Builder:
-    """Collision-checked label assignment to the slots of ``tree``."""
+    """Collision-checked label assignment to the slots of ``tree``.
+
+    ``x`` holds each slot's label, None until assigned, and ``order`` the
+    slots in the order they were assigned.  Every placer range-checks its
+    vertices and leaf positions before it reads a count, then writes one
+    block through ``_put``.
+    """
 
     def __init__(self, tree: RootedTree, tag: str):
         self.tree = tree
         self.spec = tree.spec
         self.tag = tag
         self.top = tree.q // 2  # the largest edge label
-        self.f: dict[int, int] = {}  # slot -> label, in assignment order
+        self.x: list[int | None] = [None] * tree.q
+        self.order: list[int] = []
 
-    def _put(self, slot: int, value: int) -> None:
-        if slot in self.f:
-            eid = self.tree.edge_ids[slot]
-            raise ConstructionFault(
-                self.spec, self.tag, f"edge {eid} assigned twice ({self.f[slot]}, {value})"
-            )
-        self.f[slot] = value
+    def _fault(self, detail: str) -> ConstructionFault:
+        return ConstructionFault(self.spec, self.tag, detail)
+
+    def _put(self, blocks: list[range], values: list[int]) -> None:
+        """Write values to the slots of blocks, taken in order, unless one of
+        those slots already has a label; each block is one slice."""
+        x, k = self.x, 0
+        for r in blocks:
+            old = x[r.start:r.stop:r.step]
+            if old.count(None) != len(old):
+                d = next(d for d, v in enumerate(old) if v is not None)
+                eid = self.tree.edge_ids[r[d]]
+                raise self._fault(f"edge {eid} assigned twice ({old[d]}, {values[k + d]})")
+            k += len(r)
+        k = 0
+        for r in blocks:
+            x[r.start:r.stop:r.step] = values[k:k + len(r)]
+            k += len(r)
+            self.order += r
 
     def spine(self, i: int, value: int) -> None:
         if not 1 <= i <= self.spec.n:
-            raise ConstructionFault(self.spec, self.tag, f"spine index {i} out of range")
-        self._put(i - 1, value)
+            raise self._fault(f"spine index {i} out of range")
+        self._put([range(i - 1, i)], [value])
+
+    def _leaves(self, i: int) -> int:
+        """a_i, or 0 when v_i is not a spine vertex."""
+        return self.spec.a(i) if 1 <= i <= self.spec.n else 0
 
     def leaf(self, i: int, m: int, value: int) -> None:
-        if not (1 <= i <= self.spec.n and 1 <= m <= self.spec.a(i)):
-            raise ConstructionFault(self.spec, self.tag, f"leaf ({i},{m}) out of range")
-        self._put(self.tree.leaf_start[i - 1] + m - 1, value)
-
-    def spine_pairs(self, i: int, count: int, value: int, step: int = 1) -> None:
-        """``count`` pairs (+x, -x) on spine edges i, i+1, ..., x = value, value + step, ..."""
-        for x in range(value, value + step * count, step):
-            self.spine(i, x)
-            self.spine(i + 1, -x)
-            i += 2
-
-    def first_leaf_pairs(self, i: int, count: int, value: int) -> None:
-        """``count`` pairs (+x, -x) on the first leaves of v_i, v_i+1, ...,
-        x from ``value`` up by 2."""
-        for x in range(value, value + 2 * count, 2):
-            self.leaf(i, 1, x)
-            self.leaf(i + 1, 1, -x)
-            i += 2
+        if not 1 <= m <= self._leaves(i):
+            raise self._fault(f"leaf ({i},{m}) out of range")
+        slot = self.tree.leaf_start[i - 1] + m - 1
+        self._put([range(slot, slot + 1)], [value])
 
     def pair(self, i: int, m: int, value: int) -> None:
         """Leaf pair m (+value, -value) under v_i: at positions (2m-1, 2m) for
         an even leaf count, (2m, 2m+1) for an odd one."""
-        pos = 2 * m - 1 + self.spec.a(i) % 2
-        self.leaf(i, pos, value)
-        self.leaf(i, pos + 1, -value)
+        a = self._leaves(i)
+        if not 1 <= m <= a // 2:
+            raise self._fault(f"leaf pair ({i},{m}) out of range")
+        slot = self.tree.leaf_start[i - 1] + 2 * m - 2 + a % 2
+        self._put([range(slot, slot + 2)], [value, -value])
+
+    def _run(self, i: int, count: int, what: str, leaves: bool = False) -> range:
+        """Slots of the spine edges of v_i, ..., v_{i + 2 count - 1}: empty for
+        count <= 0, a fault unless those are spine vertices, with leaves if
+        ``leaves``."""
+        run = range(i - 1, i - 1 + 2 * max(count, 0))
+        if (run and not (1 <= i and run.stop <= self.spec.n)) or (
+            leaves and 0 in self.spec.counts[run.start:run.stop]
+        ):
+            raise self._fault(f"{what} from {i} ({count}) out of range")
+        return run
+
+    def _first_leaves(self, run: range) -> list[range]:
+        return [range(s, s + 1) for s in self.tree.leaf_start[run.start:run.stop]]
+
+    def spine_pairs(self, i: int, count: int, value: int, step: int = 1) -> None:
+        """``count`` pairs (+x, -x) on spine edges i, i+1, ..., x = value, value + step, ..."""
+        run = self._run(i, count, "spine pairs")
+        self._put([run], _pairs(range(value, value + step * count, step)))
+
+    def first_leaf_pairs(self, i: int, count: int, value: int) -> None:
+        """``count`` pairs (+x, -x) on the first leaves of v_i, v_i+1, ...,
+        x from ``value`` up by 2."""
+        run = self._run(i, count, "first-leaf pairs", leaves=True)
+        self._put(self._first_leaves(run), _pairs(range(value, value + 2 * count, 2)))
+
+    def spine_leaf_pairs(self, i: int, count: int, value: int, leaf_value: int) -> None:
+        """``count`` times, on the next two spine vertices from v_i: a spine
+        pair (+x, -x), then a first-leaf pair (+y, -y); x from ``value`` and
+        y from ``leaf_value``, each up by 2."""
+        run = self._run(i, count, "spine and first-leaf pairs", leaves=True)
+        leaves = self._first_leaves(run)
+        blocks = [b for d in range(0, len(run), 2) for b in (run[d:d + 2], *leaves[d:d + 2])]
+        xs = range(value, value + 2 * count, 2)
+        ys = range(leaf_value, leaf_value + 2 * count, 2)
+        self._put(blocks, [v for x, y in zip(xs, ys) for v in (x, -x, y, -y)])
+
+    def result(self) -> tuple[list[int], EdgeLabeling]:
+        """The labels in slot order, and the labeling keyed by edge id in
+        assignment order; an edge left unassigned is a fault."""
+        x, order = self.x, self.order
+        if None in x:
+            missing = [e for e, v in zip(self.tree.edge_ids, x) if v is None]
+            raise self._fault(f"unassigned edges {missing}")
+        ids = self.tree.edge_ids
+        return x, {ids[s]: x[s] for s in order}
+
+
+def _pairs(xs: range) -> list[int]:
+    """+x, -x for each x of xs, in order."""
+    out = [0] * (2 * len(xs))
+    out[::2] = xs
+    out[1::2] = range(-xs.start, -xs.stop, -xs.step)
+    return out
 
 
 def _paired_leaves(
@@ -132,15 +214,24 @@ def _paired_leaves(
 ) -> None:
     """Paired leaves for all vertices from start_vertex on.
 
-    The unlabeled pairs get consecutive labels from ``first``; a vertex with
-    count 2b or 2b+1 has b pairs.  Vertices in ``placed`` already carry their
-    first pair.
+    The unlabeled pairs get consecutive labels from ``first``, in slot
+    order; a vertex with count 2b or 2b+1 has b pairs.  Vertices in
+    ``placed`` already carry their first pair.  Each run of pair slots
+    unbroken by an unpaired or placed leaf is written as one block.
     """
-    value = first
+    counts, starts = B.spec.counts, B.tree.leaf_start
+    if not 1 <= start_vertex <= B.spec.n + 1:
+        raise B._fault(f"paired leaves from {start_vertex} out of range")
+    blocks: list[range] = []
     for i in range(start_vertex, B.spec.n + 1):
-        for m in range(2 if i in placed else 1, B.spec.a(i) // 2 + 1):
-            B.pair(i, m, value)
-            value += 1
+        start, a = starts[i - 1], counts[i - 1]
+        lo = start + a % 2 + (2 if i in placed else 0)
+        if lo >= start + a:
+            continue
+        if blocks and blocks[-1].stop == lo:
+            lo = blocks.pop().start
+        blocks.append(range(lo, start + a))
+    B._put(blocks, _pairs(range(first, first + sum(map(len, blocks)) // 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +250,7 @@ def _even_q_l_odd(B: _Builder, rs: int, t: int) -> None:
 
 def _even_q_l_even(B: _Builder, rs: int, t: int) -> None:
     """q even, l = 2t, j+k = 2rs; branch blocks j+1..n."""
-    for i in range(1, t + 1):
-        B.spine_pairs(2 * (rs + i) - 1, 1, 2 * i - 1)
-        B.first_leaf_pairs(2 * (rs + i) - 1, 1, -2 * (t + 1 - i))
+    B.spine_leaf_pairs(2 * rs + 1, t, 1, -2 * t)
     B.spine_pairs(1, rs, 2 * t + 1)
     _paired_leaves(B, rs + 2 * t + 1, B.spec.j + 1)
 
@@ -312,8 +401,7 @@ def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
     B.leaf(2 * r + 2, 1, -1)
     B.spine(2 * (r + s + 1), 2)
     B.spine(2 * (r + s + 1) + 1, -2)
-    B.leaf(2 * r + 3, 1, 3)
-    B.leaf(2 * r + 3, 2, -3)
+    B.pair(2 * r + 3, 1, 3)
     B.leaf(2 * (r + s + 1), 1, -4)
     B.leaf(2 * (r + s + 1) + 1, 1, 4)
     B.spine(2 * r + 3, B.top)
@@ -335,7 +423,7 @@ _RULES = {
 }
 
 
-def _build_for(cls: Classification, tree: RootedTree) -> EdgeLabeling:
+def _build_for(cls: Classification, tree: RootedTree) -> tuple[list[int], EdgeLabeling]:
     spec, p = cls.spec, cls.params
     B = _Builder(tree, cls.tag)
     if spec.q % 2 == 0:
@@ -345,19 +433,20 @@ def _build_for(cls: Classification, tree: RootedTree) -> EdgeLabeling:
         _RULES[cls.tag](B, p.get("r"), p.get("s"), p.get("t"))
     else:
         raise ConstructionFault(spec, cls.tag, "no rule implemented for this tag")
-    return {tree.edge_ids[slot]: v for slot, v in B.f.items()}
+    return B.result()
 
 
 def _verified(
-    tree: RootedTree, f: EdgeLabeling, tag: str, case: str | None = None,
+    tree: RootedTree, x: list[int], f: EdgeLabeling, tag: str, case: str | None = None,
     search: SearchResult | None = None,
 ) -> LabelOutcome:
-    """The one verification gate every produced labeling passes."""
-    report = verify(tree, f)
+    """The one verification gate every produced labeling passes: f, with
+    labels x in slot order."""
+    report, induced = verify_slots(tree, x)
     if not report.is_seg:
         detail = "; ".join(v.describe() for v in report.violations)
         raise ConstructionFault(tree.spec, tag, detail)
-    return LabelOutcome(LABELED, tag, f, case, tree, search)
+    return LabelOutcome(LABELED, tag, f, case, tree, search, x, induced)
 
 
 def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcome:
@@ -374,7 +463,7 @@ def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcom
         return LabelOutcome(PROVED_NOT_SEG, cls.tag)
     if cls.status == CONSTRUCTIVE:
         tree = build_tree(spec)
-        return _verified(tree, _build_for(cls, tree), cls.tag, cls.case)
+        return _verified(tree, *_build_for(cls, tree), cls.tag, cls.case)
     if config is None:
         return LabelOutcome(UNKNOWN, cls.tag)
     # looked up per call, so a patched or wrapped segtrees.search.search runs
@@ -385,4 +474,9 @@ def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcom
         return LabelOutcome(UNKNOWN, cls.tag, search=result)
     if result.outcome == EXHAUSTED_NONE:
         return LabelOutcome(PROVED_NOT_SEG, "by-exhaustion", search=result)
-    return _verified(build_tree(spec), result.labeling, "by-search", search=result)
+    tree, f = build_tree(spec), result.labeling
+    try:
+        x = _slots(tree, f)
+    except DomainMismatch as exc:
+        raise ConstructionFault(spec, "by-search", str(exc)) from None
+    return _verified(tree, x, f, "by-search", search=result)

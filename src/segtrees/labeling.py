@@ -138,10 +138,24 @@ def _multiset_violation(kind: str, values, target, strays: tuple = ()) -> Violat
     return Violation(kind, missing, extra)
 
 
+def verify_slots(tree: RootedTree, x: list[int]) -> tuple[VerificationReport, list[int]]:
+    """The SEG check of int labels x in slot order: edge multiset, then
+    induced multiset.  Also returns the induced labels, in
+    ``tree.vertex_ids`` order, for callers that print them.
+    """
+    induced = _induced(tree, x)
+    violations = tuple(v for v in (
+        _multiset_violation("EdgeLabelsNotTargetSet", x, edge_label_target(tree.q)),
+        _multiset_violation("VertexLabelsNotTargetSet", induced, vertex_label_target(tree.p)),
+    ) if v)
+    return VerificationReport(is_seg=not violations, violations=violations), induced
+
+
 def verify(tree: RootedTree, f: EdgeLabeling) -> VerificationReport:
     """Full SEG check.  Never raises; every failure is listed in the report.
 
-    A label that is not an int is listed as unexpected in
+    A total labeling with int labels goes to ``verify_slots``.  A label
+    that is not an int is listed as unexpected in
     ``EdgeLabelsNotTargetSet``; induced labels are then not checked, as for
     a domain mismatch.
     """
@@ -156,17 +170,13 @@ def verify(tree: RootedTree, f: EdgeLabeling) -> VerificationReport:
     if set(map(type, labels)) != {int}:
         strays = tuple(v for v in labels if type(v) is not int)
         labels = [v for v in labels if type(v) is int]
+    elif x is not None:
+        return verify_slots(tree, x)[0]
     edge_bad = _multiset_violation(
         "EdgeLabelsNotTargetSet", labels, edge_label_target(tree.q), strays
     )
     if edge_bad:
         violations.append(edge_bad)
-    if x is not None and not strays:
-        vertex_bad = _multiset_violation(
-            "VertexLabelsNotTargetSet", _induced(tree, x), vertex_label_target(tree.p)
-        )
-        if vertex_bad:
-            violations.append(vertex_bad)
     return VerificationReport(is_seg=not violations, violations=tuple(violations))
 
 
@@ -175,13 +185,18 @@ def verify(tree: RootedTree, f: EdgeLabeling) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def write_labeling(tree: RootedTree, f: EdgeLabeling) -> str:
-    """Serialize as a JSON object {spec, edges}, edges in tree order.
+    """Serialize as a JSON object {spec, edges}, edges in tree order."""
+    return write_slots(tree, _slots(tree, f))
+
+
+def write_slots(tree: RootedTree, x: list[int]) -> str:
+    """``write_labeling`` of the labeling whose labels in slot order are x.
 
     For int labels the text is exactly ``json.dumps({"spec": ..., "edges":
     ...}, indent=2)`` plus a newline, formatted here because the indenting
     encoder runs in pure Python.  Edge ids need no escaping.
     """
-    edges = ",\n".join([f'    "{e}": {v}' for e, v in zip(tree.edge_ids, _slots(tree, f))])
+    edges = ",\n".join([f'    "{e}": {v}' for e, v in zip(tree.edge_ids, x)])
     spec = json.dumps(tree.spec.format())
     return f'{{\n  "spec": {spec},\n  "edges": {{\n{edges}\n  }}\n}}\n'
 

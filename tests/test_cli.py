@@ -12,11 +12,13 @@ from segtrees import (
     CONJECTURED,
     SearchConfig,
     build_tree,
+    induce,
     parse_dot_spec,
     parse_spec,
     read_labeling,
     search,
     verify,
+    write_labeling,
 )
 from segtrees import cli, constructions
 from segtrees.cli import main
@@ -173,13 +175,60 @@ def test_label_construction_fault_exit3(capsys, monkeypatch):
 
     def bad_rule(B, rs, t):
         good_rule(B, rs, t)
-        B.f[0] = -B.f[0]  # slot 0 is v1: now v1 and v2 share a label
+        B.x[0] = -B.x[0]  # slot 0 is v1: now v1 and v2 share a label
 
     monkeypatch.setattr(constructions, "_even_q_l_even", bad_rule)
     code, out, err = run(capsys, "label", "RT(1,1)")
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: produced labeling failed verification")
+
+
+def test_label_unassigned_edge_exit3(capsys, monkeypatch):
+    # _even_q_l_even on RT(1,1) is spine_pairs(1, 1, 1), then
+    # first_leaf_pairs(1, 1, -2); skip the last: v1.1 and v2.1 stay unlabeled
+    monkeypatch.setattr(constructions, "_even_q_l_even", lambda B, rs, t: B.spine_pairs(1, 1, 1))
+    code, out, err = run(capsys, "label", "RT(1,1)")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: ")
+    assert "unassigned edges ['v1.1', 'v2.1']" in err
+
+
+# one spec per rule, both cases of each multi-case rule, and one found by search
+SLOT_PATH_SPECS = [
+    ("RT(0^2,2,4)", "cat-q-even-j-even", "both-even"),  # _even_q_l_even, t = 0
+    ("RT(0,2^2,4,1^2,3^2)", "lob-jkl-odd-odd-even", None),  # _even_q_l_even, t = 2
+    ("RT(0,2,5)", "cat-q-even-j-odd", None),  # _even_q_l_odd, t = 0
+    ("RT(2,4,1,3,5)", "lob-jkl-even-even-odd", None),  # _even_q_l_odd, t = 1
+    ("RT(0^2,2,5)", "cat-q-odd-j-even", None),
+    ("RT(0,2,6)", "cat-q-odd-j-odd-evens", None),
+    ("RT(0^3,1,5)", "cat-q-odd-single-leaf", None),
+    ("RT(0,3,5)", "cat-q-odd-j-odd-odds", None),
+    ("RT(0^2,2^2,4,1)", "lob-jkl-even-odd-odd", "l-1"),
+    ("RT(2^2,4,1,3,5)", "lob-jkl-even-odd-odd", "l-ge-3"),
+    ("RT(2^2,4)", "lob-jkl-even-odd-even", "l-0"),
+    ("RT(0^2,2,4^2,1,3)", "lob-jkl-even-odd-even", "l-ge-2"),
+    ("RT(0^3,2,4,1)", "lob-jkl-odd-even-small-l", "l-1"),
+    ("RT(0^3,2,4,1,3)", "lob-jkl-odd-even-small-l", "l-2"),
+    ("RT(2,1,1)", "by-search", None),
+]
+
+
+@pytest.mark.parametrize("text,tag,case", SLOT_PATH_SPECS, ids=[t for t, *_ in SLOT_PATH_SPECS])
+def test_label_output_matches_public_dict_api(capsys, tmp_path, text, tag, case):
+    # label prints and writes from the slot list; the dict API must say the same
+    out = constructions.label_any(parse_spec(text), SearchConfig(node_budget=10**6))
+    assert (out.tag, out.case) == (tag, case)
+    path = tmp_path / "f.json"
+    code, stdout, _ = run(capsys, "label", text, "--search-budget", "10^6", "--out", str(path))
+    assert code == 0
+    assert path.read_text() == write_labeling(out.tree, out.labeling)
+    edge_lines = [f"  {e} = {out.labeling[e]}" for e in out.tree.edge_ids]
+    induced = ", ".join(f"{v}={g}" for v, g in induce(out.tree, out.labeling).items())
+    assert stdout.splitlines()[1:] == edge_lines + [f"  induced: {induced}", f"  written to {path}"]
+    code, stdout, _ = run(capsys, "label", text, "--search-budget", "10^6", "--format", "json")
+    assert list(json.loads(stdout)["labeling"].items()) == list(out.labeling.items())
 
 
 # ---------------------------------------------------------------------------

@@ -153,12 +153,57 @@ def test_search_fallback_exhaustion_proves_not_seg(monkeypatch):
     assert out.tag == "by-exhaustion"
 
 
+@pytest.mark.parametrize("labeling", [
+    {"v1": 0, "v2": 1, "v3": -1, "v1.1": 2, "v1.2": -2, "v2.1": 3},  # v3.1 missing
+    {"v1": 0, "v2": 1, "v3": -1, "v1.1": 2, "v1.2": -2, "v2.1": 3, "v3.1": 4},  # 4 is off target
+], ids=["missing-edge", "off-target"])
+def test_search_fallback_verifies_what_it_found(monkeypatch, labeling):
+    def fake_search(spec, config):
+        return SearchResult(outcome="found", nodes_visited=1, count=None, labeling=labeling)
+
+    monkeypatch.setattr(importlib.import_module("segtrees.search"), "search", fake_search)
+    with pytest.raises(ConstructionFault, match="by-search"):
+        label_any(parse_spec("RT(2,1,1)"), SearchConfig(node_budget=100))
+
+
 @pytest.mark.parametrize("i", [0, 3], ids=["vertex-0", "vertex-n+1"])
 def test_builder_leaf_checks_vertex_index(i):
     B = _Builder(build_tree(parse_spec("RT(2,1)")), "test")
     with pytest.raises(ConstructionFault, match="out of range"):
         B.leaf(i, 1, 1)
-    assert B.f == {}
+    assert B.x == [None] * 5
+    assert B.order == []
+
+
+# RT(2,1): v1 has leaves v1.1, v1.2 and v2 has v2.1; each placement runs off
+# the tree, so it must fault before it reads a count or writes a slot
+@pytest.mark.parametrize("place", [
+    lambda B: B.pair(3, 1, 5),
+    lambda B: B.pair(0, 1, 5),
+    lambda B: B.pair(1, 2, 5),
+    lambda B: B.pair(2, 1, 5),
+    lambda B: B.spine_pairs(2, 1, 5),
+    lambda B: B.spine_pairs(0, 1, 5),
+    lambda B: B.first_leaf_pairs(2, 1, 5),
+    lambda B: B.first_leaf_pairs(1, 2, 5),
+], ids=["pair-vertex-n+1", "pair-vertex-0", "pair-past-leaves", "pair-one-leaf",
+        "spine-pairs-past-n", "spine-pairs-vertex-0", "first-leaf-pairs-past-n",
+        "first-leaf-pairs-two-past-n"])
+def test_builder_placers_check_range(place):
+    B = _Builder(build_tree(parse_spec("RT(2,1)")), "test")
+    with pytest.raises(ConstructionFault, match="out of range"):
+        place(B)
+    assert B.x == [None] * 5
+    assert B.order == []
+
+
+def test_builder_block_collision_writes_nothing():
+    B = _Builder(build_tree(parse_spec("RT(2,2)")), "test")
+    B.leaf(2, 2, 7)
+    with pytest.raises(ConstructionFault, match=r"edge v2\.2 assigned twice \(7, -5\)"):
+        B.pair(2, 1, 5)  # v2.1 is free, v2.2 is not: the block writes neither
+    assert B.x == [None, None, None, None, None, 7]
+    assert B.order == [5]
 
 
 def test_outcome_shape():
