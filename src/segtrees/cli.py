@@ -10,6 +10,7 @@ Exit codes are uniform across subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -427,10 +428,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args builds a fresh Namespace and re-applies every default on each
+    # call, so one parser serves any number of main() calls
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    """Run one command line (``sys.argv[1:]`` when argv is None); return its exit code.
+
+    main can be called any number of times in one process.  It builds its
+    parser on the first call and reuses it, so the ``cmd_*`` handlers are
+    bound once: to change what a command does, patch the module-level
+    helpers they call (``cli.search``, ``constructions._even_q_l_even``),
+    not ``cmd_*``.
+    """
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed help (0) or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:

@@ -19,6 +19,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .trees import RootedTree, TreeSpec, parse_spec
 
@@ -76,11 +77,15 @@ def _slots(tree: RootedTree, f: EdgeLabeling) -> list[int]:
 def _induced(tree: RootedTree, x: list[int]) -> list[int]:
     """Induced labels, in ``tree.vertex_ids`` order, of slot labels x."""
     n = tree.n
+    # prefix[s] is the sum of slots 0 .. s-1: the root's label is prefix[n],
+    # and a vertex's leaves sum to the difference at its leaf_start and the next
+    prefix = list(accumulate(x, initial=0))
+    ends = tree.leaf_start[1:] + (tree.q,)
     branch = [
-        x[i] + sum(x[start:start + a])
-        for i, (start, a) in enumerate(zip(tree.leaf_start, tree.spec.counts))
+        xi + prefix[end] - prefix[start]
+        for xi, start, end in zip(x, tree.leaf_start, ends)
     ]
-    return [sum(x[:n])] + branch + x[n:]
+    return [prefix[n]] + branch + x[n:]
 
 
 def induce(tree: RootedTree, f: EdgeLabeling) -> VertexLabeling:

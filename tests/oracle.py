@@ -5,6 +5,9 @@ symmetric label set by raw permutation and checks the induced vertex
 multiset directly.  Only usable for tiny trees (q <= 7 or so), which is
 exactly what makes it a trustworthy cross-check for the real search engine.
 
+``naive_induced`` sums the induced labels vertex by vertex from the edge
+names, with no slot arithmetic.
+
 ``cover_count`` poses the same question as an exact cover (Knuth, *Dancing
 Links*) and reaches q = 12 in seconds per tree.  It shares no cut with the
 search engine: no forced targets, no zero rules, no sign of the spine sum.
@@ -81,6 +84,18 @@ def naive_is_seg_assignment(counts, flat) -> bool:
             pos += 1
     induced += sums + leaves
     return sorted(induced) == sorted(sym_target(q + 1))
+
+
+def naive_induced(counts, f: dict) -> dict:
+    """The induced labels of the edge-id labeling f of RT(counts), summed
+    vertex by vertex from the counts and the edge names."""
+    n = len(counts)
+    g = {"v0": sum(f[f"v{i}"] for i in range(1, n + 1))}
+    for i, a in enumerate(counts, start=1):
+        leaves = [f"v{i}.{m}" for m in range(1, a + 1)]
+        g[f"v{i}"] = f[f"v{i}"] + sum(f[e] for e in leaves)
+        g.update((e, f[e]) for e in leaves)
+    return g
 
 
 def cover_count(counts) -> int:

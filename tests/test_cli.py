@@ -12,6 +12,7 @@ from segtrees import (
     CONJECTURED,
     SearchConfig,
     build_tree,
+    enumerate_specs,
     induce,
     parse_dot_spec,
     parse_spec,
@@ -524,6 +525,48 @@ def test_usage_exit_codes(capsys, argv, expected):
     assert "Traceback" not in err
     if expected:
         assert "error" in err
+
+
+# main reuses one parser per process: no call may see an earlier call's
+# options, defaults or exit
+
+def test_parser_is_built_once_and_build_parser_is_fresh():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_reused_parser_resets_search_mode(capsys):
+    code, out, _ = run(capsys, "search", "RT(1,1)", "--count", "--format", "json")
+    assert (code, json.loads(out)["mode"]) == (0, "count-all")
+    code, out, _ = run(capsys, "search", "RT(1,1)", "--format", "json")
+    data = json.loads(out)
+    assert (code, data["mode"], data["count"]) == (0, "find-one", None)
+
+
+def test_reused_parser_resets_search_budget(capsys):
+    code, out, _ = run(capsys, "label", "RT(2,1,1)", "--search-budget", "10")
+    assert code == 2
+    assert "hint" not in out
+    code, out, _ = run(capsys, "label", "RT(2,1,1)")
+    assert code == 2
+    assert "hint: pass --search-budget N" in out
+
+
+def test_reused_parser_resets_survey_defaults(capsys):
+    code, out, _ = run(capsys, "survey", "--max-size", "5", "--format", "json")
+    assert (code, json.loads(out)["max_size"]) == (0, 5)
+    code, out, _ = run(capsys, "survey")
+    assert code == 0
+    assert out.splitlines()[-1].startswith(f"{len(enumerate_specs(9))} trees surveyed")
+
+
+@pytest.mark.parametrize(("argv", "expected"), [(["frobnicate"], 1), (["--help"], 0)],
+                         ids=["usage-error", "help"])
+def test_reused_parser_runs_after_an_early_exit(capsys, argv, expected):
+    assert run(capsys, *argv)[0] == expected
+    code, out, _ = run(capsys, "classify", "RT(1,1)")
+    assert code == 0
+    assert out.startswith("RT(1^2): ")
 
 
 def test_console_script_help_runs():

@@ -20,6 +20,8 @@ from segtrees import (
     vertex_label_target,
     write_labeling,
 )
+from segtrees.labeling import _induced
+from oracle import naive_induced
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -79,6 +81,14 @@ def test_golden_files_verify(name):
     _, tree, f = golden(name)
     report = verify(tree, f)
     assert report.is_seg, [v.describe() for v in report.violations]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.glob("*.json")))
+def test_golden_induced_labels_match_per_vertex_sums(name):
+    spec, tree, f = golden(name)
+    g = naive_induced(spec.counts, f)
+    assert _induced(tree, [f[e] for e in tree.edge_ids]) == [g[v] for v in tree.vertex_ids]
+    assert induce(tree, f) == g
 
 
 def test_verify_flags_wrong_multiset():

@@ -25,7 +25,8 @@ from segtrees import (
     verify,
     vertex_label_target,
 )
-from oracle import naive_is_seg_assignment
+from segtrees.labeling import _induced
+from oracle import naive_induced, naive_is_seg_assignment
 
 # raw count lists that always form a valid diameter-4 spec: at least two
 # positive entries
@@ -96,6 +97,20 @@ def test_induced_sum_is_twice_edge_sum(spec):
     assert sum(induce(tree, f).values()) == 2 * sum(f.values())
 
 
+@given(raw_counts, st.data())
+def test_induced_matches_per_vertex_sums(counts, data):
+    # any int slot list, SEG or not, on trees with and without childless
+    # spine vertices: the prefix-sum rewrite, the dict form and the
+    # vertex-by-vertex reference give the same labels
+    spec = canonicalize(counts)
+    tree = build_tree(spec)
+    x = data.draw(st.lists(st.integers(), min_size=spec.q, max_size=spec.q))
+    f = dict(zip(tree.edge_ids, x))
+    g = naive_induced(spec.counts, f)
+    assert _induced(tree, x) == [g[v] for v in tree.vertex_ids]
+    assert induce(tree, f) == g
+
+
 @given(st.sampled_from(SMALL_SPECS), st.integers(0, 2**32 - 1))
 @settings(deadline=None, max_examples=60)
 def test_verify_agrees_with_naive_predicate(spec, seed):
@@ -134,11 +149,7 @@ def counter_report(spec, f):
         extra = tuple(sorted((have - want).elements()))
         return [Violation(kind, missing, extra)] if missing or extra else []
 
-    g = {"v0": sum(f[f"v{i}"] for i in range(1, spec.n + 1))}
-    for i, a in enumerate(spec.counts, start=1):
-        leaves = [f"v{i}.{m}" for m in range(1, a + 1)]
-        g[f"v{i}"] = f[f"v{i}"] + sum(f[e] for e in leaves)
-        g.update((e, f[e]) for e in leaves)
+    g = naive_induced(spec.counts, f)
     violations = diff("EdgeLabelsNotTargetSet", f.values(), edge_label_target(spec.q))
     violations += diff("VertexLabelsNotTargetSet", g.values(), vertex_label_target(spec.p))
     return VerificationReport(not violations, tuple(violations)), g
