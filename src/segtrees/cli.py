@@ -15,22 +15,13 @@ import json
 import math
 import re
 import sys
-from collections.abc import Iterable
 from pathlib import Path
 
 from .constructions import LABELED, PROVED_NOT_SEG, ConstructionFault, label_any
-from .labeling import (
-    LabelingFormatError,
-    induce,
-    read_labeling,
-    to_dot,
-    verify,
-    write_slots,
-)
-# not called here any more; perfbench/spans.py still wraps this module's name
-from .labeling import write_labeling  # noqa: F401
+from .labeling import LabelingFormatError, read_labeling, to_dot, verify, write_slots
+# not called here any more; perfbench/spans.py still wraps these module names
+from .labeling import induce, write_labeling  # noqa: F401
 from .search import (
-    BUDGET_EXCEEDED,
     COUNT_ALL,
     EXHAUSTED_NONE,
     FIND_ONE,
@@ -114,7 +105,7 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _print_labeling(tree: RootedTree, x: Iterable[int], induced: Iterable[int]) -> None:
+def _print_labeling(tree: RootedTree, x: list[int], induced: list[int]) -> None:
     """Edge labels x in slot order, then the induced labels in vertex order."""
     print("\n".join([f"  {e} = {v}" for e, v in zip(tree.edge_ids, x)]))
     print("  induced: " + ", ".join([f"{v}={g}" for v, g in zip(tree.vertex_ids, induced)]))
@@ -236,8 +227,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     mode = COUNT_ALL if args.count else FIND_ONE
     cfg = _config_from(args, mode)
     result = search(spec, cfg)
-    cert_path = None
-    cert = None
+    cert = cert_path = None
     if result.outcome == EXHAUSTED_NONE and args.exhaust:
         cert = make_certificate(spec, cfg, result)
         cert_path = _write_certificate(cert, args.certificates_dir, spec)
@@ -258,34 +248,20 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(f"{spec.format()}: found (nodes={result.nodes_visited})")
         if result.count is not None:
             print(f"  count: {result.count} SEG labelings")
-        tree, f = build_tree(spec), result.labeling
-        _print_labeling(tree, [f[e] for e in tree.edge_ids], induce(tree, f).values())
+        _print_labeling(result.tree, result.slot_labels, result.induced)
     elif result.outcome == EXHAUSTED_NONE:
         msg = f"{spec.format()}: none (exhausted, nodes={result.nodes_visited})"
         if cert_path:
             msg += f", certificate written: {cert_path}"
         print(msg)
     else:
-        print(
-            f"{spec.format()}: budget exceeded after {result.nodes_visited} nodes; undecided"
-        )
-    if result.outcome == FOUND:
-        return EXIT_OK
-    if result.outcome == EXHAUSTED_NONE:
-        return EXIT_NEGATIVE
-    return EXIT_UNDECIDED
+        print(f"{spec.format()}: budget exceeded after {result.nodes_visited} nodes; undecided")
+    return {FOUND: EXIT_OK, EXHAUSTED_NONE: EXIT_NEGATIVE}.get(result.outcome, EXIT_UNDECIDED)
 
 
-def _oracle_status(spec: TreeSpec, cfg: SearchConfig) -> tuple[str, int]:
-    try:
-        result = search(spec, cfg)
-    except GuardRefused:
-        return "skipped", 0
-    if result.outcome == FOUND:
-        return "found", result.nodes_visited
-    if result.outcome == EXHAUSTED_NONE:
-        return "none", result.nodes_visited
-    return "budget", result.nodes_visited
+# a survey row's theory and oracle columns
+_THEORY = {CONSTRUCTIVE: "SEG", NOT_SEG: "not-SEG", CONJECTURED: "conjectured"}
+_ORACLE = {FOUND: "found", EXHAUSTED_NONE: "none"}
 
 
 def cmd_survey(args: argparse.Namespace) -> int:
@@ -294,12 +270,12 @@ def cmd_survey(args: argparse.Namespace) -> int:
     cfg = _config_from(args, FIND_ONE, SURVEY_DEFAULT_BUDGET)
     for spec in enumerate_specs(args.max_size):
         cls = classify(spec)
-        theory = {
-            CONSTRUCTIVE: "SEG",
-            NOT_SEG: "not-SEG",
-            CONJECTURED: "conjectured",
-        }.get(cls.status, "uncovered")
-        oracle, nodes = _oracle_status(spec, cfg)
+        theory = _THEORY.get(cls.status, "uncovered")
+        try:
+            result = search(spec, cfg)
+            oracle, nodes = _ORACLE.get(result.outcome, "budget"), result.nodes_visited
+        except GuardRefused:
+            oracle, nodes = "skipped", 0
         if theory in ("conjectured", "uncovered") or oracle in ("skipped", "budget"):
             agreement = "info"
         elif (theory == "SEG") == (oracle == "found"):
@@ -320,24 +296,15 @@ def cmd_survey(args: argparse.Namespace) -> int:
             }
         )
     if args.format == "json":
-        _print_json(
-            {"max_size": args.max_size, "disagreements": disagreements, "rows": rows}
-        )
+        _print_json({"max_size": args.max_size, "disagreements": disagreements, "rows": rows})
     else:
         widths = [14, 10, 3, 26, 11, 7, 5]
         header = ["spec", "(j,k,l)", "q", "dispatch", "theory", "oracle", "agree"]
         print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
         for row in rows:
             jkl = "({},{},{})".format(*row["jkl"])
-            cells = [
-                row["spec"],
-                jkl,
-                str(row["q"]),
-                row["tag"],
-                row["theory"],
-                row["oracle"],
-                row["agreement"],
-            ]
+            cells = [row["spec"], jkl, str(row["q"])]
+            cells += [row[key] for key in ("tag", "theory", "oracle", "agreement")]
             print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
         print(
             f"{len(rows)} trees surveyed, {disagreements} disagreement(s)"

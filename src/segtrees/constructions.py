@@ -15,32 +15,20 @@ induced labels).  A formula bug therefore surfaces as ConstructionFault,
 never as a silently wrong answer.
 
 Conventions shared by the rules: spine edge i is slot i - 1 of the tree;
-leaf m of v_i, m starting at 1, is slot ``leaf_start[i - 1] + m - 1``.  A
-``_Builder`` holds one slot list, ``x``, and the slots in the order they
-were assigned, ``order``.  Every placer range-checks its vertices and leaf
-positions, then writes its labels as one block of slices, checked for a
-collision before anything is written.  The rules differ only in their
-formulas; four placers write the (+x, -x) pairs they share.
-``_Builder.spine_pairs(i, count, value, step)`` labels spine edges i,
-i+1, ... with pairs, x = value, value + step, ....
-``_Builder.first_leaf_pairs(i, count, value)`` labels the first leaves of
-v_i, v_i+1, ... with pairs, x rising by 2 from value.
-``_Builder.spine_leaf_pairs`` alternates the two, a spine pair and then a
-first-leaf pair on each two vertices.  ``_paired_leaves`` labels the
-leaves of every vertex from a start vertex on with consecutive (+x, -x)
-pairs, in slot order: an even leaf count 2b is consumed as b pairs at
-positions (2m-1, 2m); an odd count 2b+1 leaves its first leaf unpaired,
-for the rule to label explicitly, and pairs at (2m, 2m+1), the positions
-``_Builder.pair`` writes one pair to.
-``B.top`` is the largest edge label, q // 2: each odd-q rule's docstring
-gives q = 2 * top + 1, and the rule puts +top and -top on two edges.
+leaf m of v_i, m starting at 1, is slot ``leaf_start[i - 1] + m - 1``.  The
+rules differ only in their formulas: a ``_Builder``'s placers and
+``_paired_leaves`` write the (+x, -x) pairs they share, each documented
+where it is defined.  ``B.top`` is the largest edge label, q // 2: each
+odd-q rule's docstring gives q = 2 * top + 1, and the rule puts +top and
+-top on two edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
-from .labeling import DomainMismatch, EdgeLabeling, _slots, verify_slots
+from .labeling import ConstructionFault, EdgeLabeling, verify_slots
 # not called here any more; perfbench/spans.py still wraps this module's name
 from .labeling import verify  # noqa: F401
 from .search import BUDGET_EXCEEDED, EXHAUSTED_NONE, FIND_ONE, SearchConfig, SearchResult
@@ -62,35 +50,34 @@ UNKNOWN = "unknown"
 @dataclass(frozen=True)
 class LabelOutcome:
     """What ``label_any`` decided, and the work behind it: the tree that
-    verified ``labeling``, and the fallback search run, if any.
+    verified the labeling, and the fallback search run, if any.
 
-    A labeled outcome also carries ``slot_labels``, the labeling in
+    A labeled outcome carries ``slot_labels``, the labeling in
     ``tree.edge_ids`` order, and ``induced``, its induced labels in
-    ``tree.vertex_ids`` order.  ``labeling`` lists a constructed labeling in
-    the order its rule assigned the labels.
+    ``tree.vertex_ids`` order.  ``labeling``, keyed by edge id, is built on
+    first read: a constructed labeling in ``order``, the order its rule
+    assigned the slots, and one found by search in slot order.
     """
 
     kind: str
     tag: str
-    labeling: EdgeLabeling | None = None
     case: str | None = None
     tree: RootedTree | None = None
     search: SearchResult | None = None
     slot_labels: list[int] | None = field(default=None, repr=False)
     induced: list[int] | None = field(default=None, repr=False)
+    order: list[int] | None = field(default=None, repr=False)
 
     @property
     def is_labeled(self) -> bool:
         return self.kind == LABELED
 
-
-class ConstructionFault(RuntimeError):
-    """A rule produced a labeling that failed verification (formula bug)."""
-
-    def __init__(self, spec: TreeSpec, tag: str, detail: str):
-        self.spec = spec
-        self.tag = tag
-        super().__init__(f"{tag} on {spec}: {detail}")
+    @cached_property
+    def labeling(self) -> EdgeLabeling | None:
+        if self.slot_labels is None:
+            return None
+        ids, x = self.tree.edge_ids, self.slot_labels
+        return {ids[s]: x[s] for s in (range(len(x)) if self.order is None else self.order)}
 
 
 class _Builder:
@@ -190,15 +177,14 @@ class _Builder:
         ys = range(leaf_value, leaf_value + 2 * count, 2)
         self._put(blocks, [v for x, y in zip(xs, ys) for v in (x, -x, y, -y)])
 
-    def result(self) -> tuple[list[int], EdgeLabeling]:
-        """The labels in slot order, and the labeling keyed by edge id in
-        assignment order; an edge left unassigned is a fault."""
-        x, order = self.x, self.order
+    def result(self) -> tuple[list[int], list[int]]:
+        """The labels in slot order, and the slots in assignment order; an
+        edge left unassigned is a fault."""
+        x = self.x
         if None in x:
             missing = [e for e, v in zip(self.tree.edge_ids, x) if v is None]
             raise self._fault(f"unassigned edges {missing}")
-        ids = self.tree.edge_ids
-        return x, {ids[s]: x[s] for s in order}
+        return x, self.order
 
 
 def _pairs(xs: range) -> list[int]:
@@ -215,9 +201,11 @@ def _paired_leaves(
     """Paired leaves for all vertices from start_vertex on.
 
     The unlabeled pairs get consecutive labels from ``first``, in slot
-    order; a vertex with count 2b or 2b+1 has b pairs.  Vertices in
-    ``placed`` already carry their first pair.  Each run of pair slots
-    unbroken by an unpaired or placed leaf is written as one block.
+    order; a vertex with count 2b or 2b+1 has b pairs, at the positions
+    ``_Builder.pair`` writes, and an odd count leaves its first leaf for
+    the rule to label.  Vertices in ``placed`` already carry their first
+    pair.  Each run of pair slots unbroken by an unpaired or placed leaf is
+    written as one block.
     """
     counts, starts = B.spec.counts, B.tree.leaf_start
     if not 1 <= start_vertex <= B.spec.n + 1:
@@ -423,7 +411,7 @@ _RULES = {
 }
 
 
-def _build_for(cls: Classification, tree: RootedTree) -> tuple[list[int], EdgeLabeling]:
+def _build_for(cls: Classification, tree: RootedTree) -> tuple[list[int], list[int]]:
     spec, p = cls.spec, cls.params
     B = _Builder(tree, cls.tag)
     if spec.q % 2 == 0:
@@ -437,16 +425,15 @@ def _build_for(cls: Classification, tree: RootedTree) -> tuple[list[int], EdgeLa
 
 
 def _verified(
-    tree: RootedTree, x: list[int], f: EdgeLabeling, tag: str, case: str | None = None,
-    search: SearchResult | None = None,
+    tree: RootedTree, x: list[int], order: list[int] | None, tag: str,
+    case: str | None = None, search: SearchResult | None = None,
 ) -> LabelOutcome:
-    """The one verification gate every produced labeling passes: f, with
-    labels x in slot order."""
+    """The one verification gate every labeling ``label_any`` returns
+    passes: labels x in slot order, assigned in ``order`` (None: slot order)."""
     report, induced = verify_slots(tree, x)
     if not report.is_seg:
-        detail = "; ".join(v.describe() for v in report.violations)
-        raise ConstructionFault(tree.spec, tag, detail)
-    return LabelOutcome(LABELED, tag, f, case, tree, search, x, induced)
+        raise ConstructionFault(tree.spec, tag, report.describe())
+    return LabelOutcome(LABELED, tag, case, tree, search, x, induced, order)
 
 
 def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcome:
@@ -474,9 +461,4 @@ def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcom
         return LabelOutcome(UNKNOWN, cls.tag, search=result)
     if result.outcome == EXHAUSTED_NONE:
         return LabelOutcome(PROVED_NOT_SEG, "by-exhaustion", search=result)
-    tree, f = build_tree(spec), result.labeling
-    try:
-        x = _slots(tree, f)
-    except DomainMismatch as exc:
-        raise ConstructionFault(spec, "by-search", str(exc)) from None
-    return _verified(tree, x, f, "by-search", search=result)
+    return _verified(result.tree, result.slot_labels, None, "by-search", search=result)

@@ -102,7 +102,8 @@ def negate(f: EdgeLabeling) -> EdgeLabeling:
 class Violation:
     """One way the labeling fails, with the offending items.
 
-    kind DomainMismatch: missing/extra are edge identifiers.
+    kind DomainMismatch: missing/extra are edge identifiers; for a slot
+    list of the wrong length, the unlabeled edges and the surplus slots.
     kind EdgeLabelsNotTargetSet / VertexLabelsNotTargetSet: missing holds
     target values not used, extra holds values used that are outside the
     target or duplicated.
@@ -126,6 +127,19 @@ class VerificationReport:
     is_seg: bool
     violations: tuple[Violation, ...]
 
+    def describe(self) -> str:
+        return "; ".join(v.describe() for v in self.violations)
+
+
+class ConstructionFault(RuntimeError):
+    """A labeling the package produced, by a closed-form rule or by search,
+    failed verification: a bug, never an answer."""
+
+    def __init__(self, spec: TreeSpec, tag: str, detail: str):
+        self.spec = spec
+        self.tag = tag
+        super().__init__(f"{tag} on {spec}: {detail}")
+
 
 def _multiset_violation(kind: str, values, target, strays: tuple = ()) -> Violation | None:
     """None when values equal target as multisets; else what differs.
@@ -143,11 +157,15 @@ def _multiset_violation(kind: str, values, target, strays: tuple = ()) -> Violat
     return Violation(kind, missing, extra)
 
 
-def verify_slots(tree: RootedTree, x: list[int]) -> tuple[VerificationReport, list[int]]:
+def verify_slots(tree: RootedTree, x: list[int]) -> tuple[VerificationReport, list[int] | None]:
     """The SEG check of int labels x in slot order: edge multiset, then
     induced multiset.  Also returns the induced labels, in
-    ``tree.vertex_ids`` order, for callers that print them.
+    ``tree.vertex_ids`` order, for callers that print them.  Never raises:
+    a list of the wrong length is a DomainMismatch, with no induced labels.
     """
+    if len(x) != tree.q:
+        mismatch = Violation("DomainMismatch", tree.edge_ids[len(x):], tuple(range(tree.q, len(x))))
+        return VerificationReport(is_seg=False, violations=(mismatch,)), None
     induced = _induced(tree, x)
     violations = tuple(v for v in (
         _multiset_violation("EdgeLabelsNotTargetSet", x, edge_label_target(tree.q)),

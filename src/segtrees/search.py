@@ -79,13 +79,15 @@ are not all 0), so SEG labelings pair up and every count is even.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import accumulate, groupby
 from math import factorial, prod
 
 from ._version import __version__
-from .labeling import EdgeLabeling, edge_label_target, vertex_label_target
-from .trees import TreeSpec, build_tree
+from .labeling import ConstructionFault, EdgeLabeling, verify_slots
+from .labeling import edge_label_target, vertex_label_target
+from .trees import RootedTree, TreeSpec, build_tree
 
 FIND_ONE = "find-one"
 COUNT_ALL = "count-all"
@@ -125,10 +127,25 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """What one search decided, after how many nodes.  ``count``: the
+    re-expanded count of a COUNT_ALL run, 0 if exhausted, else None.
+
+    A FOUND result carries its first labeling, verified by ``search``:
+    ``slot_labels`` in ``tree.edge_ids`` order, ``induced`` in
+    ``tree.vertex_ids`` order, and ``labeling``, keyed by edge id in slot
+    order, built on first read.
+    """
+
     outcome: str
     nodes_visited: int
-    labeling: EdgeLabeling | None = None
     count: int | None = None
+    tree: RootedTree | None = None
+    slot_labels: list[int] | None = field(default=None, repr=False)
+    induced: list[int] | None = field(default=None, repr=False)
+
+    @cached_property
+    def labeling(self) -> EdgeLabeling | None:
+        return None if self.slot_labels is None else dict(zip(self.tree.edge_ids, self.slot_labels))
 
 
 class _Stop(Exception):
@@ -175,12 +192,12 @@ def _run(spec: TreeSpec, config: SearchConfig):
     r_fix = 1 | (1 << (h + 1)) | (1 << (2 * h + 2)) if q % 2 else 0
     raw_count = 0
     weight = 1  # count mode: the solutions each one found stands for, by sign of S
-    first: EdgeLabeling | None = None
+    first: list[int] | None = None  # the first labeling, in slot order
 
     def solution() -> None:
         nonlocal raw_count, first
         if first is None:
-            first = dict(zip(build_tree(spec).edge_ids, x))
+            first = x.copy()
         if config.mode == FIND_ONE:
             raise _Stop
         raw_count += weight
@@ -316,18 +333,22 @@ def _run(spec: TreeSpec, config: SearchConfig):
     try:
         dfs_spine(n_pend, full if q % 2 else full ^ (1 << h))
     except _Stop:
-        return SearchResult(FOUND, nodes, first, None)
+        return FOUND, nodes, first, None
     except _BudgetHit:
-        return SearchResult(BUDGET_EXCEEDED, nodes, None, None)
+        return BUDGET_EXCEEDED, nodes, None, None
     if raw_count > 0:  # only COUNT_ALL gets here with solutions
         # re-expand once: a leaf group or equal-count run of m stands for m! orderings
         raw_count *= prod(map(factorial, counts + runs))
-        return SearchResult(FOUND, nodes, first, raw_count)
-    return SearchResult(EXHAUSTED_NONE, nodes, None, 0)
+        return FOUND, nodes, first, raw_count
+    return EXHAUSTED_NONE, nodes, None, 0
 
 
 def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
-    """Run the engine in the configured mode.  Deterministic for fixed input."""
+    """Run the engine in the configured mode.  Deterministic for fixed input.
+
+    A labeling that fails ``verify_slots`` raises ConstructionFault; it is
+    never returned.
+    """
     if config is None:
         config = SearchConfig()
     if config.mode not in (FIND_ONE, COUNT_ALL):
@@ -338,7 +359,7 @@ def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
             "(pass override_guard to insist)"
         )
     try:
-        return _run(spec, config)
+        outcome, nodes, x, count = _run(spec, config)
     except RecursionError:
         # the DFS recurses once per branch spine vertex and once per label of
         # every group but the last, and a pendant run is one group: a long
@@ -346,6 +367,13 @@ def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
         raise GuardRefused(
             f"{spec} has q={spec.q}; the tree is too deep for the search"
         ) from None
+    if x is None:
+        return SearchResult(outcome, nodes, count)
+    tree = build_tree(spec)
+    report, induced = verify_slots(tree, x)
+    if not report.is_seg:
+        raise ConstructionFault(spec, "search", report.describe())
+    return SearchResult(outcome, nodes, count, tree, x, induced)
 
 
 def count_all(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:

@@ -168,10 +168,21 @@ class RootedTree:
     edge map of a labeling doubles as a vertex-addressed structure.  A
     labeling is laid out in slots, the positions of ``edge_ids``: spine
     edges v1..vn first, then each vertex's leaf edges in index order.
+    Equality and hash go by ``spec`` alone, which fixes everything else.
     """
 
     spec: TreeSpec
-    edge_ids: tuple[str, ...] = field(repr=False)
+
+    @cached_property
+    def edge_ids(self) -> tuple[str, ...]:
+        """The one place edges are named, on first read, in slot order: spine
+        edge i is ``v<i>`` and the m-th leaf edge (1-based) of v_i is
+        ``v<i>.<m>``.  A tree that is only verified never names them."""
+        counts = self.spec.counts
+        spine = [f"v{i}" for i in range(1, len(counts) + 1)]
+        ordinals = [str(m) for m in range(1, max(counts, default=0) + 1)]
+        leaves = [f"{v}.{m}" for v, a in zip(spine, counts) for m in ordinals[:a]]
+        return tuple(spine + leaves)
 
     @property
     def n(self) -> int:
@@ -196,15 +207,8 @@ class RootedTree:
 
 
 def build_tree(spec: TreeSpec) -> RootedTree:
-    """The tree of spec; the one place edges are named.
-
-    Spine edge i is ``v<i>`` and the m-th leaf edge (1-based) of v_i is
-    ``v<i>.<m>``, listed in slot order.
-    """
-    spine = [f"v{i}" for i in range(1, spec.n + 1)]
-    ordinals = [str(m) for m in range(1, max(spec.counts, default=0) + 1)]
-    leaves = [f"{v}.{m}" for v, a in zip(spine, spec.counts) for m in ordinals[:a]]
-    return RootedTree(spec=spec, edge_ids=tuple(spine + leaves))
+    """The tree of spec; its edges are named in ``RootedTree.edge_ids``."""
+    return RootedTree(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 import shlex
@@ -10,8 +11,13 @@ import pytest
 
 from segtrees import (
     CONJECTURED,
+    UNCOVERED,
+    ConstructionFault,
     SearchConfig,
+    VerificationReport,
+    Violation,
     build_tree,
+    classify,
     enumerate_specs,
     induce,
     parse_dot_spec,
@@ -376,6 +382,58 @@ def test_search_one_leaf_zero_refutes_without_a_node(capsys):
     code, out, _ = run(capsys, "search", "RT(0,1^499999)", "--override-guard")
     assert code == 3
     assert "nodes=0" in out
+
+
+def test_search_fault_is_raised_never_returned(capsys, monkeypatch):
+    # search checks each labeling it returns; a failed check is an internal
+    # fault: search raises it, and search and survey exit 3 printing nothing
+    report = VerificationReport(False, (Violation("VertexLabelsNotTargetSet", (0,), (1,)),))
+    engine = importlib.import_module("segtrees.search")
+    monkeypatch.setattr(engine, "verify_slots", lambda tree, x: (report, None))
+    with pytest.raises(ConstructionFault, match=r"search on RT\(2,1\^2\): VertexLabels"):
+        search(parse_spec("RT(2,1,1)"))
+    for argv in (["search", "RT(2,1,1)"], ["survey", "--max-size", "6"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith("internal error: produced labeling failed verification: search")
+
+
+# sha256 over "<spec> <exit code>\n<stdout>" of every run, in order: search on
+# every spec with q <= 10, and label --search-budget on every open spec with
+# q <= 11 (the "out" case hashes the --out file instead of stdout)
+OPEN_SPECS_Q11 = [s.format() for s in enumerate_specs(11) if classify(s).status in (CONJECTURED, UNCOVERED)]
+OUTPUT_PINS = {
+    "search": ([], "7ea53526f994676781a87d356a03d0197f4b2cde04d961139dc316267dad39c6"),
+    "search-json": (["--format", "json"],
+                    "438e3cba2975cacbf05a0f2e71a14191dd00963a8c1470d3e5abf72c6eb326c3"),
+    "search-count": (["--count"],
+                     "7e01a36da165faadd5f9552323aebb60deff054672a82ee23b6e967524cf44f8"),
+    "search-count-json": (["--count", "--format", "json"],
+                          "2c5f9deb9c678c6862bf84fd25dff6940711ff9add8c9bab510b0fcba208410c"),
+    "label": (["--search-budget", "10^6"],
+              "538ade99f89e80d327ca1e1a0dfde846495ded27622dde396c1d65f77a1b0e78"),
+    "label-json": (["--search-budget", "10^6", "--format", "json"],
+                   "49644310434cd5da3ccd6ca387042a10fbd65d8f37aa2074f14c754e3783f5a3"),
+    "label-out": (["--search-budget", "10^6", "--out", "out.json"],
+                  "69414fd098d77e5d519cc5dbc7d2f5de7e5fc8c4a02697ea5c28119a01b2d7f9"),
+}
+
+
+@pytest.mark.parametrize("case", OUTPUT_PINS)
+def test_search_and_label_output_bytes_are_pinned(capsys, tmp_path, monkeypatch, case):
+    options, digest = OUTPUT_PINS[case]
+    command = case.split("-")[0]
+    specs = [s.format() for s in enumerate_specs(10)] if command == "search" else OPEN_SPECS_Q11
+    assert len(specs) == (83 if command == "search" else 17)
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for spec in specs:
+        code, out, _ = run(capsys, command, spec, *options)
+        if case == "label-out":
+            out = (tmp_path / "out.json").read_text()
+            (tmp_path / "out.json").unlink()
+        h.update(f"{spec} {code}\n{out}".encode())
+    assert h.hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -153,13 +153,16 @@ def test_search_fallback_exhaustion_proves_not_seg(monkeypatch):
     assert out.tag == "by-exhaustion"
 
 
-@pytest.mark.parametrize("labeling", [
-    {"v1": 0, "v2": 1, "v3": -1, "v1.1": 2, "v1.2": -2, "v2.1": 3},  # v3.1 missing
-    {"v1": 0, "v2": 1, "v3": -1, "v1.1": 2, "v1.2": -2, "v2.1": 3, "v3.1": 4},  # 4 is off target
+# RT(2,1,1) has slots v1, v2, v3, v1.1, v1.2, v2.1, v3.1
+@pytest.mark.parametrize("slot_labels", [
+    [0, 1, -1, 2, -2, 3],  # too short: v3.1 has no label
+    [0, 1, -1, 2, -2, 3, 4],  # 4 is off target
 ], ids=["missing-edge", "off-target"])
-def test_search_fallback_verifies_what_it_found(monkeypatch, labeling):
+def test_search_fallback_verifies_what_it_found(monkeypatch, slot_labels):
+    # a stand-in for search that skips its own check: label_any's gate catches it
     def fake_search(spec, config):
-        return SearchResult(outcome="found", nodes_visited=1, count=None, labeling=labeling)
+        return SearchResult(outcome="found", nodes_visited=1, tree=build_tree(spec),
+                            slot_labels=slot_labels)
 
     monkeypatch.setattr(importlib.import_module("segtrees.search"), "search", fake_search)
     with pytest.raises(ConstructionFault, match="by-search"):

@@ -20,7 +20,7 @@ from segtrees import (
     vertex_label_target,
     write_labeling,
 )
-from segtrees.labeling import _induced
+from segtrees.labeling import _induced, verify_slots
 from oracle import naive_induced
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -129,6 +129,18 @@ def test_verify_reports_domain_mismatch_as_violation():
     report = verify(tree, f)
     assert not report.is_seg
     assert any(v.kind == "DomainMismatch" for v in report.violations)
+
+
+# RT(2,1,1) has 7 slots: v1, v2, v3, v1.1, v1.2, v2.1, v3.1
+@pytest.mark.parametrize("x, missing, extra", [
+    ([0, 1, -1, 2, -2, 3], ("v3.1",), ()),
+    ([0, 1, -1, 2, -2, 3, -3, 4], (), (7,)),
+], ids=["short", "long"])
+def test_verify_slots_reports_wrong_length_without_raising(x, missing, extra):
+    report, induced = verify_slots(build_tree(parse_spec("RT(2,1,1)")), x)
+    assert not report.is_seg
+    assert induced is None
+    assert report.violations == (Violation("DomainMismatch", missing, extra),)
 
 
 def test_negate_involution_and_seg_preserving():

@@ -24,6 +24,7 @@ from segtrees import (
     classify,
     count_all,
     enumerate_specs,
+    induce,
     make_certificate,
     parse_spec,
     search,
@@ -173,6 +174,16 @@ def test_found_labeling_is_seg():
     assert r.count is None
 
 
+def test_survey_style_search_names_no_edges():
+    # a survey row reads only the outcome and the nodes: search verifies the
+    # slot list without naming an edge or building the dict
+    r = search(parse_spec("RT(0,2,3)"), SearchConfig(node_budget=10**6))
+    assert r.outcome == FOUND
+    assert "edge_ids" not in r.tree.__dict__
+    assert "labeling" not in r.__dict__
+    assert r.labeling == dict(zip(r.tree.edge_ids, r.slot_labels))
+
+
 def test_find_one_exhaustion_reports_zero_count():
     # RT(0,1,1) is refused before the first node (one-leaf zero); this
     # refutation still searches
@@ -219,8 +230,11 @@ def test_search_order_digest_q9():
             if mode == COUNT_ALL:
                 assert r.count % 2 == 0, spec.format()
             if r.labeling is not None:
+                assert r.tree == tree
                 assert verify(tree, r.labeling).is_seg, spec.format()
                 flat = [r.labeling[e] for e in tree.edge_ids]
+                assert r.slot_labels == flat, spec.format()
+                assert r.induced == list(induce(tree, r.labeling).values()), spec.format()
                 assert naive_is_seg_assignment(spec.counts, flat), spec.format()
     assert runs == 102
     # 76,397 over 408 runs while two symmetry flags made 4 configurations

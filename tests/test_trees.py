@@ -100,6 +100,16 @@ def test_build_tree_layout():
     assert len(t.vertex_ids) == t.p
 
 
+def test_tree_names_edges_on_first_read_and_stays_a_value_object():
+    a, b = build_tree(parse_spec("RT(0,2,1)")), build_tree(parse_spec("RT(0,1,2)"))
+    assert "edge_ids" not in a.__dict__
+    assert a == b and hash(a) == hash(b)
+    assert a.edge_ids == ("v1", "v2", "v3", "v2.1", "v2.2", "v3.1")
+    assert "edge_ids" in a.__dict__ and "edge_ids" not in b.__dict__
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != build_tree(parse_spec("RT(2,1)"))
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
