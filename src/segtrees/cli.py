@@ -408,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     main can be called any number of times in one process.  It builds its
     parser on the first call and reuses it, so the ``cmd_*`` handlers are
     bound once: to change what a command does, patch the module-level
-    helpers they call (``cli.search``, ``constructions._even_q_l_even``),
+    helpers they call (``cli.search``, ``constructions._even_q``),
     not ``cmd_*``.
     """
     try:

@@ -2,17 +2,18 @@
 
 Each rule below writes explicit labels onto spine and leaf edges from a
 few substitution parameters.  Each odd-q rule realizes one dispatch tag of
-``trees.classify`` and reads its (r, s, t).  Even q needs only two rules:
+``trees.classify`` and reads its (r, s, t); the odd caterpillar with j even
+is the k = l = 1 case of ``_lob_jkl_even_odd_odd``.  Even q needs one rule:
 q is the sum of 1 + a_i over the spine vertices, a term that is odd for a
 zero or positive even count and even for an odd one, so q = j + k (mod 2).
 Every even-q tree, caterpillar (k + l = 2) or lobster, thus has j + k = 2rs,
-and ``_even_q_l_odd`` / ``_even_q_l_even``, picked by the parity of l, read
-just rs and t = l // 2.
+and ``_even_q`` reads just rs, t = l // 2 and u = l % 2.
 
-Every constructed labeling is checked before it is returned: every edge
-labeled, then ``labeling.verify_slots`` on the slot list (edge labels, then
-induced labels).  A formula bug therefore surfaces as ConstructionFault,
-never as a silently wrong answer.
+Every rule writes one slot list, the labels in ``tree.edge_ids`` order,
+and every constructed labeling is checked before it is returned: every
+edge labeled, then ``labeling.verify_slots`` on the slot list (edge
+labels, then induced labels).  A formula bug therefore surfaces as
+ConstructionFault, never as a silently wrong answer.
 
 Conventions shared by the rules: spine edge i is slot i - 1 of the tree;
 leaf m of v_i, m starting at 1, is slot ``leaf_start[i - 1] + m - 1``.  The
@@ -54,9 +55,8 @@ class LabelOutcome:
 
     A labeled outcome carries ``slot_labels``, the labeling in
     ``tree.edge_ids`` order, and ``induced``, its induced labels in
-    ``tree.vertex_ids`` order.  ``labeling``, keyed by edge id, is built on
-    first read: a constructed labeling in ``order``, the order its rule
-    assigned the slots, and one found by search in slot order.
+    ``tree.vertex_ids`` order.  ``labeling``, keyed by edge id in that
+    order, is built on first read.
     """
 
     kind: str
@@ -66,7 +66,6 @@ class LabelOutcome:
     search: SearchResult | None = None
     slot_labels: list[int] | None = field(default=None, repr=False)
     induced: list[int] | None = field(default=None, repr=False)
-    order: list[int] | None = field(default=None, repr=False)
 
     @property
     def is_labeled(self) -> bool:
@@ -76,17 +75,15 @@ class LabelOutcome:
     def labeling(self) -> EdgeLabeling | None:
         if self.slot_labels is None:
             return None
-        ids, x = self.tree.edge_ids, self.slot_labels
-        return {ids[s]: x[s] for s in (range(len(x)) if self.order is None else self.order)}
+        return dict(zip(self.tree.edge_ids, self.slot_labels))
 
 
 class _Builder:
     """Collision-checked label assignment to the slots of ``tree``.
 
-    ``x`` holds each slot's label, None until assigned, and ``order`` the
-    slots in the order they were assigned.  Every placer range-checks its
-    vertices and leaf positions before it reads a count, then writes one
-    block through ``_put``.
+    ``x`` holds each slot's label, None until assigned.  Every placer
+    range-checks its vertices and leaf positions before it reads a count,
+    then writes its blocks through ``_put``.
     """
 
     def __init__(self, tree: RootedTree, tag: str):
@@ -95,7 +92,6 @@ class _Builder:
         self.tag = tag
         self.top = tree.q // 2  # the largest edge label
         self.x: list[int | None] = [None] * tree.q
-        self.order: list[int] = []
 
     def _fault(self, detail: str) -> ConstructionFault:
         return ConstructionFault(self.spec, self.tag, detail)
@@ -115,7 +111,6 @@ class _Builder:
         for r in blocks:
             x[r.start:r.stop:r.step] = values[k:k + len(r)]
             k += len(r)
-            self.order += r
 
     def spine(self, i: int, value: int) -> None:
         if not 1 <= i <= self.spec.n:
@@ -152,9 +147,6 @@ class _Builder:
             raise self._fault(f"{what} from {i} ({count}) out of range")
         return run
 
-    def _first_leaves(self, run: range) -> list[range]:
-        return [range(s, s + 1) for s in self.tree.leaf_start[run.start:run.stop]]
-
     def spine_pairs(self, i: int, count: int, value: int, step: int = 1) -> None:
         """``count`` pairs (+x, -x) on spine edges i, i+1, ..., x = value, value + step, ..."""
         run = self._run(i, count, "spine pairs")
@@ -164,27 +156,16 @@ class _Builder:
         """``count`` pairs (+x, -x) on the first leaves of v_i, v_i+1, ...,
         x from ``value`` up by 2."""
         run = self._run(i, count, "first-leaf pairs", leaves=True)
-        self._put(self._first_leaves(run), _pairs(range(value, value + 2 * count, 2)))
+        blocks = [range(s, s + 1) for s in self.tree.leaf_start[run.start:run.stop]]
+        self._put(blocks, _pairs(range(value, value + 2 * count, 2)))
 
-    def spine_leaf_pairs(self, i: int, count: int, value: int, leaf_value: int) -> None:
-        """``count`` times, on the next two spine vertices from v_i: a spine
-        pair (+x, -x), then a first-leaf pair (+y, -y); x from ``value`` and
-        y from ``leaf_value``, each up by 2."""
-        run = self._run(i, count, "spine and first-leaf pairs", leaves=True)
-        leaves = self._first_leaves(run)
-        blocks = [b for d in range(0, len(run), 2) for b in (run[d:d + 2], *leaves[d:d + 2])]
-        xs = range(value, value + 2 * count, 2)
-        ys = range(leaf_value, leaf_value + 2 * count, 2)
-        self._put(blocks, [v for x, y in zip(xs, ys) for v in (x, -x, y, -y)])
-
-    def result(self) -> tuple[list[int], list[int]]:
-        """The labels in slot order, and the slots in assignment order; an
-        edge left unassigned is a fault."""
+    def result(self) -> list[int]:
+        """The labels in slot order; an edge left unassigned is a fault."""
         x = self.x
         if None in x:
             missing = [e for e, v in zip(self.tree.edge_ids, x) if v is None]
             raise self._fault(f"unassigned edges {missing}")
-        return x, self.order
+        return x
 
 
 def _pairs(xs: range) -> list[int]:
@@ -226,37 +207,20 @@ def _paired_leaves(
 # q even: every caterpillar and lobster
 # ---------------------------------------------------------------------------
 
-def _even_q_l_odd(B: _Builder, rs: int, t: int) -> None:
-    """q even, l = 2t+1, j+k = 2rs; branch blocks j+1..n."""
+def _even_q(B: _Builder, rs: int, t: int, u: int) -> None:
+    """q even, l = 2t+u with u in {0, 1}, j+k = 2rs; branch blocks j+1..n."""
     B.spine_pairs(2 * rs + 1, t, 1, step=2)
-    B.spine(2 * rs + 2 * t + 1, 2 * t + 1)
-    B.leaf(B.spec.n, 1, -(2 * t + 1))
     B.first_leaf_pairs(2 * rs + 1, t, -2 * t)
-    B.spine_pairs(1, rs, 2 * t + 2)
-    _paired_leaves(B, rs + 2 * t + 2, B.spec.j + 1)
-
-
-def _even_q_l_even(B: _Builder, rs: int, t: int) -> None:
-    """q even, l = 2t, j+k = 2rs; branch blocks j+1..n."""
-    B.spine_leaf_pairs(2 * rs + 1, t, 1, -2 * t)
-    B.spine_pairs(1, rs, 2 * t + 1)
-    _paired_leaves(B, rs + 2 * t + 1, B.spec.j + 1)
+    if u:
+        B.spine(2 * rs + 2 * t + 1, 2 * t + 1)
+        B.leaf(B.spec.n, 1, -(2 * t + 1))
+    B.spine_pairs(1, rs, 2 * t + 1 + u)
+    _paired_leaves(B, rs + 2 * t + 1 + u, B.spec.j + 1)
 
 
 # ---------------------------------------------------------------------------
 # caterpillars, q odd
 # ---------------------------------------------------------------------------
-
-def _cat_q_odd_j_even(B: _Builder, r: int, s: int, t: int) -> None:
-    """j = 2r, counts 2s then 2t-1; r >= 0, s, t >= 1; q = 2(r+s+t)+1."""
-    B.spine(2 * r + 1, 0)
-    B.spine(2 * r + 2, 1)
-    B.leaf(2 * r + 1, 1, -1)
-    B.leaf(2 * r + 1, 2, -B.top)
-    B.leaf(2 * r + 2, 1, B.top)
-    B.spine_pairs(1, r, 2)
-    _paired_leaves(B, r + 2, 2 * r + 1, placed=(2 * r + 1,))
-
 
 def _cat_q_odd_j_odd_evens(B: _Builder, r: int, s: int, t: int) -> None:
     """j = 2r-1, counts 2s and 2t, 1 <= s <= t; q = 2(r+s+t)+1."""
@@ -304,14 +268,14 @@ def _cat_q_odd_j_odd_odds(B: _Builder, r: int, s: int, t: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _lob_jkl_even_odd_odd(B: _Builder, r: int, s: int, t: int) -> None:
-    """j = 2r, k = 2s-1, l = 2t+1; s+t >= 2; q = 2(r+s+2t+sum b)+1.
+    """j = 2r, k = 2s-1, l = 2t+1; s+t >= 1; q = 2(r+s+2t+sum b)+1.
 
     Branch blocks: even counts at 2r+1 .. 2(r+s)-1, odd counts at
     2(r+s) .. n = 2(r+s+t).
     """
     B.spine(2 * r + 1, 0)
     if t == 0:
-        # single odd-count vertex at 2(r+s); here s >= 2
+        # single odd-count vertex at 2(r+s); here s >= 1
         B.spine(2 * (r + s), 1)
         B.leaf(2 * r + 1, 1, -1)
         B.leaf(2 * (r + s), 1, B.top)
@@ -401,7 +365,8 @@ def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
 
 #: odd-q dispatch tag -> rule(B, r, s, t)
 _RULES = {
-    "cat-q-odd-j-even": _cat_q_odd_j_even,
+    # the k = l = 1 case of the lobster rule below
+    "cat-q-odd-j-even": lambda B, r, s, t: _lob_jkl_even_odd_odd(B, r, 1, 0),
     "cat-q-odd-j-odd-evens": _cat_q_odd_j_odd_evens,
     "cat-q-odd-single-leaf": _cat_q_odd_single_leaf,
     "cat-q-odd-j-odd-odds": _cat_q_odd_j_odd_odds,
@@ -411,12 +376,11 @@ _RULES = {
 }
 
 
-def _build_for(cls: Classification, tree: RootedTree) -> tuple[list[int], list[int]]:
+def _build_for(cls: Classification, tree: RootedTree) -> list[int]:
     spec, p = cls.spec, cls.params
     B = _Builder(tree, cls.tag)
     if spec.q % 2 == 0:
-        rule = _even_q_l_odd if spec.l % 2 else _even_q_l_even
-        rule(B, (spec.j + spec.k) // 2, spec.l // 2)
+        _even_q(B, (spec.j + spec.k) // 2, spec.l // 2, spec.l % 2)
     elif cls.tag in _RULES:
         _RULES[cls.tag](B, p.get("r"), p.get("s"), p.get("t"))
     else:
@@ -425,15 +389,15 @@ def _build_for(cls: Classification, tree: RootedTree) -> tuple[list[int], list[i
 
 
 def _verified(
-    tree: RootedTree, x: list[int], order: list[int] | None, tag: str,
+    tree: RootedTree, x: list[int], tag: str,
     case: str | None = None, search: SearchResult | None = None,
 ) -> LabelOutcome:
     """The one verification gate every labeling ``label_any`` returns
-    passes: labels x in slot order, assigned in ``order`` (None: slot order)."""
+    passes: labels x in slot order."""
     report, induced = verify_slots(tree, x)
     if not report.is_seg:
         raise ConstructionFault(tree.spec, tag, report.describe())
-    return LabelOutcome(LABELED, tag, case, tree, search, x, induced, order)
+    return LabelOutcome(LABELED, tag, case, tree, search, x, induced)
 
 
 def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcome:
@@ -450,7 +414,7 @@ def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcom
         return LabelOutcome(PROVED_NOT_SEG, cls.tag)
     if cls.status == CONSTRUCTIVE:
         tree = build_tree(spec)
-        return _verified(tree, *_build_for(cls, tree), cls.tag, cls.case)
+        return _verified(tree, _build_for(cls, tree), cls.tag, cls.case)
     if config is None:
         return LabelOutcome(UNKNOWN, cls.tag)
     # looked up per call, so a patched or wrapped segtrees.search.search runs
@@ -461,4 +425,4 @@ def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcom
         return LabelOutcome(UNKNOWN, cls.tag, search=result)
     if result.outcome == EXHAUSTED_NONE:
         return LabelOutcome(PROVED_NOT_SEG, "by-exhaustion", search=result)
-    return _verified(result.tree, result.slot_labels, None, "by-search", search=result)
+    return _verified(result.tree, result.slot_labels, "by-search", search=result)

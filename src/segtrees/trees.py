@@ -43,35 +43,33 @@ class EmptyRange(ValueError):
 
 @dataclass(frozen=True)
 class TreeSpec:
-    """Canonical leaf-count sequence of a diameter-4 tree."""
+    """Canonical leaf-count sequence of a diameter-4 tree.
+
+    ``n``, ``j``, ``k``, ``l`` and ``q`` are computed once, at construction;
+    equality, hash and repr go by ``counts`` alone.
+    """
 
     counts: tuple[int, ...]
+    n: int = field(init=False, repr=False, compare=False)
+    j: int = field(init=False, repr=False, compare=False)
+    k: int = field(init=False, repr=False, compare=False)
+    l: int = field(init=False, repr=False, compare=False)
+    q: int = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def n(self) -> int:
-        return len(self.counts)
+    def __post_init__(self) -> None:
+        c, put = self.counts, object.__setattr__
+        n, j, l = len(c), c.count(0), sum(a % 2 for a in c)
+        put(self, "n", n)
+        put(self, "j", j)
+        put(self, "k", n - j - l)
+        put(self, "l", l)
+        put(self, "q", n + sum(c))
 
-    @cached_property
-    def j(self) -> int:
-        return sum(1 for a in self.counts if a == 0)
-
-    @cached_property
-    def k(self) -> int:
-        return sum(1 for a in self.counts if a > 0 and a % 2 == 0)
-
-    @cached_property
-    def l(self) -> int:
-        return sum(1 for a in self.counts if a % 2 == 1)
-
-    @cached_property
-    def q(self) -> int:
-        return self.n + sum(self.counts)
-
-    @cached_property
+    @property
     def p(self) -> int:
         return self.q + 1
 
-    @cached_property
+    @property
     def family(self) -> str:
         shape = "Caterpillar" if self.k + self.l == 2 else "Lobster"
         size = "Even" if self.q % 2 == 0 else "Odd"

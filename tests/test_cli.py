@@ -178,13 +178,13 @@ def test_label_by_exhaustion_certifies_its_one_search(capsys, monkeypatch, tmp_p
 
 
 def test_label_construction_fault_exit3(capsys, monkeypatch):
-    good_rule = constructions._even_q_l_even  # RT(1,1): q = 4, l = 2
+    good_rule = constructions._even_q  # RT(1,1): q = 4, l = 2
 
-    def bad_rule(B, rs, t):
-        good_rule(B, rs, t)
+    def bad_rule(B, rs, t, u):
+        good_rule(B, rs, t, u)
         B.x[0] = -B.x[0]  # slot 0 is v1: now v1 and v2 share a label
 
-    monkeypatch.setattr(constructions, "_even_q_l_even", bad_rule)
+    monkeypatch.setattr(constructions, "_even_q", bad_rule)
     code, out, err = run(capsys, "label", "RT(1,1)")
     assert code == 3
     assert out == ""
@@ -192,9 +192,9 @@ def test_label_construction_fault_exit3(capsys, monkeypatch):
 
 
 def test_label_unassigned_edge_exit3(capsys, monkeypatch):
-    # _even_q_l_even on RT(1,1) is spine_pairs(1, 1, 1), then
+    # _even_q on RT(1,1) is spine_pairs(1, 1, 1), then
     # first_leaf_pairs(1, 1, -2); skip the last: v1.1 and v2.1 stay unlabeled
-    monkeypatch.setattr(constructions, "_even_q_l_even", lambda B, rs, t: B.spine_pairs(1, 1, 1))
+    monkeypatch.setattr(constructions, "_even_q", lambda B, rs, t, u: B.spine_pairs(1, 1, 1))
     code, out, err = run(capsys, "label", "RT(1,1)")
     assert code == 3
     assert out == ""
@@ -204,11 +204,11 @@ def test_label_unassigned_edge_exit3(capsys, monkeypatch):
 
 # one spec per rule, both cases of each multi-case rule, and one found by search
 SLOT_PATH_SPECS = [
-    ("RT(0^2,2,4)", "cat-q-even-j-even", "both-even"),  # _even_q_l_even, t = 0
-    ("RT(0,2^2,4,1^2,3^2)", "lob-jkl-odd-odd-even", None),  # _even_q_l_even, t = 2
-    ("RT(0,2,5)", "cat-q-even-j-odd", None),  # _even_q_l_odd, t = 0
-    ("RT(2,4,1,3,5)", "lob-jkl-even-even-odd", None),  # _even_q_l_odd, t = 1
-    ("RT(0^2,2,5)", "cat-q-odd-j-even", None),
+    ("RT(0^2,2,4)", "cat-q-even-j-even", "both-even"),  # _even_q, t = 0, u = 0
+    ("RT(0,2^2,4,1^2,3^2)", "lob-jkl-odd-odd-even", None),  # _even_q, t = 2, u = 0
+    ("RT(0,2,5)", "cat-q-even-j-odd", None),  # _even_q, t = 0, u = 1
+    ("RT(2,4,1,3,5)", "lob-jkl-even-even-odd", None),  # _even_q, t = 1, u = 1
+    ("RT(0^2,2,5)", "cat-q-odd-j-even", None),  # the lobster rule at s = 1, t = 0
     ("RT(0,2,6)", "cat-q-odd-j-odd-evens", None),
     ("RT(0^3,1,5)", "cat-q-odd-single-leaf", None),
     ("RT(0,3,5)", "cat-q-odd-j-odd-odds", None),
@@ -235,7 +235,9 @@ def test_label_output_matches_public_dict_api(capsys, tmp_path, text, tag, case)
     induced = ", ".join(f"{v}={g}" for v, g in induce(out.tree, out.labeling).items())
     assert stdout.splitlines()[1:] == edge_lines + [f"  induced: {induced}", f"  written to {path}"]
     code, stdout, _ = run(capsys, "label", text, "--search-budget", "10^6", "--format", "json")
-    assert list(json.loads(stdout)["labeling"].items()) == list(out.labeling.items())
+    labeling = json.loads(stdout)["labeling"]
+    assert list(labeling) == list(out.tree.edge_ids)
+    assert labeling == out.labeling
 
 
 # ---------------------------------------------------------------------------

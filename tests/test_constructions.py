@@ -84,19 +84,17 @@ def test_golden_fidelity(stem):
     assert out.labeling == golden
 
 
-# sha256 over label_any's answer for every spec with q <= 24 (7,037 specs),
-# labels in assignment order: `label --format json` lists edges in that
-# order, and dict equality cannot see it
-ASSIGNMENT_ORDER_DIGEST_Q24 = "473b4d4d54e3e9dc63115e0bb8d0a948ffa990dcd5c993c24aa2a12da0410836"
+# sha256 over label_any's answer for every spec with q <= 24 (7,037 specs):
+# kind, tag, case and the labels in slot order, so no rule may move a label
+SLOT_ORDER_DIGEST_Q24 = "a1334c1a251a368812e5a90b744a86ed68439d66b98385acfbf87274d4061a72"
 
 
-def test_assignment_order_digest_q24():
+def test_slot_order_digest_q24():
     h = hashlib.sha256()
     for spec in enumerate_specs(24):
         out = label_any(spec)
-        items = list(out.labeling.items()) if out.labeling is not None else None
-        h.update(repr((spec.counts, out.kind, out.tag, out.case, items)).encode())
-    assert h.hexdigest() == ASSIGNMENT_ORDER_DIGEST_Q24
+        h.update(repr((spec.counts, out.kind, out.tag, out.case, out.slot_labels)).encode())
+    assert h.hexdigest() == SLOT_ORDER_DIGEST_Q24
 
 
 def test_all_constructive_specs_verify_q13():
@@ -175,7 +173,6 @@ def test_builder_leaf_checks_vertex_index(i):
     with pytest.raises(ConstructionFault, match="out of range"):
         B.leaf(i, 1, 1)
     assert B.x == [None] * 5
-    assert B.order == []
 
 
 # RT(2,1): v1 has leaves v1.1, v1.2 and v2 has v2.1; each placement runs off
@@ -197,7 +194,6 @@ def test_builder_placers_check_range(place):
     with pytest.raises(ConstructionFault, match="out of range"):
         place(B)
     assert B.x == [None] * 5
-    assert B.order == []
 
 
 def test_builder_block_collision_writes_nothing():
@@ -206,7 +202,6 @@ def test_builder_block_collision_writes_nothing():
     with pytest.raises(ConstructionFault, match=r"edge v2\.2 assigned twice \(7, -5\)"):
         B.pair(2, 1, 5)  # v2.1 is free, v2.2 is not: the block writes neither
     assert B.x == [None, None, None, None, None, 7]
-    assert B.order == [5]
 
 
 def test_outcome_shape():

@@ -209,3 +209,4 @@ def test_spec_is_hashable_value_object():
     assert a == b and hash(a) == hash(b)
     assert a != parse_spec("RT(2,1)")
     assert isinstance(a, TreeSpec)
+    assert repr(a) == "TreeSpec(counts=(1, 1))"
