@@ -11,8 +11,8 @@ and ``_even_q`` reads just rs, t = l // 2 and u = l % 2.
 
 Every rule writes one slot list, the labels in ``tree.edge_ids`` order,
 and every constructed labeling is checked before it is returned: every
-edge labeled, then ``labeling.verify_slots`` on the slot list (edge
-labels, then induced labels).  A formula bug therefore surfaces as
+edge labeled, then ``labeling.checked`` on the slot list (edge labels,
+then induced labels).  A formula bug therefore surfaces as
 ConstructionFault, never as a silently wrong answer.
 
 Conventions shared by the rules: spine edge i is slot i - 1 of the tree;
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
-from .labeling import ConstructionFault, EdgeLabeling, verify_slots
+from .labeling import ConstructionFault, EdgeLabeling, checked
 # not called here any more; perfbench/spans.py still wraps this module's name
 from .labeling import verify  # noqa: F401
 from .search import BUDGET_EXCEEDED, EXHAUSTED_NONE, FIND_ONE, SearchConfig, SearchResult
@@ -117,24 +117,11 @@ class _Builder:
             raise self._fault(f"spine index {i} out of range")
         self._put([range(i - 1, i)], [value])
 
-    def _leaves(self, i: int) -> int:
-        """a_i, or 0 when v_i is not a spine vertex."""
-        return self.spec.a(i) if 1 <= i <= self.spec.n else 0
-
     def leaf(self, i: int, m: int, value: int) -> None:
-        if not 1 <= m <= self._leaves(i):
+        if not (1 <= i <= self.spec.n and 1 <= m <= self.spec.a(i)):
             raise self._fault(f"leaf ({i},{m}) out of range")
         slot = self.tree.leaf_start[i - 1] + m - 1
         self._put([range(slot, slot + 1)], [value])
-
-    def pair(self, i: int, m: int, value: int) -> None:
-        """Leaf pair m (+value, -value) under v_i: at positions (2m-1, 2m) for
-        an even leaf count, (2m, 2m+1) for an odd one."""
-        a = self._leaves(i)
-        if not 1 <= m <= a // 2:
-            raise self._fault(f"leaf pair ({i},{m}) out of range")
-        slot = self.tree.leaf_start[i - 1] + 2 * m - 2 + a % 2
-        self._put([range(slot, slot + 2)], [value, -value])
 
     def _run(self, i: int, count: int, what: str, leaves: bool = False) -> range:
         """Slots of the spine edges of v_i, ..., v_{i + 2 count - 1}: empty for
@@ -182,8 +169,8 @@ def _paired_leaves(
     """Paired leaves for all vertices from start_vertex on.
 
     The unlabeled pairs get consecutive labels from ``first``, in slot
-    order; a vertex with count 2b or 2b+1 has b pairs, at the positions
-    ``_Builder.pair`` writes, and an odd count leaves its first leaf for
+    order; a vertex with count 2b or 2b+1 has b pairs, on leaves (2m-1, 2m)
+    or (2m, 2m+1) for m = 1..b, and an odd count leaves its first leaf for
     the rule to label.  Vertices in ``placed`` already carry their first
     pair.  Each run of pair slots unbroken by an unpaired or placed leaf is
     written as one block.
@@ -353,7 +340,8 @@ def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
     B.leaf(2 * r + 2, 1, -1)
     B.spine(2 * (r + s + 1), 2)
     B.spine(2 * (r + s + 1) + 1, -2)
-    B.pair(2 * r + 3, 1, 3)
+    B.leaf(2 * r + 3, 1, 3)
+    B.leaf(2 * r + 3, 2, -3)
     B.leaf(2 * (r + s + 1), 1, -4)
     B.leaf(2 * (r + s + 1) + 1, 1, 4)
     B.spine(2 * r + 3, B.top)
@@ -388,18 +376,6 @@ def _build_for(cls: Classification, tree: RootedTree) -> list[int]:
     return B.result()
 
 
-def _verified(
-    tree: RootedTree, x: list[int], tag: str,
-    case: str | None = None, search: SearchResult | None = None,
-) -> LabelOutcome:
-    """The one verification gate every labeling ``label_any`` returns
-    passes: labels x in slot order."""
-    report, induced = verify_slots(tree, x)
-    if not report.is_seg:
-        raise ConstructionFault(tree.spec, tag, report.describe())
-    return LabelOutcome(LABELED, tag, case, tree, search, x, induced)
-
-
 def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcome:
     """Run the closed-form rule for the spec's case; with a config, fall back to search.
 
@@ -414,7 +390,8 @@ def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcom
         return LabelOutcome(PROVED_NOT_SEG, cls.tag)
     if cls.status == CONSTRUCTIVE:
         tree = build_tree(spec)
-        return _verified(tree, _build_for(cls, tree), cls.tag, cls.case)
+        x = _build_for(cls, tree)
+        return LabelOutcome(LABELED, cls.tag, cls.case, tree, None, x, checked(tree, x, cls.tag))
     if config is None:
         return LabelOutcome(UNKNOWN, cls.tag)
     # looked up per call, so a patched or wrapped segtrees.search.search runs
@@ -425,4 +402,6 @@ def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcom
         return LabelOutcome(UNKNOWN, cls.tag, search=result)
     if result.outcome == EXHAUSTED_NONE:
         return LabelOutcome(PROVED_NOT_SEG, "by-exhaustion", search=result)
-    return _verified(result.tree, result.slot_labels, "by-search", search=result)
+    # checked again, since segtrees.search.search may be patched or wrapped
+    tree, x = result.tree, result.slot_labels
+    return LabelOutcome(LABELED, "by-search", None, tree, result, x, checked(tree, x, "by-search"))

@@ -174,6 +174,15 @@ def verify_slots(tree: RootedTree, x: list[int]) -> tuple[VerificationReport, li
     return VerificationReport(is_seg=not violations, violations=violations), induced
 
 
+def checked(tree: RootedTree, x: list[int], tag: str) -> list[int]:
+    """The one gate for a labeling the package produced, in slot order: its
+    induced labels, or ConstructionFault(tag) unless it is SEG."""
+    report, induced = verify_slots(tree, x)
+    if not report.is_seg:
+        raise ConstructionFault(tree.spec, tag, report.describe())
+    return induced
+
+
 def verify(tree: RootedTree, f: EdgeLabeling) -> VerificationReport:
     """Full SEG check.  Never raises; every failure is listed in the report.
 
@@ -207,9 +216,20 @@ def verify(tree: RootedTree, f: EdgeLabeling) -> VerificationReport:
 # labeling files
 # ---------------------------------------------------------------------------
 
+def _require_int_labels(f: EdgeLabeling) -> None:
+    """LabelingFormatError for the first label that is not an int; a bool
+    is not an int here."""
+    if not set(map(type, f.values())) <= {int}:
+        key = next(k for k, v in f.items() if type(v) is not int)
+        raise LabelingFormatError(f"label for {key!r} must be an integer")
+
+
 def write_labeling(tree: RootedTree, f: EdgeLabeling) -> str:
-    """Serialize as a JSON object {spec, edges}, edges in tree order."""
-    return write_slots(tree, _slots(tree, f))
+    """Serialize as a JSON object {spec, edges}, edges in tree order; f
+    must be total (DomainMismatch) with int labels (LabelingFormatError)."""
+    x = _slots(tree, f)
+    _require_int_labels(f)
+    return write_slots(tree, x)
 
 
 def write_slots(tree: RootedTree, x: list[int]) -> str:
@@ -230,6 +250,8 @@ def read_labeling(text: str) -> tuple[TreeSpec, EdgeLabeling]:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LabelingFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise LabelingFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise LabelingFormatError("labeling file must be a JSON object")
     if not isinstance(obj.get("spec"), str):
@@ -237,9 +259,7 @@ def read_labeling(text: str) -> tuple[TreeSpec, EdgeLabeling]:
     edges = obj.get("edges")
     if not isinstance(edges, dict):
         raise LabelingFormatError("field 'edges' must be an object")
-    if not set(map(type, edges.values())) <= {int}:  # bool is not int here
-        key = next(k for k, v in edges.items() if type(v) is not int)
-        raise LabelingFormatError(f"label for {key!r} must be an integer")
+    _require_int_labels(edges)
     spec = parse_spec(obj["spec"])
     return spec, edges
 

@@ -85,7 +85,7 @@ from itertools import accumulate, groupby
 from math import factorial, prod
 
 from ._version import __version__
-from .labeling import ConstructionFault, EdgeLabeling, verify_slots
+from .labeling import EdgeLabeling, checked
 from .labeling import edge_label_target, vertex_label_target
 from .trees import RootedTree, TreeSpec, build_tree
 
@@ -346,8 +346,8 @@ def _run(spec: TreeSpec, config: SearchConfig):
 def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
     """Run the engine in the configured mode.  Deterministic for fixed input.
 
-    A labeling that fails ``verify_slots`` raises ConstructionFault; it is
-    never returned.
+    A labeling that fails ``labeling.checked`` raises ConstructionFault; it
+    is never returned.
     """
     if config is None:
         config = SearchConfig()
@@ -370,10 +370,7 @@ def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
     if x is None:
         return SearchResult(outcome, nodes, count)
     tree = build_tree(spec)
-    report, induced = verify_slots(tree, x)
-    if not report.is_seg:
-        raise ConstructionFault(spec, "search", report.describe())
-    return SearchResult(outcome, nodes, count, tree, x, induced)
+    return SearchResult(outcome, nodes, count, tree, x, checked(tree, x, "search"))
 
 
 def count_all(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:

@@ -227,8 +227,13 @@ class Classification:
     ``tag`` names the applicable rule (or conjecture/uncovered region);
     ``case`` splits multi-case rules; ``params`` carries the substitution
     parameters r, s and t, which the rules read, and the per-branch-vertex
-    half-counts b, which ``classify`` reports.  Family, (j, k, l), q and p
-    are read from ``spec``.
+    half-counts b (a_i = 2b_i or 2b_i + 1), which ``classify`` reports.
+    Family, (j, k, l), q and p are read from ``spec``.
+
+    A caterpillar with counts a1 <= a2 (in canonical order) has
+    r, s, t = j // 2, a1 // 2, a2 // 2 when q, j and a1 are all odd, and
+    (j+1) // 2, (a1+1) // 2, (a2+1) // 2 otherwise.  An even-q lobster has
+    r, s, t = (j+1) // 2, k // 2, l // 2.
     """
 
     spec: TreeSpec
@@ -238,88 +243,61 @@ class Classification:
     params: dict = field(default_factory=dict)
 
 
-def _b_values(spec: TreeSpec) -> tuple[int, ...]:
-    # a_i = 2b_i for branch vertices with even count, a_i = 2b_i + 1 for odd
-    return tuple(a // 2 for a in spec.counts[spec.j:])
-
-
 def _classify_caterpillar(spec: TreeSpec) -> tuple[str, str, str | None, dict]:
     j = spec.j
     a1, a2 = spec.counts[j], spec.counts[j + 1]
-    q_even = spec.q % 2 == 0
-    if q_even:
-        if j % 2 == 0:
-            # j even and q even force a1, a2 of equal parity
-            if a1 % 2 == 0:
-                return (CONSTRUCTIVE, "cat-q-even-j-even", "both-even",
-                        {"r": j // 2, "s": a1 // 2, "t": a2 // 2})
-            return (CONSTRUCTIVE, "cat-q-even-j-even", "both-odd",
-                    {"r": j // 2, "s": (a1 + 1) // 2, "t": (a2 + 1) // 2})
-        # j odd forces opposite parity: canonical order puts the even count first
-        return (CONSTRUCTIVE, "cat-q-even-j-odd", None,
-                {"r": (j + 1) // 2, "s": a1 // 2, "t": (a2 + 1) // 2})
-    if j % 2 == 0:
-        # q odd with j even forces opposite parity
-        return (CONSTRUCTIVE, "cat-q-odd-j-even", None,
-                {"r": j // 2, "s": a1 // 2, "t": (a2 + 1) // 2})
-    if a1 % 2 == 0:
-        return (CONSTRUCTIVE, "cat-q-odd-j-odd-evens", None,
-                {"r": (j + 1) // 2, "s": a1 // 2, "t": a2 // 2})
-    # j odd, both counts odd
-    if a1 == 1 and (j == 1 or a2 == 1):
-        return (NOT_SEG, "cat-not-seg-ones", None, {})
-    if a1 == 1:
-        # here j >= 3 and a2 >= 3
-        return (CONSTRUCTIVE, "cat-q-odd-single-leaf", None,
-                {"r": (j - 1) // 2, "t": (a2 - 1) // 2})
-    return (CONSTRUCTIVE, "cat-q-odd-j-odd-odds", None,
-            {"r": (j - 1) // 2, "s": (a1 - 1) // 2, "t": (a2 - 1) // 2})
+    if spec.q % 2 and j % 2 and a1 % 2:
+        # q, j and a1 odd, so a2 is odd too
+        if a1 == 1 and (j == 1 or a2 == 1):
+            return (NOT_SEG, "cat-not-seg-ones", None, {})
+        if a1 == 1:
+            # here j >= 3 and a2 >= 3
+            return (CONSTRUCTIVE, "cat-q-odd-single-leaf", None, {"r": j // 2, "t": a2 // 2})
+        return (CONSTRUCTIVE, "cat-q-odd-j-odd-odds", None,
+                {"r": j // 2, "s": a1 // 2, "t": a2 // 2})
+    # a1 and a2 have equal parity iff q and j do; if not, the even one is a1
+    params = {"r": (j + 1) // 2, "s": (a1 + 1) // 2, "t": (a2 + 1) // 2}
+    if spec.q % 2:
+        tag = "cat-q-odd-j-odd-evens" if j % 2 else "cat-q-odd-j-even"
+        return (CONSTRUCTIVE, tag, None, params)
+    if j % 2:
+        return (CONSTRUCTIVE, "cat-q-even-j-odd", None, params)
+    return (CONSTRUCTIVE, "cat-q-even-j-even", "both-odd" if a1 % 2 else "both-even", params)
+
+
+#: even-q lobster tag by (j % 2, l % 2); q even means j and k share parity
+_EVEN_Q_LOBSTER_TAGS = {(1, 1): "lob-jkl-odd-odd-odd", (1, 0): "lob-jkl-odd-odd-even",
+                        (0, 1): "lob-jkl-even-even-odd", (0, 0): "lob-jkl-even-even-even"}
 
 
 def _classify_lobster(spec: TreeSpec) -> tuple[str, str, str | None, dict]:
     j, k, l = spec.j, spec.k, spec.l
-    b = _b_values(spec)
+    b = tuple(a // 2 for a in spec.counts[j:])
     if spec.q % 2 == 0:
-        # q even means j and k share parity
-        if j % 2 == 1:
-            if l % 2 == 1:
-                return (CONSTRUCTIVE, "lob-jkl-odd-odd-odd", None,
-                        {"r": (j + 1) // 2, "s": (k - 1) // 2, "t": (l - 1) // 2, "b": b})
-            return (CONSTRUCTIVE, "lob-jkl-odd-odd-even", None,
-                    {"r": (j + 1) // 2, "s": (k - 1) // 2, "t": l // 2, "b": b})
-        if l % 2 == 1:
-            return (CONSTRUCTIVE, "lob-jkl-even-even-odd", None,
-                    {"r": j // 2, "s": k // 2, "t": (l - 1) // 2, "b": b})
-        return (CONSTRUCTIVE, "lob-jkl-even-even-even", None,
-                {"r": j // 2, "s": k // 2, "t": l // 2, "b": b})
+        return (CONSTRUCTIVE, _EVEN_Q_LOBSTER_TAGS[j % 2, l % 2], None,
+                {"r": (j + 1) // 2, "s": k // 2, "t": l // 2, "b": b})
     # q odd: j and k of opposite parity
     if j % 2 == 0:
         # k odd >= 1
         if l % 2 == 1:
             case = "l-1" if l == 1 else "l-ge-3"
             return (CONSTRUCTIVE, "lob-jkl-even-odd-odd", case,
-                    {"r": j // 2, "s": (k + 1) // 2, "t": (l - 1) // 2, "b": b})
+                    {"r": j // 2, "s": (k + 1) // 2, "t": l // 2, "b": b})
         if k >= 3:
             case = "l-0" if l == 0 else "l-ge-2"
             return (CONSTRUCTIVE, "lob-jkl-even-odd-even", case,
-                    {"r": j // 2, "s": (k - 1) // 2, "t": l // 2, "b": b})
+                    {"r": j // 2, "s": k // 2, "t": l // 2, "b": b})
         return (CONJECTURED, "conjecture-1", None, {})
     # j odd, k even
-    if k == 0:
-        if all(a in (0, 1) for a in spec.counts):
-            return (NOT_SEG, "lob-not-seg-all-ones", None, {})
-        if l % 2 == 1:
-            return (CONJECTURED, "conjecture-3", None, {})
-        return (CONJECTURED, "conjecture-2", None, {})
-    if l == 0:
+    if k == 0 and all(a in (0, 1) for a in spec.counts):
+        return (NOT_SEG, "lob-not-seg-all-ones", None, {})
+    if k and l == 0:
         # k even >= 4 here (k + l >= 3 and k even)
         return (UNCOVERED, "uncovered", None, {})
-    if l <= 2:
+    if k and l <= 2:
         return (CONSTRUCTIVE, "lob-jkl-odd-even-small-l", f"l-{l}",
-                {"r": (j - 1) // 2, "s": k // 2, "b": b})
-    if l % 2 == 1:
-        return (CONJECTURED, "conjecture-3", None, {})
-    return (CONJECTURED, "conjecture-2", None, {})
+                {"r": j // 2, "s": k // 2, "b": b})
+    return (CONJECTURED, "conjecture-3" if l % 2 else "conjecture-2", None, {})
 
 
 def classify(spec: TreeSpec) -> Classification:

@@ -282,6 +282,16 @@ def test_verify_malformed_file_exit1(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_deeply_nested_file_exit1(capsys, tmp_path, command):
+    # json.loads raises RecursionError on this; it is a usage error, not a crash
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, out, err = run(capsys, command, str(deep))
+    assert (code, out) == (1, "")
+    assert err.startswith("bad labeling file")
+
+
 def test_verify_json_reports_violations(capsys, tmp_path):
     data = json.loads((GOLDEN_DIR / "RT_0x3_3_5.json").read_text())
     data["edges"]["v4.1"], data["edges"]["v5.1"] = (
@@ -390,8 +400,8 @@ def test_search_fault_is_raised_never_returned(capsys, monkeypatch):
     # search checks each labeling it returns; a failed check is an internal
     # fault: search raises it, and search and survey exit 3 printing nothing
     report = VerificationReport(False, (Violation("VertexLabelsNotTargetSet", (0,), (1,)),))
-    engine = importlib.import_module("segtrees.search")
-    monkeypatch.setattr(engine, "verify_slots", lambda tree, x: (report, None))
+    gate = importlib.import_module("segtrees.labeling")
+    monkeypatch.setattr(gate, "verify_slots", lambda tree, x: (report, None))
     with pytest.raises(ConstructionFault, match=r"search on RT\(2,1\^2\): VertexLabels"):
         search(parse_spec("RT(2,1,1)"))
     for argv in (["search", "RT(2,1,1)"], ["survey", "--max-size", "6"]):

@@ -20,7 +20,7 @@ from segtrees import (
     parse_spec,
     verify,
 )
-from segtrees.constructions import _Builder
+from segtrees.constructions import _Builder, _paired_leaves
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -178,10 +178,10 @@ def test_builder_leaf_checks_vertex_index(i):
 # RT(2,1): v1 has leaves v1.1, v1.2 and v2 has v2.1; each placement runs off
 # the tree, so it must fault before it reads a count or writes a slot
 @pytest.mark.parametrize("place", [
-    lambda B: B.pair(3, 1, 5),
-    lambda B: B.pair(0, 1, 5),
-    lambda B: B.pair(1, 2, 5),
-    lambda B: B.pair(2, 1, 5),
+    lambda B: B.leaf(3, 1, 5),
+    lambda B: B.leaf(0, 1, 5),
+    lambda B: B.leaf(1, 3, 5),
+    lambda B: B.leaf(2, 2, 5),
     lambda B: B.spine_pairs(2, 1, 5),
     lambda B: B.spine_pairs(0, 1, 5),
     lambda B: B.first_leaf_pairs(2, 1, 5),
@@ -200,7 +200,7 @@ def test_builder_block_collision_writes_nothing():
     B = _Builder(build_tree(parse_spec("RT(2,2)")), "test")
     B.leaf(2, 2, 7)
     with pytest.raises(ConstructionFault, match=r"edge v2\.2 assigned twice \(7, -5\)"):
-        B.pair(2, 1, 5)  # v2.1 is free, v2.2 is not: the block writes neither
+        _paired_leaves(B, 5, 2)  # v2.1 is free, v2.2 is not: the block writes neither
     assert B.x == [None, None, None, None, None, 7]
 
 

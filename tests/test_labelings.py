@@ -182,6 +182,16 @@ def test_write_rejects_partial_labeling():
         write_labeling(tree, {"v1": 1})
 
 
+def test_write_rejects_labels_that_are_not_ints():
+    # formatted as-is, these would write `"v1": a` and `"v2": True`
+    tree = build_tree(parse_spec("RT(1,1)"))
+    bad = {"v1": "a", "v2": True, "v1.1": 1.5, "v2.1": None}
+    with pytest.raises(LabelingFormatError, match=r"^label for 'v1' must be an integer$"):
+        write_labeling(tree, bad)
+    f = {"v1": 1, "v2": -1, "v1.1": 0, "v2.1": 2}
+    assert read_labeling(write_labeling(tree, f)) == (tree.spec, f)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -192,6 +202,9 @@ def test_write_rejects_partial_labeling():
         '{"spec": "RT(1,1)", "edges": {"v1": "x"}}',
         '{"spec": "RT(1,1)", "edges": {"v1": true}}',
         '{"spec": "RT(1,1)", "edges": [1, 2]}',
+        # json.loads raises RecursionError on these
+        pytest.param("[" * 100_000, id="nested-deep"),
+        pytest.param('{"spec": "RT(1,1)", "edges": ' + "[" * 100_000, id="nested-deep-in-edges"),
     ],
 )
 def test_read_rejects_malformed(text):

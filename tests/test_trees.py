@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from segtrees import (
@@ -171,6 +174,20 @@ def test_classify_total_small():
         cls = classify(spec)
         assert cls.status in (CONSTRUCTIVE, NOT_SEG, CONJECTURED, UNCOVERED)
         assert cls.tag
+
+
+# sha256 over json [counts, status, tag, case, params] of classify on every
+# spec with q <= 24 (7,037 specs), in enumerate_specs order: every tag, case,
+# parameter value and parameter key order is pinned
+CLASSIFY_DIGEST_Q24 = "786f40674f060857de7f552fa495f3dcad324447b53a0a7e8911bfd8a55f94d0"
+
+
+def test_classify_digest_q24():
+    h = hashlib.sha256()
+    for spec in enumerate_specs(24):
+        c = classify(spec)
+        h.update(json.dumps([spec.counts, c.status, c.tag, c.case, c.params]).encode())
+    assert h.hexdigest() == CLASSIFY_DIGEST_Q24
 
 
 # ---------------------------------------------------------------------------
