@@ -248,7 +248,7 @@ def read_labeling(text: str) -> tuple[TreeSpec, EdgeLabeling]:
     """Parse a labeling file; spec errors and shape errors raise ValueError."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise LabelingFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError:
         raise LabelingFormatError("not valid JSON: nested too deeply") from None

@@ -63,7 +63,10 @@ solution, so outcomes and counts are those of the uncut search.
   to 2 * (sum of the edge labels) = 0, and the vertex target is symmetric,
   so it also sums to 0; every other vertex already holds a distinct target
   value, so the last group's owner gets the one value left.  Its labels are
-  placed in ascending order, one node each, with no sum check.
+  placed in ascending order, one node each, with no sum check.  So a count
+  run that has stored its first labeling counts each closing label of the
+  second-to-last group as one solution of ``1 + a_last`` nodes (a_last:
+  the last group's size), without visiting them.
 
 Negation.  f is SEG exactly when -f is, and f != -f (its q distinct labels
 are not all 0), so SEG labelings pair up and every count is even.
@@ -82,7 +85,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, groupby
-from math import factorial, prod
+from math import factorial, inf, prod
 
 from ._version import __version__
 from .labeling import EdgeLabeling, checked
@@ -173,8 +176,8 @@ def _run(spec: TreeSpec, config: SearchConfig):
     last0 = max((d for d, a in enumerate(counts) if a >= 2), default=-1)
     zero_last = [d >= last0 or a == counts[last0] for d, a in enumerate(counts)]
 
-    budget = config.node_budget
-    nodes = 0
+    limit = inf if config.node_budget is None else config.node_budget
+    nodes = 0  # every node site raises _BudgetHit at limit, then counts itself
     # the labeling in the tree's slot order: spine edges, then each leaf group
     x = [0] * q
     leaf_at = accumulate(counts, initial=n)  # each vertex's first leaf slot
@@ -185,6 +188,8 @@ def _run(spec: TreeSpec, config: SearchConfig):
         plan.append((n_pend, n, 0))
     plan.sort()
     n_single = sum(1 for g in plan if g[0] == 1)  # the single-label groups lead
+    last = len(plan) - 1
+    a_last = plan[-1][0]
     bases: list[int] = []  # each group's base, in plan order, once the spine is labeled
     r_bits = 0  # the targets R still to realize: t is bit t + h + 1
     full = (1 << n_bits) - 1  # every label; even q has no 0
@@ -202,12 +207,6 @@ def _run(spec: TreeSpec, config: SearchConfig):
             raise _Stop
         raw_count += weight
 
-    def tick() -> None:
-        nonlocal nodes
-        if budget is not None and nodes >= budget:
-            raise _BudgetHit
-        nodes += 1
-
     def options(base: int, lo: int, pool: int) -> int:
         # the labels from bit lo that close a group, as bits: label v (bit
         # v + h) closes it when t = v + base is in R (bit t + h + 1)
@@ -216,12 +215,24 @@ def _run(spec: TreeSpec, config: SearchConfig):
 
     def close(hits: int, base: int, slot: int, then, arg, pool: int) -> None:
         # each closing label in ascending order; its target leaves R meanwhile
-        nonlocal r_bits
+        nonlocal r_bits, nodes, raw_count
+        if first is not None and (then is next_group and arg == last
+                                  or then is cover and not arg and n_single == last):
+            # count mode, the last group next: each label closes, then the last
+            # group is placed, so each is one solution of 1 + a_last nodes
+            c = hits.bit_count()
+            cost = c * (1 + a_last)
+            if nodes + cost <= limit:
+                nodes += cost
+                raw_count += c * weight
+                return
         while hits:
             bit = hits & -hits
             hits ^= bit
             v = bit.bit_length() - 1 - h
-            tick()
+            if nodes >= limit:
+                raise _BudgetHit
+            nodes += 1
             x[slot] = v
             target = 1 << (v + base + h + 1)
             r_bits ^= target
@@ -246,13 +257,16 @@ def _run(spec: TreeSpec, config: SearchConfig):
         close(hits, bases[gi], plan[gi][2], cover, rest, pool)
 
     def next_group(gi: int, pool: int) -> None:
-        if gi == len(plan) - 1:
+        nonlocal nodes
+        if gi == last:
             # last group: the pool is its labels and they close it, so they are
             # placed in ascending order, one node each, the nodes a search
             # of it visits
             a, _, slot = plan[gi]
-            for _ in range(a):
-                tick()
+            if nodes + a > limit:
+                nodes = limit
+                raise _BudgetHit
+            nodes += a
             if first is None:
                 x[slot:slot + a] = [b - h for b in range(n_bits) if (pool >> b) & 1]
             gi += 1
@@ -265,20 +279,16 @@ def _run(spec: TreeSpec, config: SearchConfig):
 
     def dfs_group(gi: int, pos: int, j0: int, base: int, pool: int,
                   avail: list[int], sums: list[int]) -> None:
-        # the group's labels ascend, so it scans avail from j0, past its last label
+        # the group's labels ascend, so it scans avail from j0, past its last
+        # label; it has k >= 2 labels left (single-label groups are the cover's)
+        nonlocal nodes
         a, _, slot = plan[gi]
         slot += pos
-        end = len(avail)
-        if pos == a - 1:
-            # the last label is read off R: it is t - base for some t in R
-            lo = avail[j0] if j0 < end else n_bits
-            close(options(base, lo, pool), base, slot, next_group, gi + 1, pool)
-            return
         # sum interval: base + the k labels from j .. base + avail[j] + the top
         # k-1 must meet [min R, max R].  In bits: k labels of bit sum S add
         # S - k*h, and target t has bit length t + h + 2
         k = a - pos
-        end = max(end - k + 1, j0)  # later leaves need k-1 labels above j
+        end = max(len(avail) - k + 1, j0)  # later leaves need k-1 labels above j
         off = (k - 1) * h - base - 2
         least_max = r_bits.bit_length() + off
         b_min = (r_bits & -r_bits).bit_length() + off - (sums[-1] - sums[end])
@@ -288,12 +298,18 @@ def _run(spec: TreeSpec, config: SearchConfig):
             b = avail[j]
             if b < b_min:
                 continue
-            tick()
+            if nodes >= limit:
+                raise _BudgetHit
+            nodes += 1
             x[slot] = b - h
-            dfs_group(gi, pos + 1, j + 1, base + b - h, pool ^ (1 << b), avail, sums)
+            sub, rest = base + b - h, pool ^ (1 << b)
+            if k == 2:  # the last label is read off R: it is t - base for some t in R
+                close(options(sub, b + 1, rest), sub, slot + 1, next_group, gi + 1, rest)
+            else:
+                dfs_group(gi, pos + 1, j + 1, sub, rest, avail, sums)
 
     def dfs_spine(d: int, pool: int) -> None:
-        nonlocal r_bits, weight
+        nonlocal r_bits, weight, nodes
         if d == n:
             if (pool >> h) & 1:
                 return  # odd q: 0 goes on a branch spine edge
@@ -326,7 +342,9 @@ def _run(spec: TreeSpec, config: SearchConfig):
         for b in range(lo, hi):
             if not (free >> b) & 1:
                 continue
-            tick()
+            if nodes >= limit:
+                raise _BudgetHit
+            nodes += 1
             x[d] = b - h
             dfs_spine(d + 1, pool ^ (1 << b))
 
@@ -361,9 +379,10 @@ def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
     try:
         outcome, nodes, x, count = _run(spec, config)
     except RecursionError:
-        # the DFS recurses once per branch spine vertex and once per label of
-        # every group but the last, and a pendant run is one group: a long
-        # run before the last group, or many branches, is deep
+        # the DFS nests one frame per branch spine vertex, two per
+        # single-label group and a + 1 per other group of a labels but the
+        # last, and a pendant run is one group: a long run before the last
+        # group, or many branches, is deep
         raise GuardRefused(
             f"{spec} has q={spec.q}; the tree is too deep for the search"
         ) from None

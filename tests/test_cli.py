@@ -292,6 +292,19 @@ def test_deeply_nested_file_exit1(capsys, tmp_path, command):
     assert err.startswith("bad labeling file")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int string-conversion limit")
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_label_past_int_digit_limit_exit1(capsys, tmp_path, command):
+    # json.loads raises a plain ValueError on a label of more than 4,300 digits
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"spec": "RT(1,1)", "edges": {"v1": ' + "9" * 5_000
+                    + ', "v2": 1, "v1.1": 2, "v2.1": 3}}')
+    code, out, err = run(capsys, command, str(huge))
+    assert (code, out) == (1, "")
+    assert err.startswith("bad labeling file")
+
+
 def test_verify_json_reports_violations(capsys, tmp_path):
     data = json.loads((GOLDEN_DIR / "RT_0x3_3_5.json").read_text())
     data["edges"]["v4.1"], data["edges"]["v5.1"] = (

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,16 @@ def test_write_rejects_labels_that_are_not_ints():
 )
 def test_read_rejects_malformed(text):
     with pytest.raises(LabelingFormatError):
+        read_labeling(text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int string-conversion limit")
+def test_read_rejects_label_past_int_digit_limit():
+    # json.loads raises a plain ValueError on a label of more than 4,300 digits
+    text = ('{"spec": "RT(1,1)", "edges": {"v1": ' + "9" * 5_000
+            + ', "v2": 1, "v1.1": 2, "v2.1": 3}}')
+    with pytest.raises(LabelingFormatError, match="not valid JSON"):
         read_labeling(text)
 
 

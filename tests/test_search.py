@@ -283,6 +283,27 @@ def test_count_nodes_pinned_and_budget_exact(text, nodes, count):
         assert (r.outcome, r.nodes_visited, r.count) == (BUDGET_EXCEEDED, b, None), b
 
 
+def test_count_nodes_total_q10():
+    # count mode visits the same nodes however it completes its last groups
+    results = [count_all(spec) for spec in enumerate_specs(10)]
+    assert sum(r.nodes_visited for r in results) == 103_505
+    assert sum(r.count for r in results) == 2_073_658
+
+
+def test_count_budget_stops_exact_q9():
+    # a budget below a count run's nodes stops it after exactly that many,
+    # also where whole solutions are counted at once; trees refuted in 0
+    # nodes have no such budget
+    runs = 0
+    for spec in enumerate_specs(9):
+        nodes = count_all(spec).nodes_visited
+        for b in (nodes - 1, nodes // 2) if nodes else ():
+            r = count_all(spec, SearchConfig(node_budget=b))
+            assert (r.outcome, r.nodes_visited, r.count) == (BUDGET_EXCEEDED, b, None), (spec.format(), b)
+            runs += 1
+    assert runs == 90
+
+
 # ---------------------------------------------------------------------------
 # budget and guard
 # ---------------------------------------------------------------------------
