@@ -65,8 +65,10 @@ def _parse_budget(text: str) -> int:
     t = text.strip().lower()
     try:
         if "^" in t:
-            base, exp = t.split("^", 1)
-            v = float(int(base)) ** int(exp)  # overflows instead of building a huge int
+            base, exp = map(int, t.split("^", 1))
+            if base < 0:  # (-10)^2 is not a budget
+                raise ValueError
+            v = float(base) ** exp  # overflows instead of building a huge int
         elif "e" in t:
             v = float(t)
         else:

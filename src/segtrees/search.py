@@ -1,9 +1,9 @@
 """Exhaustive SEG search: find, count, or certify absence, deterministically.
 
 The engine has two phases.  The spine phase labels the branch spine edges
-(spine vertices with leaves), in index order.  The group phase then fills
-the single-label groups as one exact-cover step, then the larger leaf
-groups one at a time, and places the last.  Two symmetries cut the space:
+(spine vertices with leaves), in index order.  The group phase repeats one
+group step: it closes an open single-label group (one exact cover), else
+the next larger leaf group, and places the last.  Two symmetries cut the space:
 each leaf group takes its labels in ascending order, and so does each run
 of spine vertices with equal leaf counts.  Reordering a group or a run
 keeps a labeling SEG, so a raw count is re-expanded exactly by the product
@@ -199,25 +199,16 @@ def _run(spec: TreeSpec, config: SearchConfig):
     weight = 1  # count mode: the solutions each one found stands for, by sign of S
     first: list[int] | None = None  # the first labeling, in slot order
 
-    def solution() -> None:
-        nonlocal raw_count, first
-        if first is None:
-            first = x.copy()
-        if config.mode == FIND_ONE:
-            raise _Stop
-        raw_count += weight
-
     def options(base: int, lo: int, pool: int) -> int:
         # the labels from bit lo that close a group, as bits: label v (bit
         # v + h) closes it when t = v + base is in R (bit t + h + 1)
         shift = base + 1
         return (pool >> lo << lo) & (r_bits >> shift if shift >= 0 else r_bits << -shift)
 
-    def close(hits: int, base: int, slot: int, then, arg, pool: int) -> None:
+    def close(hits: int, base: int, slot: int, gi: int, singles, pool: int) -> None:
         # each closing label in ascending order; its target leaves R meanwhile
         nonlocal r_bits, nodes, raw_count
-        if first is not None and (then is next_group and arg == last
-                                  or then is cover and not arg and n_single == last):
+        if first is not None and gi == last and not singles:
             # count mode, the last group next: each label closes, then the last
             # group is placed, so each is one solution of 1 + a_last nodes
             c = hits.bit_count()
@@ -236,28 +227,26 @@ def _run(spec: TreeSpec, config: SearchConfig):
             x[slot] = v
             target = 1 << (v + base + h + 1)
             r_bits ^= target
-            then(arg, pool ^ bit)
+            next_group(gi, singles, pool ^ bit)
             r_bits ^= target
 
-    def cover(open_groups: list[int], pool: int) -> None:
-        # exact cover of the single-label groups: fewest options first
-        if not open_groups:
-            next_group(n_single, pool)
+    def next_group(gi: int, singles, pool: int) -> None:
+        # the one group step: while single-label groups are open (singles),
+        # close the one with the fewest options, ties in plan order (exact
+        # cover); then group gi, the next in plan order
+        nonlocal nodes, raw_count, first
+        if singles:
+            best = None
+            for g in singles:
+                hits = options(bases[g], 0, pool)
+                if not hits:
+                    return
+                c = hits.bit_count()
+                if best is None or c < best[0]:
+                    best = c, g, hits
+            _, g, hits = best
+            close(hits, bases[g], plan[g][2], gi, [o for o in singles if o != g], pool)
             return
-        best = None
-        for gi in open_groups:
-            hits = options(bases[gi], 0, pool)
-            if not hits:
-                return
-            c = hits.bit_count()
-            if best is None or c < best[0]:
-                best = c, gi, hits
-        _, gi, hits = best
-        rest = [g for g in open_groups if g != gi]
-        close(hits, bases[gi], plan[gi][2], cover, rest, pool)
-
-    def next_group(gi: int, pool: int) -> None:
-        nonlocal nodes
         if gi == last:
             # last group: the pool is its labels and they close it, so they are
             # placed in ascending order, one node each, the nodes a search
@@ -271,7 +260,11 @@ def _run(spec: TreeSpec, config: SearchConfig):
                 x[slot:slot + a] = [b - h for b in range(n_bits) if (pool >> b) & 1]
             gi += 1
         if gi == len(plan):
-            solution()
+            if first is None:
+                first = x.copy()
+            if config.mode == FIND_ONE:
+                raise _Stop
+            raw_count += weight
             return
         # one label list per group, as bits, with their prefix sums
         avail = [b for b in range(n_bits) if (pool >> b) & 1]
@@ -304,7 +297,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
             x[slot] = b - h
             sub, rest = base + b - h, pool ^ (1 << b)
             if k == 2:  # the last label is read off R: it is t - base for some t in R
-                close(options(sub, b + 1, rest), sub, slot + 1, next_group, gi + 1, rest)
+                close(options(sub, b + 1, rest), sub, slot + 1, gi + 1, (), rest)
             else:
                 dfs_group(gi, pos + 1, j + 1, sub, rest, avail, sums)
 
@@ -326,7 +319,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
                     return
                 r_bits ^= 1 << (root + h + 1)
             bases[:] = [root if g[1] == n else x[g[1]] for g in plan]
-            cover(list(range(n_single)), pool)
+            next_group(n_single, range(n_single), pool)
             return
         # an equal-count predecessor is a branch vertex, already labeled
         same = d > 0 and counts[d] == counts[d - 1]

@@ -140,10 +140,13 @@ def parse_spec(text: str) -> TreeSpec:
         m = _ITEM_RE.match(item.strip())
         if m is None:
             raise SpecSyntaxError(f"bad item {item!r} in spec {text!r}")
-        repeat = int(m.group(2)) if m.group(2) is not None else 1
+        try:  # past the int string-conversion limit int() raises ValueError
+            value, repeat = int(m.group(1)), int(m.group(2) or 1)
+        except ValueError:
+            raise SpecSyntaxError(f"item {item.strip()[:20]!r}... is too long") from None
         if repeat < 1:
             raise SpecSyntaxError(f"exponent must be >= 1 in item {item!r}")
-        items.append((int(m.group(1)), repeat))
+        items.append((value, repeat))
     # q by arithmetic, so a huge exponent is refused before anything is expanded
     q = sum(repeat * (value + 1) for value, repeat in items)
     if q > Q_LIMIT:

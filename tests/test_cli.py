@@ -74,6 +74,16 @@ def test_classify_q_limit_checked_before_expanding(capsys):
     assert "q=2000000000000000 exceeds supported limit 1000000" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int string-conversion limit")
+def test_classify_past_int_digit_limit_exit1(capsys):
+    # int() raises a plain ValueError on an item of more than 4,300 digits
+    code, out, err = run(capsys, "classify", "RT(1^" + "9" * 5_000 + ",1)")
+    assert (code, out) == (1, "")
+    assert "is too long" in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_classify_open_case(capsys):
     code, out, _ = run(capsys, "classify", "RT(2,1,1)")
     assert code == 0
@@ -589,6 +599,7 @@ def test_unusable_path_or_size_exit1(capsys, tmp_path, argv):
         (["search", "RT(1,1)", "--search-budget", "abc"], 1),
         (["search", "RT(1,1)", "--search-budget", "1e400"], 1),
         (["search", "RT(1,1)", "--search-budget=-5"], 1),
+        (["search", "RT(1,1)", "--search-budget=-10^2"], 1),
         (["label", "RT(2,1,1)", "--search-budget", "10^-1"], 1),
         (["survey", "--search-budget", "0^-1"], 1),
         (["survey", "--search-budget", "nan"], 1),
@@ -598,7 +609,7 @@ def test_unusable_path_or_size_exit1(capsys, tmp_path, argv):
         (["search", "RT(0,1,3)", "--exhaust", "--count"], 1),
     ],
     ids=["help", "no-command", "unknown-command", "budget-word", "budget-overflow",
-         "budget-negative", "budget-fraction", "budget-zero-division", "budget-nan",
+         "budget-negative", "budget-negative-base", "budget-fraction", "budget-zero-division", "budget-nan",
          "retired-negation-flag", "retired-leaf-flag", "retired-spine-flag",
          "exhaust-with-count"],
 )

@@ -304,6 +304,22 @@ def test_count_budget_stops_exact_q9():
     assert runs == 90
 
 
+def test_find_one_budget_stops_exact_q9():
+    # a budget below a find-one run's nodes stops it after exactly that many;
+    # a budget of exactly its nodes changes nothing
+    runs = 0
+    for spec in enumerate_specs(9):
+        full = search(spec)
+        nodes = full.nodes_visited
+        for b in (nodes - 1, nodes // 2) if nodes else ():
+            r = search(spec, SearchConfig(node_budget=b))
+            assert (r.outcome, r.nodes_visited, r.count) == (BUDGET_EXCEEDED, b, None), (spec.format(), b)
+            runs += 1
+        r = search(spec, SearchConfig(node_budget=nodes))
+        assert (r.outcome, r.nodes_visited, r.slot_labels) == (full.outcome, nodes, full.slot_labels)
+    assert runs == 90
+
+
 # ---------------------------------------------------------------------------
 # budget and guard
 # ---------------------------------------------------------------------------

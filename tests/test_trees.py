@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -39,8 +40,17 @@ def test_parse_canonicalizes():
     assert parse_spec("RT(1,2)").counts == (2, 1)
 
 
+# int() raises a plain ValueError on an item of more than 4,300 digits
+_PAST_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                       reason="no int string-conversion limit")
+
+
 @pytest.mark.parametrize("bad", ["", "RT()", "RT(", "RT(1,)", "RT(a)", "RT(1,-1)",
-                                 "RT(1^0)", "RT(1.5,1)", "1 1", "RT 1,1"])
+                                 "RT(1^0)", "RT(1.5,1)", "1 1", "RT 1,1",
+                                 pytest.param("RT(" + "9" * 5_000 + ",1)", id="count-too-long",
+                                              marks=_PAST_DIGIT_LIMIT),
+                                 pytest.param("RT(1^" + "9" * 5_000 + ",1)", id="exponent-too-long",
+                                              marks=_PAST_DIGIT_LIMIT)])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(SpecSyntaxError):
         parse_spec(bad)
