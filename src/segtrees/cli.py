@@ -36,7 +36,7 @@ from .trees import (
     CONJECTURED,
     CONSTRUCTIVE,
     NOT_SEG,
-    RootedTree,
+    UNCOVERED,
     TreeSpec,
     build_tree,
     classify,
@@ -56,7 +56,7 @@ _STATUS_TEXT = {
     CONSTRUCTIVE: "SEG (constructive)",
     NOT_SEG: "not SEG (non-existence case)",
     CONJECTURED: "open (conjectured SEG)",
-    "uncovered": "open (no case applies)",
+    UNCOVERED: "open (no case applies)",
 }
 
 
@@ -107,7 +107,7 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _print_labeling(tree: RootedTree, x: list[int], induced: list[int]) -> None:
+def _print_labeling(tree: TreeSpec, x: list[int], induced: list[int]) -> None:
     """Edge labels x in slot order, then the induced labels in vertex order."""
     print("\n".join([f"  {e} = {v}" for e, v in zip(tree.edge_ids, x)]))
     print("  induced: " + ", ".join([f"{v}={g}" for v, g in zip(tree.vertex_ids, induced)]))
@@ -262,7 +262,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 # a survey row's theory and oracle columns
-_THEORY = {CONSTRUCTIVE: "SEG", NOT_SEG: "not-SEG", CONJECTURED: "conjectured"}
+_THEORY = {CONSTRUCTIVE: "SEG", NOT_SEG: "not-SEG", CONJECTURED: "conjectured",
+           UNCOVERED: "uncovered"}
 _ORACLE = {FOUND: "found", EXHAUSTED_NONE: "none"}
 
 
@@ -272,7 +273,7 @@ def cmd_survey(args: argparse.Namespace) -> int:
     cfg = _config_from(args, FIND_ONE, SURVEY_DEFAULT_BUDGET)
     for spec in enumerate_specs(args.max_size):
         cls = classify(spec)
-        theory = _THEORY.get(cls.status, "uncovered")
+        theory = _THEORY[cls.status]
         try:
             result = search(spec, cfg)
             oracle, nodes = _ORACLE.get(result.outcome, "budget"), result.nodes_visited

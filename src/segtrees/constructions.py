@@ -37,7 +37,6 @@ from .trees import (
     CONSTRUCTIVE,
     NOT_SEG,
     Classification,
-    RootedTree,
     TreeSpec,
     build_tree,
     classify,
@@ -50,8 +49,8 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class LabelOutcome:
-    """What ``label_any`` decided, and the work behind it: the tree that
-    verified the labeling, and the fallback search run, if any.
+    """What ``label_any`` decided, and the work behind it: ``tree``, the
+    spec the labeling was verified on, and the fallback search run, if any.
 
     A labeled outcome carries ``slot_labels``, the labeling in
     ``tree.edge_ids`` order, and ``induced``, its induced labels in
@@ -62,7 +61,7 @@ class LabelOutcome:
     kind: str
     tag: str
     case: str | None = None
-    tree: RootedTree | None = None
+    tree: TreeSpec | None = None
     search: SearchResult | None = None
     slot_labels: list[int] | None = field(default=None, repr=False)
     induced: list[int] | None = field(default=None, repr=False)
@@ -79,19 +78,19 @@ class LabelOutcome:
 
 
 class _Builder:
-    """Collision-checked label assignment to the slots of ``tree``.
+    """Collision-checked label assignment to the slots of ``spec``.
 
     ``x`` holds each slot's label, None until assigned.  Every placer
     range-checks its vertices and leaf positions before it reads a count,
     then writes its blocks through ``_put``.
     """
 
-    def __init__(self, tree: RootedTree, tag: str):
-        self.tree = tree
-        self.spec = tree.spec
+    def __init__(self, spec: TreeSpec, tag: str):
+        self.spec = spec
         self.tag = tag
-        self.top = tree.q // 2  # the largest edge label
-        self.x: list[int | None] = [None] * tree.q
+        self.top = spec.q // 2  # the largest edge label
+        self.starts = spec.leaf_start  # each read of the property rebuilds it
+        self.x: list[int | None] = [None] * spec.q
 
     def _fault(self, detail: str) -> ConstructionFault:
         return ConstructionFault(self.spec, self.tag, detail)
@@ -104,7 +103,7 @@ class _Builder:
             old = x[r.start:r.stop:r.step]
             if old.count(None) != len(old):
                 d = next(d for d, v in enumerate(old) if v is not None)
-                eid = self.tree.edge_ids[r[d]]
+                eid = self.spec.edge_ids[r[d]]
                 raise self._fault(f"edge {eid} assigned twice ({old[d]}, {values[k + d]})")
             k += len(r)
         k = 0
@@ -120,7 +119,7 @@ class _Builder:
     def leaf(self, i: int, m: int, value: int) -> None:
         if not (1 <= i <= self.spec.n and 1 <= m <= self.spec.a(i)):
             raise self._fault(f"leaf ({i},{m}) out of range")
-        slot = self.tree.leaf_start[i - 1] + m - 1
+        slot = self.starts[i - 1] + m - 1
         self._put([range(slot, slot + 1)], [value])
 
     def _run(self, i: int, count: int, what: str, leaves: bool = False) -> range:
@@ -143,14 +142,14 @@ class _Builder:
         """``count`` pairs (+x, -x) on the first leaves of v_i, v_i+1, ...,
         x from ``value`` up by 2."""
         run = self._run(i, count, "first-leaf pairs", leaves=True)
-        blocks = [range(s, s + 1) for s in self.tree.leaf_start[run.start:run.stop]]
+        blocks = [range(s, s + 1) for s in self.starts[run.start:run.stop]]
         self._put(blocks, _pairs(range(value, value + 2 * count, 2)))
 
     def result(self) -> list[int]:
         """The labels in slot order; an edge left unassigned is a fault."""
         x = self.x
         if None in x:
-            missing = [e for e, v in zip(self.tree.edge_ids, x) if v is None]
+            missing = [e for e, v in zip(self.spec.edge_ids, x) if v is None]
             raise self._fault(f"unassigned edges {missing}")
         return x
 
@@ -175,7 +174,7 @@ def _paired_leaves(
     pair.  Each run of pair slots unbroken by an unpaired or placed leaf is
     written as one block.
     """
-    counts, starts = B.spec.counts, B.tree.leaf_start
+    counts, starts = B.spec.counts, B.starts
     if not 1 <= start_vertex <= B.spec.n + 1:
         raise B._fault(f"paired leaves from {start_vertex} out of range")
     blocks: list[range] = []
@@ -364,9 +363,9 @@ _RULES = {
 }
 
 
-def _build_for(cls: Classification, tree: RootedTree) -> list[int]:
+def _build_for(cls: Classification) -> list[int]:
     spec, p = cls.spec, cls.params
-    B = _Builder(tree, cls.tag)
+    B = _Builder(spec, cls.tag)
     if spec.q % 2 == 0:
         _even_q(B, (spec.j + spec.k) // 2, spec.l // 2, spec.l % 2)
     elif cls.tag in _RULES:
@@ -390,7 +389,7 @@ def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcom
         return LabelOutcome(PROVED_NOT_SEG, cls.tag)
     if cls.status == CONSTRUCTIVE:
         tree = build_tree(spec)
-        x = _build_for(cls, tree)
+        x = _build_for(cls)
         return LabelOutcome(LABELED, cls.tag, cls.case, tree, None, x, checked(tree, x, cls.tag))
     if config is None:
         return LabelOutcome(UNKNOWN, cls.tag)

@@ -8,9 +8,9 @@ form exactly the vertex target set of size p = q + 1.
 
 Edges are keyed by their child endpoint (``v3`` for a spine edge, ``v3.2``
 for a leaf edge), so an induced vertex labeling shares the key space plus
-``v0`` for the root.  Internally a labeling is a list of labels in slot
-order, the order of ``tree.edge_ids``; the ids are only looked up at the
-dict boundary.
+``v0`` for the root.  A ``tree`` argument is the ``TreeSpec`` itself.
+Internally a labeling is a list of labels in slot order, the order of
+``tree.edge_ids``; the ids are only looked up at the dict boundary.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .trees import RootedTree, TreeSpec, parse_spec
+from .trees import TreeSpec, parse_spec
 
 EdgeLabeling = dict[str, int]
 VertexLabeling = dict[str, int]
@@ -61,7 +61,7 @@ def vertex_label_target(p: int) -> tuple[int, ...]:
     return _symmetric_target(p)
 
 
-def _slots(tree: RootedTree, f: EdgeLabeling) -> list[int]:
+def _slots(tree: TreeSpec, f: EdgeLabeling) -> list[int]:
     """f's labels in slot order; raises DomainMismatch unless f is total."""
     if len(f) == tree.q:
         try:
@@ -74,21 +74,21 @@ def _slots(tree: RootedTree, f: EdgeLabeling) -> list[int]:
     raise DomainMismatch(missing, extra)
 
 
-def _induced(tree: RootedTree, x: list[int]) -> list[int]:
+def _induced(tree: TreeSpec, x: list[int]) -> list[int]:
     """Induced labels, in ``tree.vertex_ids`` order, of slot labels x."""
-    n = tree.n
+    n, starts = tree.n, tree.leaf_start
     # prefix[s] is the sum of slots 0 .. s-1: the root's label is prefix[n],
     # and a vertex's leaves sum to the difference at its leaf_start and the next
     prefix = list(accumulate(x, initial=0))
-    ends = tree.leaf_start[1:] + (tree.q,)
+    ends = starts[1:] + (tree.q,)
     branch = [
         xi + prefix[end] - prefix[start]
-        for xi, start, end in zip(x, tree.leaf_start, ends)
+        for xi, start, end in zip(x, starts, ends)
     ]
     return [prefix[n]] + branch + x[n:]
 
 
-def induce(tree: RootedTree, f: EdgeLabeling) -> VertexLabeling:
+def induce(tree: TreeSpec, f: EdgeLabeling) -> VertexLabeling:
     """Induced vertex labeling; raises DomainMismatch unless f is total."""
     return dict(zip(tree.vertex_ids, _induced(tree, _slots(tree, f))))
 
@@ -157,7 +157,7 @@ def _multiset_violation(kind: str, values, target, strays: tuple = ()) -> Violat
     return Violation(kind, missing, extra)
 
 
-def verify_slots(tree: RootedTree, x: list[int]) -> tuple[VerificationReport, list[int] | None]:
+def verify_slots(tree: TreeSpec, x: list[int]) -> tuple[VerificationReport, list[int] | None]:
     """The SEG check of int labels x in slot order: edge multiset, then
     induced multiset.  Also returns the induced labels, in
     ``tree.vertex_ids`` order, for callers that print them.  Never raises:
@@ -174,16 +174,16 @@ def verify_slots(tree: RootedTree, x: list[int]) -> tuple[VerificationReport, li
     return VerificationReport(is_seg=not violations, violations=violations), induced
 
 
-def checked(tree: RootedTree, x: list[int], tag: str) -> list[int]:
+def checked(tree: TreeSpec, x: list[int], tag: str) -> list[int]:
     """The one gate for a labeling the package produced, in slot order: its
     induced labels, or ConstructionFault(tag) unless it is SEG."""
     report, induced = verify_slots(tree, x)
     if not report.is_seg:
-        raise ConstructionFault(tree.spec, tag, report.describe())
+        raise ConstructionFault(tree, tag, report.describe())
     return induced
 
 
-def verify(tree: RootedTree, f: EdgeLabeling) -> VerificationReport:
+def verify(tree: TreeSpec, f: EdgeLabeling) -> VerificationReport:
     """Full SEG check.  Never raises; every failure is listed in the report.
 
     A total labeling with int labels goes to ``verify_slots``.  A label
@@ -224,7 +224,7 @@ def _require_int_labels(f: EdgeLabeling) -> None:
         raise LabelingFormatError(f"label for {key!r} must be an integer")
 
 
-def write_labeling(tree: RootedTree, f: EdgeLabeling) -> str:
+def write_labeling(tree: TreeSpec, f: EdgeLabeling) -> str:
     """Serialize as a JSON object {spec, edges}, edges in tree order; f
     must be total (DomainMismatch) with int labels (LabelingFormatError)."""
     x = _slots(tree, f)
@@ -232,7 +232,7 @@ def write_labeling(tree: RootedTree, f: EdgeLabeling) -> str:
     return write_slots(tree, x)
 
 
-def write_slots(tree: RootedTree, x: list[int]) -> str:
+def write_slots(tree: TreeSpec, x: list[int]) -> str:
     """``write_labeling`` of the labeling whose labels in slot order are x.
 
     For int labels the text is exactly ``json.dumps({"spec": ..., "edges":
@@ -240,7 +240,7 @@ def write_slots(tree: RootedTree, x: list[int]) -> str:
     encoder runs in pure Python.  Edge ids need no escaping.
     """
     edges = ",\n".join([f'    "{e}": {v}' for e, v in zip(tree.edge_ids, x)])
-    spec = json.dumps(tree.spec.format())
+    spec = json.dumps(tree.format())
     return f'{{\n  "spec": {spec},\n  "edges": {{\n{edges}\n  }}\n}}\n'
 
 
@@ -271,7 +271,7 @@ def read_labeling(text: str) -> tuple[TreeSpec, EdgeLabeling]:
 _DOT_SPEC_RE = re.compile(r"^\s*//\s*spec:\s*(.+?)\s*$", re.MULTILINE)
 
 
-def to_dot(tree: RootedTree, f: EdgeLabeling | None = None) -> str:
+def to_dot(tree: TreeSpec, f: EdgeLabeling | None = None) -> str:
     """Graphviz text; node labels are induced labels when f is given.
 
     The spec is embedded as a comment so the drawing round-trips back to a
@@ -284,10 +284,10 @@ def to_dot(tree: RootedTree, f: EdgeLabeling | None = None) -> str:
     def edge_attr(slot: int) -> str:
         return f' [label="{x[slot]}"]' if x is not None else ""
 
-    lines = ["graph segtree {", f"  // spec: {tree.spec.format()}"]
+    lines = ["graph segtree {", f"  // spec: {tree.format()}"]
     for v, label in zip(tree.vertex_ids, node_labels):
         lines.append(f'  "{v}" [label="{label}"];')
-    for i, (start, a) in enumerate(zip(tree.leaf_start, tree.spec.counts)):
+    for i, (start, a) in enumerate(zip(tree.leaf_start, tree.counts)):
         lines.append(f'  "v0" -- "{ids[i]}"{edge_attr(i)};')
         for slot in range(start, start + a):
             lines.append(f'  "{ids[i]}" -- "{ids[slot]}"{edge_attr(slot)};')

@@ -90,7 +90,7 @@ from math import factorial, inf, prod
 from ._version import __version__
 from .labeling import EdgeLabeling, checked
 from .labeling import edge_label_target, vertex_label_target
-from .trees import RootedTree, TreeSpec, build_tree
+from .trees import TreeSpec, build_tree
 
 FIND_ONE = "find-one"
 COUNT_ALL = "count-all"
@@ -118,7 +118,7 @@ class BudgetExceeded(RuntimeError):
 class SearchConfig:
     """How one search runs.
 
-    node_budget: stop with BUDGET_EXCEEDED after this many nodes (None: no limit).
+    node_budget: an int >= 0; stop with BUDGET_EXCEEDED after this many nodes (None: no limit).
     mode: FIND_ONE stops at the first labeling; COUNT_ALL enumerates them all.
     override_guard: search even when q > GUARD_Q.
     """
@@ -133,16 +133,16 @@ class SearchResult:
     """What one search decided, after how many nodes.  ``count``: the
     re-expanded count of a COUNT_ALL run, 0 if exhausted, else None.
 
-    A FOUND result carries its first labeling, verified by ``search``:
-    ``slot_labels`` in ``tree.edge_ids`` order, ``induced`` in
-    ``tree.vertex_ids`` order, and ``labeling``, keyed by edge id in slot
-    order, built on first read.
+    A FOUND result carries ``tree``, the searched spec, and its first
+    labeling, verified by ``search``: ``slot_labels`` in ``tree.edge_ids``
+    order, ``induced`` in ``tree.vertex_ids`` order, and ``labeling``,
+    keyed by edge id in slot order, built on first read.
     """
 
     outcome: str
     nodes_visited: int
     count: int | None = None
-    tree: RootedTree | None = None
+    tree: TreeSpec | None = None
     slot_labels: list[int] | None = field(default=None, repr=False)
     induced: list[int] | None = field(default=None, repr=False)
 
@@ -364,6 +364,9 @@ def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
         config = SearchConfig()
     if config.mode not in (FIND_ONE, COUNT_ALL):
         raise ValueError(f"unknown search mode {config.mode!r}; use {FIND_ONE!r} or {COUNT_ALL!r}")
+    budget = config.node_budget
+    if budget is not None and (type(budget) is not int or budget < 0):  # a bool is not an int here
+        raise ValueError(f"node_budget must be None or an int >= 0, got {budget!r}")
     if spec.q > GUARD_Q and not config.override_guard:
         raise GuardRefused(
             f"{spec} has q={spec.q} > {GUARD_Q}; exhaustive search refused "

@@ -1,4 +1,4 @@
-"""Rooted model of diameter-4 trees given by leaf-count specs.
+"""Diameter-4 trees given by leaf-count specs; the spec is the tree.
 
 A tree ``RT(a_1, ..., a_n)`` has a root ``v0``, spine vertices ``v1 .. vn``
 adjacent to the root, and ``a_i`` pendant leaves under ``v_i``.  Specs are
@@ -43,10 +43,11 @@ class EmptyRange(ValueError):
 
 @dataclass(frozen=True)
 class TreeSpec:
-    """Canonical leaf-count sequence of a diameter-4 tree.
+    """Canonical leaf-count sequence of a diameter-4 tree, and the tree.
 
     ``n``, ``j``, ``k``, ``l`` and ``q`` are computed once, at construction;
-    equality, hash and repr go by ``counts`` alone.
+    equality, hash and repr go by ``counts`` alone.  A labeling is laid out
+    in slots, the positions of ``edge_ids``.
     """
 
     counts: tuple[int, ...]
@@ -68,6 +69,27 @@ class TreeSpec:
     @property
     def p(self) -> int:
         return self.q + 1
+
+    @cached_property
+    def edge_ids(self) -> tuple[str, ...]:
+        """The one place edges are named, on first read, in slot order (spine
+        edges v1..vn, then each vertex's leaf edges): spine edge i is ``v<i>``
+        and the m-th leaf edge (1-based) of v_i is ``v<i>.<m>``, so an edge id
+        is its child endpoint's id.  A tree that is only verified never names them."""
+        counts = self.counts
+        spine = [f"v{i}" for i in range(1, len(counts) + 1)]
+        ordinals = [str(m) for m in range(1, max(counts, default=0) + 1)]
+        leaves = [f"{v}.{m}" for v, a in zip(spine, counts) for m in ordinals[:a]]
+        return tuple(spine + leaves)
+
+    @cached_property
+    def vertex_ids(self) -> tuple[str, ...]:
+        return ("v0",) + self.edge_ids
+
+    @property
+    def leaf_start(self) -> tuple[int, ...]:
+        """Slot of each spine vertex's first leaf edge; rebuilt on each read."""
+        return tuple(accumulate(self.counts[:-1], initial=self.n))
 
     @property
     def family(self) -> str:
@@ -157,59 +179,9 @@ def parse_spec(text: str) -> TreeSpec:
     return canonicalize(counts)
 
 
-# ---------------------------------------------------------------------------
-# rooted tree structure
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RootedTree:
-    """Explicit edge/vertex structure of a spec's tree.
-
-    Edge identifiers equal the child endpoint's vertex identifier, so the
-    edge map of a labeling doubles as a vertex-addressed structure.  A
-    labeling is laid out in slots, the positions of ``edge_ids``: spine
-    edges v1..vn first, then each vertex's leaf edges in index order.
-    Equality and hash go by ``spec`` alone, which fixes everything else.
-    """
-
-    spec: TreeSpec
-
-    @cached_property
-    def edge_ids(self) -> tuple[str, ...]:
-        """The one place edges are named, on first read, in slot order: spine
-        edge i is ``v<i>`` and the m-th leaf edge (1-based) of v_i is
-        ``v<i>.<m>``.  A tree that is only verified never names them."""
-        counts = self.spec.counts
-        spine = [f"v{i}" for i in range(1, len(counts) + 1)]
-        ordinals = [str(m) for m in range(1, max(counts, default=0) + 1)]
-        leaves = [f"{v}.{m}" for v, a in zip(spine, counts) for m in ordinals[:a]]
-        return tuple(spine + leaves)
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
-    def q(self) -> int:
-        return self.spec.q
-
-    @property
-    def p(self) -> int:
-        return self.spec.p
-
-    @cached_property
-    def vertex_ids(self) -> tuple[str, ...]:
-        return ("v0",) + self.edge_ids
-
-    @cached_property
-    def leaf_start(self) -> tuple[int, ...]:
-        """Slot of the first leaf edge of each spine vertex, in spine order."""
-        return tuple(accumulate(self.spec.counts[:-1], initial=self.n))
-
-
-def build_tree(spec: TreeSpec) -> RootedTree:
-    """The tree of spec; its edges are named in ``RootedTree.edge_ids``."""
-    return RootedTree(spec)
+def build_tree(spec: TreeSpec) -> TreeSpec:
+    """The tree of spec: spec itself, whose edges ``edge_ids`` names."""
+    return spec
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def test_write_rejects_labels_that_are_not_ints():
     with pytest.raises(LabelingFormatError, match=r"^label for 'v1' must be an integer$"):
         write_labeling(tree, bad)
     f = {"v1": 1, "v2": -1, "v1.1": 0, "v2.1": 2}
-    assert read_labeling(write_labeling(tree, f)) == (tree.spec, f)
+    assert read_labeling(write_labeling(tree, f)) == (tree, f)
 
 
 @pytest.mark.parametrize(

@@ -206,6 +206,13 @@ def test_unknown_mode_rejected(mode):
         search(parse_spec("RT(1,1)"), SearchConfig(mode=mode))
 
 
+@pytest.mark.parametrize("budget", ["10", 1.5, -1, True, False])
+def test_bad_node_budget_rejected(budget):
+    # "10" used to die in the engine, 1.5 to stop after 2 nodes, -1 to mean 0
+    with pytest.raises(ValueError, match="node_budget must be None or an int >= 0"):
+        search(parse_spec("RT(1,1)"), SearchConfig(node_budget=budget))
+
+
 def test_mode_constants_distinct():
     assert len({FIND_ONE, COUNT_ALL}) == 2
     assert len({FOUND, EXHAUSTED_NONE, BUDGET_EXCEEDED}) == 3

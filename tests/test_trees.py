@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 
 import pytest
@@ -18,6 +19,7 @@ from segtrees import (
     classify,
     enumerate_specs,
     parse_spec,
+    search,
 )
 
 
@@ -61,6 +63,14 @@ def test_parse_rejects_wrong_diameter(bad):
     # fewer than two spine vertices with leaves never has diameter 4
     with pytest.raises(NotDiameterFour):
         parse_spec(bad)
+
+
+@pytest.mark.parametrize("counts,first_bad", [([1, True], True), ([1, -2], -2), ([2, 1.0], 1.0),
+                                               ([1, "a"], "a"), ([1, -2, "a"], -2)])
+def test_canonicalize_rejects_counts_that_are_not_nonnegative_ints(counts, first_bad):
+    # parse_spec's item regex refuses such text first, so only a direct call gets here
+    with pytest.raises(SpecSyntaxError, match=re.escape(f"got {first_bad!r}") + "$"):
+        canonicalize(counts)
 
 
 def test_canonicalize_idempotent_and_sorted():
@@ -114,13 +124,23 @@ def test_build_tree_layout():
 
 
 def test_tree_names_edges_on_first_read_and_stays_a_value_object():
-    a, b = build_tree(parse_spec("RT(0,2,1)")), build_tree(parse_spec("RT(0,1,2)"))
+    s = parse_spec("RT(0,2,1)")
+    assert build_tree(s) is s
+    a, b = build_tree(s), build_tree(parse_spec("RT(0,1,2)"))
     assert "edge_ids" not in a.__dict__
     assert a == b and hash(a) == hash(b)
     assert a.edge_ids == ("v1", "v2", "v3", "v2.1", "v2.2", "v3.1")
     assert "edge_ids" in a.__dict__ and "edge_ids" not in b.__dict__
-    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1 and repr(a) == repr(b)
+    assert a == TreeSpec(a.counts) and hash(a) == hash(TreeSpec(a.counts))
+    assert repr(a) == repr(TreeSpec(a.counts)) == "TreeSpec(counts=(0, 2, 1))"
     assert a != build_tree(parse_spec("RT(2,1)"))
+    # a find-one search, as a survey row runs it, caches nothing on the spec
+    fields = {"counts", "n", "j", "k", "l", "q"}
+    specs = enumerate_specs(9)
+    for spec in specs:
+        search(spec)
+    assert [spec for spec in specs if set(spec.__dict__) != fields] == []
 
 
 # ---------------------------------------------------------------------------
