@@ -1,13 +1,15 @@
 """Exhaustive SEG search: find, count, or certify absence, deterministically.
 
 The engine has two phases.  The spine phase labels the branch spine edges
-(spine vertices with leaves), in index order.  The group phase repeats one
-group step: it closes an open single-label group (one exact cover), else
-the next larger leaf group, and places the last.  Two symmetries cut the space:
-each leaf group takes its labels in ascending order, and so does each run
-of spine vertices with equal leaf counts.  Reordering a group or a run
-keeps a labeling SEG, so a raw count is re-expanded exactly by the product
-of their sizes' factorials.
+(spine vertices with leaves), in index order, each trying its labels in
+magnitude order, by the key (|v|, v): 0, -1, 1, -2, 2, ...  The group phase
+repeats one group step: it closes an open single-label group (one exact
+cover), else the next larger leaf group, and places the last.  Two
+symmetries cut the space: each leaf group takes its labels in ascending
+order, and each run of branch vertices with equal leaf counts takes its
+spine labels ascending by the same key (|v|, v).  Reordering a group or a
+run keeps a labeling SEG, so a raw count is re-expanded exactly by the
+product of their sizes' factorials.
 
 Each statement below is a theorem: a cut skips only subtrees that hold no
 solution, so outcomes and counts are those of the uncut search.
@@ -30,11 +32,13 @@ solution, so outcomes and counts are those of the uncut search.
 - One-leaf zero (odd q).  A vertex with one leaf and spine label 0 induces
   0 + l = l, and its leaf, labeled l, induces l too.  So 0 sits on the spine
   edge of a vertex with two or more leaves; one with a single leaf skips 0.
-- Zero window (odd q).  ``zero_last[d]`` holds when no vertex with two or
+- Take 0 (odd q).  ``zero_last[d]`` holds when no vertex with two or
   more leaves comes after branch vertex d, or after d's equal-count run,
-  whose later members take larger labels.  While 0 is in the pool at such
-  a d, a single-leaf d returns before any node: 0 has no home left.  Any
-  other d takes no positive label, so its scan stops after 0.
+  whose later members take larger keys than d, so never 0, the least key.
+  While 0 is in the pool at such a d, d must take 0.  A single-leaf d
+  cannot, and returns before any node.  So does a d that is not the first
+  of its run: its predecessor took a nonzero label, and d must take a
+  larger key.  Otherwise 0 is d's only candidate.
 - Single-label groups as exact cover.  A group of one label with base s
   takes one target t in R and the label t - s from the pool, and every
   group, target and label is used exactly once.  So the single-label groups
@@ -46,7 +50,7 @@ solution, so outcomes and counts are those of the uncut search.
 - Groups smallest first.  The larger groups follow in ascending size, so
   the largest group comes last; it is placed, not searched (below).
 - Sum interval.  Every group takes its labels in ascending order (the
-  pendants are one equal-count run, so theirs ascend too).  A group lists
+  pendants too, as the root's group).  A group lists
   its free labels and their prefix sums once, at its start, and scans the
   list past its last label (all still free).  With k labels left, partial
   sum ``base`` and next label ``v_j`` (the j-th listed), the group sum lies
@@ -172,7 +176,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
     runs = tuple(len(list(g)) for _, g in groupby(counts))  # equal counts are contiguous
     # odd q: only a vertex with two or more leaves can take 0.  zero_last[d]:
     # no such vertex comes after d, or after d's equal-count run (its later
-    # members take larger labels)
+    # members take larger keys, so never 0)
     last0 = max((d for d, a in enumerate(counts) if a >= 2), default=-1)
     zero_last = [d >= last0 or a == counts[last0] for d, a in enumerate(counts)]
 
@@ -321,24 +325,31 @@ def _run(spec: TreeSpec, config: SearchConfig):
             bases[:] = [root if g[1] == n else x[g[1]] for g in plan]
             next_group(n_single, range(n_single), pool)
             return
-        # an equal-count predecessor is a branch vertex, already labeled
-        same = d > 0 and counts[d] == counts[d - 1]
-        lo = x[d - 1] + h + 1 if same else 0
-        free, hi = pool, n_bits
+        # labels in magnitude order: position i holds 0, -1, 1, -2, 2, ..., so
+        # label (i >> 1) ^ -(i & 1).  An equal-count predecessor is a branch
+        # vertex, already labeled v: the run ascends, so start past v's position
+        start = 0
+        if d > 0 and counts[d] == counts[d - 1]:
+            v = x[d - 1]
+            start = 2 * v + 1 if v >= 0 else -2 * v
+        free, stop = pool, n_bits
         if (pool >> h) & 1:  # odd q, 0 still free
             if counts[d] == 1:  # one-leaf zero: 0 cannot go here
                 if zero_last[d]:
                     return  # nor on any later vertex
                 free ^= 1 << h
             elif zero_last[d]:
-                hi = h + 1  # zero window: no positive label here
-        for b in range(lo, hi):
+                # take 0, at position 0: a later member of a run starts past it
+                stop = 1
+        for i in range(start, stop):
+            v = (i >> 1) ^ -(i & 1)
+            b = v + h
             if not (free >> b) & 1:
                 continue
             if nodes >= limit:
                 raise _BudgetHit
             nodes += 1
-            x[d] = b - h
+            x[d] = v
             dfs_spine(d + 1, pool ^ (1 << b))
 
     try:

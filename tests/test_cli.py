@@ -113,7 +113,7 @@ RT(1^2): SEG labeling found via cat-q-even-j-even [both-odd]
   induced: v0=0, v1=-1, v2=1, v1.1=-2, v2.1=2
 """),
     ("search", """\
-RT(1^2): found (nodes=8)
+RT(1^2): found (nodes=4)
   v1 = -1
   v2 = 1
   v1.1 = 2
@@ -438,19 +438,19 @@ def test_search_fault_is_raised_never_returned(capsys, monkeypatch):
 # q <= 11 (the "out" case hashes the --out file instead of stdout)
 OPEN_SPECS_Q11 = [s.format() for s in enumerate_specs(11) if classify(s).status in (CONJECTURED, UNCOVERED)]
 OUTPUT_PINS = {
-    "search": ([], "7ea53526f994676781a87d356a03d0197f4b2cde04d961139dc316267dad39c6"),
+    "search": ([], "a53228a54d10f86d1ca165342da08679b0c355f25b2321715fa26ea468a52dfc"),
     "search-json": (["--format", "json"],
-                    "438e3cba2975cacbf05a0f2e71a14191dd00963a8c1470d3e5abf72c6eb326c3"),
+                    "73c2d634ea9514564da79167573b44afb26c286fae5ecdc8f670fbcde92f4e8e"),
     "search-count": (["--count"],
-                     "7e01a36da165faadd5f9552323aebb60deff054672a82ee23b6e967524cf44f8"),
+                     "edaf3482ce07fa0ee445e074d4c0d526d91fe1f03fbb64c05ead71ba5034b69a"),
     "search-count-json": (["--count", "--format", "json"],
-                          "2c5f9deb9c678c6862bf84fd25dff6940711ff9add8c9bab510b0fcba208410c"),
+                          "b201f8d2cdf8d77e03f64ea614537c254f6f09190c3e9b21432ae60db2379772"),
     "label": (["--search-budget", "10^6"],
-              "538ade99f89e80d327ca1e1a0dfde846495ded27622dde396c1d65f77a1b0e78"),
+              "30ebdad687e03af42652b5cab75d2c9397fddf1db8658a2048ee84b92f29dbe7"),
     "label-json": (["--search-budget", "10^6", "--format", "json"],
-                   "49644310434cd5da3ccd6ca387042a10fbd65d8f37aa2074f14c754e3783f5a3"),
+                   "129d359a3b1def2df5c2fa85ca5d26fe3a340f6db595a15b320132230790bc34"),
     "label-out": (["--search-budget", "10^6", "--out", "out.json"],
-                  "69414fd098d77e5d519cc5dbc7d2f5de7e5fc8c4a02697ea5c28119a01b2d7f9"),
+                  "f7e038ea68e982d4a01ba719af571e5530445d4ae0046e0a2554fba02bfd2a20"),
 }
 
 
@@ -638,7 +638,8 @@ def test_reused_parser_resets_search_mode(capsys):
 
 
 def test_reused_parser_resets_search_budget(capsys):
-    code, out, _ = run(capsys, "label", "RT(2,1,1)", "--search-budget", "10")
+    # RT(2,1,1) is found in 10 nodes, so a budget of 5 stops the search
+    code, out, _ = run(capsys, "label", "RT(2,1,1)", "--search-budget", "5")
     assert code == 2
     assert "hint" not in out
     code, out, _ = run(capsys, "label", "RT(2,1,1)")

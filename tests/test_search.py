@@ -76,8 +76,14 @@ def _leaves_ascend(flat, groups):
     return all(flat[s] < flat[s + 1] for g in groups for s in g[:-1])
 
 
-def _runs_ascend(flat, runs):
-    return all(flat[d] < flat[d + 1] for r in runs for d in r[:-1])
+def _runs_ascend(flat, runs, counts):
+    # a run of branch vertices ascends in the spine order 0, -1, 1, -2, 2, ...,
+    # by the key (|v|, v); the pendants are the root's leaf group and ascend
+    # numerically.  The labels are distinct, so exactly one reordering of a
+    # run ascends under either order, and the N1 count identity holds for both
+    def key(d):
+        return (abs(flat[d]), flat[d]) if counts[d] else flat[d]
+    return all(key(d) < key(d + 1) for r in runs for d in r[:-1])
 
 
 def _leaf_reorderings(flat, groups):
@@ -104,11 +110,11 @@ def _run_reorderings(flat, groups, runs):
 # the ids keep the digits of the retired flags, which now pick checks against
 # the brute-force oracle.  N1 checks count_all and cover_count against the
 # oracle's count; there L1 (S1) checks that the oracle's solutions whose leaf
-# groups (equal-count runs) ascend, times the a! (m!) orderings each stands
-# for, are all of them: the re-expansion the search relies on.  N0 checks
-# find-one's outcome and that the negation of its labeling is SEG; there L1
-# (S1) checks that its leaf groups (runs) ascend, and L0 (S0) that every
-# reordering of them is SEG too
+# groups (equal-count runs, by ``_runs_ascend``) ascend, times the a! (m!)
+# orderings each stands for, are all of them: the re-expansion the search
+# relies on.  N0 checks find-one's outcome and that the negation of its
+# labeling is SEG; there L1 (S1) checks that its leaf groups (runs) ascend,
+# and L0 (S0) that every reordering of them is SEG too
 @pytest.mark.parametrize("text", ["RT(1,1)", "RT(0,1,1)", "RT(2,1)", "RT(1,1,1)",
                                   "RT(0^2,1,1)", "RT(0^2,2,1)", "RT(0^4,1,1)",
                                   "RT(2^2)"])
@@ -126,7 +132,7 @@ def test_every_flag_combo_matches_naive(text, check, leaves, spine):
             kept = sum(1 for f in solutions if _leaves_ascend(f, groups))
             assert kept * prod(map(factorial, spec.counts)) == len(solutions)
         if spine:
-            kept = sum(1 for f in solutions if _runs_ascend(f, runs))
+            kept = sum(1 for f in solutions if _runs_ascend(f, runs, spec.counts))
             assert kept * prod(factorial(len(r)) for r in runs) == len(solutions)
         return
     r = search(spec)
@@ -144,7 +150,7 @@ def test_every_flag_combo_matches_naive(text, check, leaves, spine):
         assert all(naive_is_seg_assignment(spec.counts, f)
                    for f in _leaf_reorderings(flat, groups))
     if spine:
-        assert _runs_ascend(flat, runs)
+        assert _runs_ascend(flat, runs, spec.counts)
     else:
         assert all(naive_is_seg_assignment(spec.counts, f)
                    for f in _run_reorderings(flat, groups, runs))
@@ -244,26 +250,27 @@ def test_search_order_digest_q9():
                 assert r.induced == list(induce(tree, r.labeling).values()), spec.format()
                 assert naive_is_seg_assignment(spec.counts, flat), spec.format()
     assert runs == 102
+    # 10,014 with the spine labels in ascending order, and before that
     # 76,397 over 408 runs while two symmetry flags made 4 configurations
-    # (this configuration was one of them, with these same 10,014 nodes)
-    assert nodes == 10_014
+    assert nodes == 9_268
     assert h.hexdigest() == SEARCH_ORDER_DIGEST_Q9
 
 
-# earlier values, newest first: before the one-leaf zero and sign cuts;
-# before the exact cover and the zero window; with the pendants on the spine
+# earlier values, newest first: with the spine labels in ascending order;
+# before the one-leaf zero and sign cuts; before the exact cover and the
+# zero window; with the pendants on the spine
 @pytest.mark.parametrize("text, mode, nodes", [
     # every branch vertex has one leaf and q is odd: refused before a node
     ("RT(0^3,1^5)", FIND_ONE, 0),  # 856; 5,317; 76,017
     ("RT(0,1^6)", FIND_ONE, 0),  # 1,649; 10,824; 20,577
-    ("RT(4,1^4)", COUNT_ALL, 1_734),  # 5,967; 14,390; 53,926
+    ("RT(4,1^4)", COUNT_ALL, 1_731),  # 1,734; 5,967; 14,390; 53,926
     ("RT(0,1^8)", FIND_ONE, 0),  # 26,588; 437,935
     # even q, so 0 in R; root sum checked on the spine
-    ("RT(1^6)", COUNT_ALL, 3_279),  # 3,849
-    ("RT(0^4,1^4)", COUNT_ALL, 4_772),  # 8,517; even q, root sum from the pendant group
-    ("RT(2,1^6)", FIND_ONE, 172),  # 17,273; odd q; root sum checked on the spine
+    ("RT(1^6)", COUNT_ALL, 3_262),  # 3,279; 3,849
+    ("RT(0^4,1^4)", COUNT_ALL, 4_762),  # 4,772; 8,517; even q, root sum from the pendant group
+    ("RT(2,1^6)", FIND_ONE, 17),  # 172; 17,273; odd q; root sum checked on the spine
     # a refutation that still searches: 0 has one home, the 35-leaf vertex
-    ("RT(0,1,35)", FIND_ONE, 815),  # 854
+    ("RT(0,1,35)", FIND_ONE, 112),  # 815; 854
 ])
 def test_node_counts_pinned(text, mode, nodes):
     r = search(parse_spec(text), SearchConfig(mode=mode, override_guard=True))
@@ -272,10 +279,11 @@ def test_node_counts_pinned(text, mode, nodes):
 
 @pytest.mark.parametrize("text, nodes, count", [
     # placed last groups of 3 or more labels: a leaf group of 3, a pendant
-    # group of 3 and one of 4.  RT(0^4,1,1) took 264 nodes before the
-    # spine-sum sign cut
-    ("RT(2,3)", 82, 168),
-    ("RT(0^3,1,3)", 127, 576),
+    # group of 3 and one of 4.  RT(2,3) and RT(0^3,1,3) took 82 and 127
+    # nodes with the spine labels in ascending order, and RT(0^4,1,1) 264
+    # before the spine-sum sign cut
+    ("RT(2,3)", 67, 168),
+    ("RT(0^3,1,3)", 99, 576),
     ("RT(0^4,1,1)", 156, 1_824),
 ])
 def test_count_nodes_pinned_and_budget_exact(text, nodes, count):
@@ -292,9 +300,32 @@ def test_count_nodes_pinned_and_budget_exact(text, nodes, count):
 
 def test_count_nodes_total_q10():
     # count mode visits the same nodes however it completes its last groups
+    # (103,505 with the spine labels in ascending order)
     results = [count_all(spec) for spec in enumerate_specs(10)]
-    assert sum(r.nodes_visited for r in results) == 103_505
+    assert sum(r.nodes_visited for r in results) == 102_902
     assert sum(r.count for r in results) == 2_073_658
+
+
+# the spine tries its labels in magnitude order, 0, -1, 1, -2, 2, ...; in
+# ascending order these three took 668,239, 530,681 and 445,020 nodes
+@pytest.mark.parametrize("text, nodes", [
+    ("RT(0^2,2^5,1^2)", 21),
+    ("RT(0^2,2^2,1^4,3)", 21),
+    ("RT(0^2,2^4,5)", 20),
+])
+def test_magnitude_order_finds_in_few_nodes(text, nodes):
+    spec = parse_spec(text)
+    r = search(spec)
+    assert (r.outcome, r.nodes_visited) == (FOUND, nodes)
+    assert naive_is_seg_assignment(spec.counts, r.slot_labels)
+
+
+def test_magnitude_order_refutes_not_seg_q21():
+    # every non-SEG tree with q <= 21 is refuted; 1,012 nodes in ascending order
+    results = [search(s) for s in enumerate_specs(21) if classify(s).status == NOT_SEG]
+    assert len(results) == 53
+    assert {r.outcome for r in results} == {EXHAUSTED_NONE}
+    assert sum(r.nodes_visited for r in results) == 304
 
 
 def test_count_budget_stops_exact_q9():
