@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .constructions import LABELED, PROVED_NOT_SEG, ConstructionFault, label_any
-from .labeling import LabelingFormatError, read_labeling, to_dot, verify, write_slots
+from .labeling import LabelingFormatError, edge_lines, read_labeling, to_dot, verify, write_slots
 # not called here any more; perfbench/spans.py still wraps these module names
 from .labeling import induce, write_labeling  # noqa: F401
 from .search import (
@@ -153,16 +153,12 @@ def cmd_label(args: argparse.Namespace) -> int:
         if args.out:
             Path(args.out).write_text(write_slots(outcome.tree, outcome.slot_labels))
         if args.format == "json":
-            _print_json(
-                {
-                    "spec": spec.format(),
-                    "status": "labeled",
-                    "tag": outcome.tag,
-                    "case": outcome.case,
-                    "labeling": outcome.labeling,
-                    "verified": True,
-                }
-            )
+            # json.dumps(obj, indent=2) with the "labeling" and "verified" keys
+            # last, its edge lines formatted as write_slots formats them
+            head = json.dumps({"spec": spec.format(), "status": "labeled",
+                               "tag": outcome.tag, "case": outcome.case}, indent=2)
+            edges = edge_lines(outcome.tree, outcome.slot_labels)
+            print(f'{head[:-2]},\n  "labeling": {{\n{edges}\n  }},\n  "verified": true\n}}')
         else:
             via = f" via {outcome.tag}" + (f" [{outcome.case}]" if outcome.case else "")
             print(f"{spec.format()}: SEG labeling found{via}")
@@ -266,6 +262,24 @@ _THEORY = {CONSTRUCTIVE: "SEG", NOT_SEG: "not-SEG", CONJECTURED: "conjectured",
            UNCOVERED: "uncovered"}
 _ORACLE = {FOUND: "found", EXHAUSTED_NONE: "none"}
 
+# a survey row, (spec, j, k, l, q, tag, theory, oracle, agreement, nodes), as
+# json.dumps(row, indent=2) lays it out inside the rows list; its strings are
+# a spec, a dispatch tag and fixed words, none of which needs escaping
+_ROW_JSON = """    {{
+      "spec": "{}",
+      "jkl": [
+        {},
+        {},
+        {}
+      ],
+      "q": {},
+      "tag": "{}",
+      "theory": "{}",
+      "oracle": "{}",
+      "agreement": "{}",
+      "nodes": {}
+    }}"""
+
 
 def cmd_survey(args: argparse.Namespace) -> int:
     rows = []
@@ -286,29 +300,23 @@ def cmd_survey(args: argparse.Namespace) -> int:
         else:
             agreement = "no"
             disagreements += 1
-        rows.append(
-            {
-                "spec": spec.format(),
-                "jkl": [spec.j, spec.k, spec.l],
-                "q": spec.q,
-                "tag": cls.tag,
-                "theory": theory,
-                "oracle": oracle,
-                "agreement": agreement,
-                "nodes": nodes,
-            }
-        )
+        rows.append((spec.format(), spec.j, spec.k, spec.l, spec.q,
+                     cls.tag, theory, oracle, agreement, nodes))
     if args.format == "json":
-        _print_json({"max_size": args.max_size, "disagreements": disagreements, "rows": rows})
+        # the text of json.dumps(obj, indent=2), formatted here because the
+        # indenting encoder runs in pure Python; enumerate_specs lists at
+        # least one spec, so rows is never empty
+        head = json.dumps({"max_size": args.max_size, "disagreements": disagreements}, indent=2)
+        body = ",\n".join([_ROW_JSON.format(*row) for row in rows])
+        print(f'{head[:-2]},\n  "rows": [\n{body}\n  ]\n}}')
     else:
         widths = [14, 10, 3, 26, 11, 7, 5]
         header = ["spec", "(j,k,l)", "q", "dispatch", "theory", "oracle", "agree"]
-        print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-        for row in rows:
-            jkl = "({},{},{})".format(*row["jkl"])
-            cells = [row["spec"], jkl, str(row["q"])]
-            cells += [row[key] for key in ("tag", "theory", "oracle", "agreement")]
-            print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
+        lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
+        for spec, j, k, l, q, *words, _ in rows:
+            cells = [spec, f"({j},{k},{l})", str(q), *words]
+            lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
+        print("\n".join(lines))
         print(
             f"{len(rows)} trees surveyed, {disagreements} disagreement(s)"
             + ("" if disagreements else "; theory and oracle agree")

@@ -40,25 +40,25 @@ class LabelingFormatError(ValueError):
     """Labeling file text is not the expected JSON object."""
 
 
-def _symmetric_target(m: int) -> tuple[int, ...]:
-    # the m integers of smallest magnitude, symmetric about 0:
+def _symmetric_target(m: int) -> list[int]:
+    # the m integers of smallest magnitude, ascending, symmetric about 0:
     # even m -> +-1..+-m/2, odd m -> 0, +-1..+-(m-1)/2
     if m < 1:
         raise ValueError(f"target set size must be positive, got {m}")
     half = m // 2
     if m % 2 == 0:
-        return tuple(range(-half, 0)) + tuple(range(1, half + 1))
-    return tuple(range(-half, half + 1))
+        return [*range(-half, 0), *range(1, half + 1)]
+    return list(range(-half, half + 1))
 
 
 def edge_label_target(q: int) -> tuple[int, ...]:
     """Ascending edge label pool for a tree with q edges."""
-    return _symmetric_target(q)
+    return tuple(_symmetric_target(q))
 
 
 def vertex_label_target(p: int) -> tuple[int, ...]:
     """Ascending induced-label target for a tree with p vertices."""
-    return _symmetric_target(p)
+    return tuple(_symmetric_target(p))
 
 
 def _slots(tree: TreeSpec, f: EdgeLabeling) -> list[int]:
@@ -76,14 +76,15 @@ def _slots(tree: TreeSpec, f: EdgeLabeling) -> list[int]:
 
 def _induced(tree: TreeSpec, x: list[int]) -> list[int]:
     """Induced labels, in ``tree.vertex_ids`` order, of slot labels x."""
-    n, starts = tree.n, tree.leaf_start
-    # prefix[s] is the sum of slots 0 .. s-1: the root's label is prefix[n],
-    # and a vertex's leaves sum to the difference at its leaf_start and the next
+    n = tree.n
+    # prefix[s] is the sum of slots 0 .. s-1: the root's label is prefix[n].
+    # bounds holds each vertex's first leaf slot, then q, so a vertex's
+    # leaves sum to the difference of prefix at its bound and the next
     prefix = list(accumulate(x, initial=0))
-    ends = starts[1:] + (tree.q,)
+    bounds = list(accumulate(tree.counts, initial=n))
     branch = [
         xi + prefix[end] - prefix[start]
-        for xi, start, end in zip(x, starts, ends)
+        for xi, start, end in zip(x, bounds, bounds[1:])
     ]
     return [prefix[n]] + branch + x[n:]
 
@@ -141,14 +142,16 @@ class ConstructionFault(RuntimeError):
         super().__init__(f"{tag} on {spec}: {detail}")
 
 
-def _multiset_violation(kind: str, values, target, strays: tuple = ()) -> Violation | None:
-    """None when values equal target as multisets; else what differs.
+def _multiset_violation(kind: str, values, target: list[int],
+                        strays: tuple = ()) -> Violation | None:
+    """None when values equal the ascending list target as multisets; else
+    what differs.
 
     One sort decides; ``Counter`` runs only to describe a failure.  strays
     are labels that are not ints: they are listed as unexpected after the
     sorted integer extras.
     """
-    if not strays and sorted(values) == list(target):
+    if not strays and sorted(values) == target:
         return None
     have = Counter(values)
     want = Counter(target)
@@ -168,8 +171,8 @@ def verify_slots(tree: TreeSpec, x: list[int]) -> tuple[VerificationReport, list
         return VerificationReport(is_seg=False, violations=(mismatch,)), None
     induced = _induced(tree, x)
     violations = tuple(v for v in (
-        _multiset_violation("EdgeLabelsNotTargetSet", x, edge_label_target(tree.q)),
-        _multiset_violation("VertexLabelsNotTargetSet", induced, vertex_label_target(tree.p)),
+        _multiset_violation("EdgeLabelsNotTargetSet", x, _symmetric_target(tree.q)),
+        _multiset_violation("VertexLabelsNotTargetSet", induced, _symmetric_target(tree.p)),
     ) if v)
     return VerificationReport(is_seg=not violations, violations=violations), induced
 
@@ -205,7 +208,7 @@ def verify(tree: TreeSpec, f: EdgeLabeling) -> VerificationReport:
     elif x is not None:
         return verify_slots(tree, x)[0]
     edge_bad = _multiset_violation(
-        "EdgeLabelsNotTargetSet", labels, edge_label_target(tree.q), strays
+        "EdgeLabelsNotTargetSet", labels, _symmetric_target(tree.q), strays
     )
     if edge_bad:
         violations.append(edge_bad)
@@ -239,9 +242,15 @@ def write_slots(tree: TreeSpec, x: list[int]) -> str:
     ...}, indent=2)`` plus a newline, formatted here because the indenting
     encoder runs in pure Python.  Edge ids need no escaping.
     """
-    edges = ",\n".join([f'    "{e}": {v}' for e, v in zip(tree.edge_ids, x)])
     spec = json.dumps(tree.format())
-    return f'{{\n  "spec": {spec},\n  "edges": {{\n{edges}\n  }}\n}}\n'
+    return f'{{\n  "spec": {spec},\n  "edges": {{\n{edge_lines(tree, x)}\n  }}\n}}\n'
+
+
+def edge_lines(tree: TreeSpec, x: list[int]) -> str:
+    """The int labels x in slot order keyed by edge id, one ``    "v1": 3``
+    line each, joined by ``,`` and a newline: the members of an object one
+    level inside the top object of ``json.dumps(..., indent=2)``."""
+    return ",\n".join([f'    "{e}": {v}' for e, v in zip(tree.edge_ids, x)])
 
 
 def read_labeling(text: str) -> tuple[TreeSpec, EdgeLabeling]:

@@ -86,6 +86,7 @@ are not all 0), so SEG labelings pair up and every count is even.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, groupby
@@ -104,6 +105,10 @@ EXHAUSTED_NONE = "exhausted-none"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 GUARD_Q = 24
+
+# frames kept free for search's callers: a tree whose DFS nests deeper than
+# the recursion limit less this is refused before the run
+DEPTH_MARGIN = 100
 
 
 class GuardRefused(RuntimeError):
@@ -173,12 +178,13 @@ def _run(spec: TreeSpec, config: SearchConfig):
     n_bits = 2 * h + 1
     n_pend = counts.count(0)  # pendants lead: the branch vertices are positions n_pend .. n-1
 
-    runs = tuple(len(list(g)) for _, g in groupby(counts))  # equal counts are contiguous
-    # odd q: only a vertex with two or more leaves can take 0.  zero_last[d]:
-    # no such vertex comes after d, or after d's equal-count run (its later
-    # members take larger keys, so never 0)
-    last0 = max((d for d, a in enumerate(counts) if a >= 2), default=-1)
-    zero_last = [d >= last0 or a == counts[last0] for d, a in enumerate(counts)]
+    zero_last: list[bool] = []  # read only while 0 is in the pool: odd q
+    if q % 2:
+        # only a vertex with two or more leaves can take 0.  zero_last[d]: no
+        # such vertex comes after d, or after d's equal-count run (its later
+        # members take larger keys, so never 0)
+        last0 = max((d for d, a in enumerate(counts) if a >= 2), default=-1)
+        zero_last = [d >= last0 or a == counts[last0] for d, a in enumerate(counts)]
 
     limit = inf if config.node_budget is None else config.node_budget
     nodes = 0  # every node site raises _BudgetHit at limit, then counts itself
@@ -191,7 +197,7 @@ def _run(spec: TreeSpec, config: SearchConfig):
     if n_pend:
         plan.append((n_pend, n, 0))
     plan.sort()
-    n_single = sum(1 for g in plan if g[0] == 1)  # the single-label groups lead
+    n_single = counts.count(1) + (n_pend == 1)  # the single-label groups lead
     last = len(plan) - 1
     a_last = plan[-1][0]
     bases: list[int] = []  # each group's base, in plan order, once the spine is labeled
@@ -359,10 +365,31 @@ def _run(spec: TreeSpec, config: SearchConfig):
     except _BudgetHit:
         return BUDGET_EXCEEDED, nodes, None, None
     if raw_count > 0:  # only COUNT_ALL gets here with solutions
-        # re-expand once: a leaf group or equal-count run of m stands for m! orderings
-        raw_count *= prod(map(factorial, counts + runs))
+        # re-expand once: a leaf group or equal-count run of m stands for m!
+        # orderings (equal counts are contiguous)
+        runs = [len(list(g)) for _, g in groupby(counts)]
+        raw_count *= prod(map(factorial, [*counts, *runs]))
         return FOUND, nodes, first, raw_count
     return EXHAUSTED_NONE, nodes, None, 0
+
+
+def dfs_depth(spec: TreeSpec) -> int:
+    """The most frames the DFS nests, by arithmetic on the counts: one per
+    branch spine vertex, two per single-label group, a + 1 per other group of
+    a labels but the last (the largest; the pendants are one group), and two
+    more, for the spine's completion and the last group.  An odd-q tree with
+    no vertex of two or more leaves ends at its first branch vertex, whose
+    spine edge cannot take 0 (one-leaf zero)."""
+    counts, n = spec.counts, spec.n
+    if spec.q % 2 and max(counts) < 2:
+        return 1
+    n_pend, ones = counts.count(0), counts.count(1)
+    # a + 1 over the branch groups of two or more leaves, then the pendants'
+    larger = spec.q - n_pend - 2 * ones + (n_pend + 1 if n_pend >= 2 else 0)
+    last = max(max(counts), n_pend)
+    if last >= 2:
+        larger -= last + 1
+    return n - n_pend + 2 * (ones + (n_pend == 1)) + larger + 2
 
 
 def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
@@ -384,12 +411,12 @@ def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
             "(pass override_guard to insist)"
         )
     try:
+        # many branches, or a long group before the last, is deep: refused
+        # by arithmetic before the run, or by the stack for a deep caller
+        if dfs_depth(spec) > sys.getrecursionlimit() - DEPTH_MARGIN:
+            raise RecursionError
         outcome, nodes, x, count = _run(spec, config)
     except RecursionError:
-        # the DFS nests one frame per branch spine vertex, two per
-        # single-label group and a + 1 per other group of a labels but the
-        # last, and a pendant run is one group: a long run before the last
-        # group, or many branches, is deep
         raise GuardRefused(
             f"{spec} has q={spec.q}; the tree is too deep for the search"
         ) from None

@@ -120,17 +120,22 @@ def canonicalize(counts) -> TreeSpec:
     counts = list(counts)
     if not counts:
         raise EmptySpec("spec has no counts")
-    for a in counts:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 0:
-            raise SpecSyntaxError(f"counts must be nonnegative integers, got {a!r}")
-    zeros = [a for a in counts if a == 0]
-    evens = sorted(a for a in counts if a > 0 and a % 2 == 0)
-    odds = sorted(a for a in counts if a % 2 == 1)
-    if len(evens) + len(odds) < 2:
+    # plain nonnegative ints pass without a Python loop; anything else is
+    # named, the first bad count in the order given (a bool is refused)
+    if not set(map(type, counts)) <= {int} or min(counts) < 0:
+        for a in counts:
+            if not isinstance(a, int) or isinstance(a, bool) or a < 0:
+                raise SpecSyntaxError(f"counts must be nonnegative integers, got {a!r}")
+    if len(counts) - counts.count(0) < 2:
         raise NotDiameterFour(
             "diameter 4 needs at least two spine vertices with leaves"
         )
-    spec = TreeSpec(tuple(zeros + evens + odds))
+    # one sort; its runs of equal counts split by parity, zeros leading the evens
+    evens: list[int] = []
+    odds: list[int] = []
+    for a, run in groupby(sorted(counts)):
+        (odds if a % 2 else evens).extend(run)
+    spec = TreeSpec(tuple(evens + odds))
     if spec.q > Q_LIMIT:
         raise ValueError(f"q={spec.q} exceeds supported limit {Q_LIMIT}")
     return spec

@@ -525,6 +525,38 @@ def test_survey_marks_open_rows_informational(capsys):
     assert all(r["agreement"] == "info" for r in open_rows)
 
 
+# sha256 of `survey --max-size 12` stdout (and its exit code 0), text and JSON
+SURVEY_PINS = {
+    "text": ([], "919fc9de906542ac1541fd4fad5afe65c59a9bf76fc65f06f884ef8bf28e0f2e"),
+    "json": (["--format", "json"],
+             "d055feb8e5fdf3ba3c691a19da54116d3ebf3f0c77c74dcc592549119687bbc1"),
+}
+
+
+@pytest.mark.parametrize("case", SURVEY_PINS)
+def test_survey_output_bytes_are_pinned(capsys, case):
+    options, digest = SURVEY_PINS[case]
+    code, out, _ = run(capsys, "survey", "--max-size", "12", *options)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(("options", "guard", "oracles"), [
+    ([], None, {"found", "none"}),
+    (["--search-budget", "5"], None, {"found", "none", "budget"}),
+    ([], 9, {"found", "none", "skipped"}),
+], ids=["found-none", "budget", "skipped"])
+def test_survey_json_is_json_dumps_indent_2(capsys, monkeypatch, options, guard, oracles):
+    # the rows are formatted by hand; the bytes must be the indenting encoder's
+    if guard is not None:  # rows with q > guard are skipped
+        monkeypatch.setattr(importlib.import_module("segtrees.search"), "GUARD_Q", guard)
+    code, out, _ = run(capsys, "survey", "--max-size", "11", "--format", "json", *options)
+    assert code == 0
+    data = json.loads(out)
+    assert {r["oracle"] for r in data["rows"]} == oracles
+    assert out == json.dumps(data, indent=2) + "\n"
+
+
 def test_survey_theory_oracle_agree_to_q15(capsys):
     # criterion 4 compares q <= 11; this widens it to 12 <= q <= 15, where
     # every row must be decided within the survey's node budget

@@ -1,4 +1,6 @@
 import hashlib
+import importlib
+import sys
 from collections import Counter
 from functools import cache
 from itertools import accumulate, groupby, permutations, product
@@ -37,6 +39,9 @@ from oracle import (
     naive_is_seg_assignment,
     naive_solutions,
 )
+from segtrees.search import dfs_depth
+
+search_module = importlib.import_module("segtrees.search")  # segtrees.search is the function
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +388,48 @@ def test_guard_refuses_large_trees():
     # override runs, bounded here by a tiny budget
     r = search(big, SearchConfig(node_budget=10, override_guard=True))
     assert r.outcome == BUDGET_EXCEEDED
+
+
+@pytest.mark.parametrize("text", ["RT(4,1^1500)", "RT(0^1500,1600^2)", "RT(1^500000)"])
+def test_too_deep_refused_before_the_run(monkeypatch, text):
+    # many branches, or a long group before the last: the depth is summed
+    # from the counts, so _run is never entered
+    def no_run(spec, config):
+        raise AssertionError("_run entered")
+
+    monkeypatch.setattr(search_module, "_run", no_run)
+    spec = parse_spec(text)
+    assert dfs_depth(spec) > sys.getrecursionlimit()
+    with pytest.raises(GuardRefused, match="too deep for the search"):
+        search(spec, SearchConfig(override_guard=True))
+
+
+def test_dfs_depth_bounds_the_nesting_q9():
+    # count runs visit every branch, so the deepest nesting shows; it never
+    # passes dfs_depth, and reaches it on some trees
+    frames = {"dfs_spine", "next_group", "close", "dfs_group"}
+    reached = 0
+    for spec in enumerate_specs(9):
+        depth = deepest = 0
+
+        def profile(frame, event, arg):
+            nonlocal depth, deepest
+            if frame.f_code.co_name in frames:
+                if event == "call":
+                    depth += 1
+                    deepest = max(deepest, depth)
+                elif event == "return":
+                    depth -= 1
+
+        old = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            count_all(spec)
+        finally:
+            sys.setprofile(old)
+        assert deepest <= dfs_depth(spec), spec
+        reached += deepest == dfs_depth(spec)
+    assert reached
 
 
 def test_guard_boundary_inclusive():
