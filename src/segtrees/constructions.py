@@ -19,15 +19,21 @@ Conventions shared by the rules: spine edge i is slot i - 1 of the tree;
 leaf m of v_i, m starting at 1, is slot ``leaf_start[i - 1] + m - 1``.  The
 rules differ only in their formulas: a ``_Builder``'s placers and
 ``_paired_leaves`` write the (+x, -x) pairs they share, each documented
-where it is defined.  ``B.top`` is the largest edge label, q // 2: each
-odd-q rule's docstring gives q = 2 * top + 1, and the rule puts +top and
--top on two edges.
+where it is defined.  Those pairs sit on consecutive vertices, which in
+canonical order form runs of equal leaf counts, and the placers write run
+by run: one leaf position over a run of m vertices with a leaves each is
+the strided slice ``range(s, s + m * a, a)``, its labels one arithmetic
+progression, so the cost is per run, not per vertex.  ``B.top`` is the
+largest edge label, q // 2: each odd-q rule's docstring gives
+q = 2 * top + 1, and the rule puts +top and -top on two edges.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import groupby
 
 from .labeling import ConstructionFault, EdgeLabeling, checked
 # not called here any more; perfbench/spans.py still wraps this module's name
@@ -95,32 +101,33 @@ class _Builder:
     def _fault(self, detail: str) -> ConstructionFault:
         return ConstructionFault(self.spec, self.tag, detail)
 
-    def _put(self, blocks: list[range], values: list[int]) -> None:
-        """Write values to the slots of blocks, taken in order, unless one of
-        those slots already has a label; each block is one slice."""
-        x, k = self.x, 0
-        for r in blocks:
+    def _put(self, blocks: list[tuple[range, Sequence[int]]]) -> None:
+        """Write each (slots, values) block, one slice each, unless one of
+        those slots already has a label: then nothing is written, and the
+        fault names the lowest such slot and the value meant for it."""
+        x, clashes = self.x, []
+        for r, values in blocks:
             old = x[r.start:r.stop:r.step]
             if old.count(None) != len(old):
                 d = next(d for d, v in enumerate(old) if v is not None)
-                eid = self.spec.edge_ids[r[d]]
-                raise self._fault(f"edge {eid} assigned twice ({old[d]}, {values[k + d]})")
-            k += len(r)
-        k = 0
-        for r in blocks:
-            x[r.start:r.stop:r.step] = values[k:k + len(r)]
-            k += len(r)
+                clashes.append((r[d], old[d], values[d]))
+        if clashes:
+            slot, old_value, value = min(clashes)
+            eid = self.spec.edge_ids[slot]
+            raise self._fault(f"edge {eid} assigned twice ({old_value}, {value})")
+        for r, values in blocks:
+            x[r.start:r.stop:r.step] = values
 
     def spine(self, i: int, value: int) -> None:
         if not 1 <= i <= self.spec.n:
             raise self._fault(f"spine index {i} out of range")
-        self._put([range(i - 1, i)], [value])
+        self._put([(range(i - 1, i), (value,))])
 
     def leaf(self, i: int, m: int, value: int) -> None:
         if not (1 <= i <= self.spec.n and 1 <= m <= self.spec.a(i)):
             raise self._fault(f"leaf ({i},{m}) out of range")
         slot = self.starts[i - 1] + m - 1
-        self._put([range(slot, slot + 1)], [value])
+        self._put([(range(slot, slot + 1), (value,))])
 
     def _run(self, i: int, count: int, what: str, leaves: bool = False) -> range:
         """Slots of the spine edges of v_i, ..., v_{i + 2 count - 1}: empty for
@@ -136,14 +143,26 @@ class _Builder:
     def spine_pairs(self, i: int, count: int, value: int, step: int = 1) -> None:
         """``count`` pairs (+x, -x) on spine edges i, i+1, ..., x = value, value + step, ..."""
         run = self._run(i, count, "spine pairs")
-        self._put([run], _pairs(range(value, value + step * count, step)))
+        self._put([(run, _pairs(range(value, value + step * count, step)))])
 
     def first_leaf_pairs(self, i: int, count: int, value: int) -> None:
         """``count`` pairs (+x, -x) on the first leaves of v_i, v_i+1, ...,
-        x from ``value`` up by 2."""
+        x from ``value`` up by 2.
+
+        Over each run of equal counts the first leaves of every other vertex
+        are one strided slice: at most two blocks per run, whatever its length.
+        """
         run = self._run(i, count, "first-leaf pairs", leaves=True)
-        blocks = [range(s, s + 1) for s in self.starts[run.start:run.stop]]
-        self._put(blocks, _pairs(range(value, value + 2 * count, 2)))
+        blocks: list[tuple[range, range]] = []
+        for v, m, a in _equal_runs(self.spec.counts, run.start, run.stop):
+            s0 = self.starts[v]
+            for e in range(min(m, 2)):
+                slots = range(s0 + e * a, s0 + m * a, 2 * a)
+                d = v + e - run.start  # v_{i+d}: +x for even d, -x for odd d
+                x = value + d - d % 2
+                xs = range(x, x + 2 * len(slots), 2)
+                blocks.append((slots, xs if d % 2 == 0 else range(-x, -xs.stop, -2)))
+        self._put(blocks)
 
     def result(self) -> list[int]:
         """The labels in slot order; an edge left unassigned is a fault."""
@@ -162,31 +181,60 @@ def _pairs(xs: range) -> list[int]:
     return out
 
 
-def _paired_leaves(
-    B: _Builder, first: int, start_vertex: int, placed: tuple[int, ...] = ()
-) -> None:
+def _equal_runs(counts: tuple[int, ...], lo: int, hi: int):
+    """(first vertex index, length m, count a) of each run of equal counts
+    in counts[lo:hi], vertices indexed from 0."""
+    v = lo
+    for a, run in groupby(counts[lo:hi]):
+        m = len(list(run))
+        yield v, m, a
+        v += m
+
+
+def _paired_leaves(B: _Builder, first: int, start_vertex: int, placed: int = 0) -> None:
     """Paired leaves for all vertices from start_vertex on.
 
     The unlabeled pairs get consecutive labels from ``first``, in slot
     order; a vertex with count 2b or 2b+1 has b pairs, on leaves (2m-1, 2m)
     or (2m, 2m+1) for m = 1..b, and an odd count leaves its first leaf for
-    the rule to label.  Vertices in ``placed`` already carry their first
-    pair.  Each run of pair slots unbroken by an unpaired or placed leaf is
-    written as one block.
+    the rule to label.  The first ``placed`` vertices, from start_vertex
+    on, already carry their first pair.
+
+    The pairs are written run by run: each placed vertex alone, then each
+    run of equal counts.  An even run's pair slots are one block.  An odd
+    run of m vertices with b pairs each is written as m blocks, one per
+    vertex, or as 2b strided blocks, one per leaf position, whichever is
+    fewer.
     """
-    counts, starts = B.spec.counts, B.starts
-    if not 1 <= start_vertex <= B.spec.n + 1:
+    counts, starts, n = B.spec.counts, B.starts, B.spec.n
+    if not 1 <= start_vertex <= n + 1:
         raise B._fault(f"paired leaves from {start_vertex} out of range")
-    blocks: list[range] = []
-    for i in range(start_vertex, B.spec.n + 1):
-        start, a = starts[i - 1], counts[i - 1]
-        lo = start + a % 2 + (2 if i in placed else 0)
-        if lo >= start + a:
+    # (first vertex, length m, count a, leaf offset o of a vertex's pairs)
+    lo = min(start_vertex - 1 + placed, n)
+    runs = [(v, 1, counts[v], counts[v] % 2 + 2) for v in range(start_vertex - 1, lo)]
+    runs += [(v, m, a, a % 2) for v, m, a in _equal_runs(counts, lo, n)]
+    blocks: list[tuple[range, Sequence[int]]] = []
+    f = first
+    for v, m, a, o in runs:
+        b = (a - o) // 2  # pairs per vertex
+        if b <= 0:
             continue
-        if blocks and blocks[-1].stop == lo:
-            lo = blocks.pop().start
-        blocks.append(range(lo, start + a))
-    B._put(blocks, _pairs(range(first, first + sum(map(len, blocks)) // 2)))
+        s0 = starts[v]
+        if o == 0:
+            blocks.append((range(s0, s0 + m * a), _pairs(range(f, f + m * b))))
+        elif m <= 2 * b:
+            blocks += [
+                (range(s + o, s + a), _pairs(range(x, x + b)))
+                for s, x in zip(range(s0, s0 + m * a, a), range(f, f + m * b, b))
+            ]
+        else:
+            end = s0 + m * a
+            for pos in range(b):
+                blocks.append((range(s0 + o + 2 * pos, end, a), range(f + pos, f + m * b, b)))
+                blocks.append((range(s0 + o + 2 * pos + 1, end, a),
+                               range(-f - pos, -f - m * b, -b)))
+        f += m * b
+    B._put(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +264,7 @@ def _cat_q_odd_j_odd_evens(B: _Builder, r: int, s: int, t: int) -> None:
     B.leaf(2 * r, 1, -1)
     B.leaf(2 * r, 2, -B.top)
     B.spine_pairs(2, r - 1, 2)
-    _paired_leaves(B, r + 1, 2 * r, placed=(2 * r,))
+    _paired_leaves(B, r + 1, 2 * r, placed=1)
 
 
 def _cat_q_odd_single_leaf(B: _Builder, r: int, s: None, t: int) -> None:
@@ -231,7 +279,7 @@ def _cat_q_odd_single_leaf(B: _Builder, r: int, s: None, t: int) -> None:
     B.leaf(2 * r + 3, 2, -3)
     B.leaf(2 * r + 3, 3, -B.top)
     B.spine_pairs(4, r - 1, 4)
-    _paired_leaves(B, r + 3, 2 * r + 3, placed=(2 * r + 3,))
+    _paired_leaves(B, r + 3, 2 * r + 3, placed=1)
 
 
 def _cat_q_odd_j_odd_odds(B: _Builder, r: int, s: int, t: int) -> None:
@@ -246,7 +294,7 @@ def _cat_q_odd_j_odd_odds(B: _Builder, r: int, s: int, t: int) -> None:
     B.leaf(2 * r + 3, 2, -3)
     B.leaf(2 * r + 3, 3, -B.top)
     B.spine_pairs(2, r, 4)
-    _paired_leaves(B, r + 4, 2 * r + 2, placed=(2 * r + 2, 2 * r + 3))
+    _paired_leaves(B, r + 4, 2 * r + 2, placed=2)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +329,7 @@ def _lob_jkl_even_odd_odd(B: _Builder, r: int, s: int, t: int) -> None:
         B.spine_pairs(1, r, 2 * t + 2)
         B.spine_pairs(2 * r + 2, s - 1, r + 2 * t + 2)
         first = r + s + 2 * t + 1
-    _paired_leaves(B, first, 2 * r + 1, placed=(2 * r + 1,))
+    _paired_leaves(B, first, 2 * r + 1, placed=1)
 
 
 def _lob_jkl_even_odd_even(B: _Builder, r: int, s: int, t: int) -> None:
@@ -311,7 +359,7 @@ def _lob_jkl_even_odd_even(B: _Builder, r: int, s: int, t: int) -> None:
         B.spine_pairs(2 * (r + s + 1), t, 1, step=2)
         B.first_leaf_pairs(2 * (r + s + 2), t - 1, -2 * t)
         first = 2 * t + r + s + 1
-    _paired_leaves(B, first, 2 * r + 1, placed=(2 * r + 1,))
+    _paired_leaves(B, first, 2 * r + 1, placed=1)
 
 
 def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
@@ -331,7 +379,7 @@ def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
         B.spine(2 * r + 1, r + 2)
         B.spine(2 * r + 3, -(r + 2))
         B.spine_pairs(2 * r + 4, s - 1, r + 3)
-        _paired_leaves(B, r + s + 2, 2 * r + 2, placed=(2 * r + 2,))
+        _paired_leaves(B, r + s + 2, 2 * r + 2, placed=1)
         return
     # l == 2
     B.spine(2 * r + 2, 0)
@@ -347,7 +395,7 @@ def _lob_jkl_odd_even_small_l(B: _Builder, r: int, s: int, t: None) -> None:
     B.leaf(2 * r + 2, 2, -B.top)
     B.spine_pairs(2, r, 5)
     B.spine_pairs(2 * r + 4, s - 1, r + 5)
-    _paired_leaves(B, r + s + 4, 2 * r + 2, placed=(2 * r + 2, 2 * r + 3))
+    _paired_leaves(B, r + s + 4, 2 * r + 2, placed=2)
 
 
 #: odd-q dispatch tag -> rule(B, r, s, t)

@@ -62,8 +62,13 @@ def vertex_label_target(p: int) -> tuple[int, ...]:
 
 
 def _slots(tree: TreeSpec, f: EdgeLabeling) -> list[int]:
-    """f's labels in slot order; raises DomainMismatch unless f is total."""
+    """f's labels in slot order; raises DomainMismatch unless f is total.
+
+    A dict already keyed in slot order, as a file from ``write_slots`` is
+    read, gives its values as they stand; any other order is looked up."""
     if len(f) == tree.q:
+        if tuple(f) == tree.edge_ids:
+            return list(f.values())
         try:
             return [f[e] for e in tree.edge_ids]
         except KeyError:

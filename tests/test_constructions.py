@@ -97,6 +97,28 @@ def test_slot_order_digest_q24():
     assert h.hexdigest() == SLOT_ORDER_DIGEST_Q24
 
 
+# the same digest over large trees whose leaf pairs go down by runs of equal
+# counts: the six label_large seed-0 trees of perfbench, a lone large odd
+# vertex, long odd runs, and rules with placed vertices (taken before the
+# placers wrote runs instead of vertices)
+LARGE_TREES = (
+    "RT(0^2,10000,20000)", "RT(0^9999,2,20000)", "RT(0^2,2^3000,1^6000)",
+    "RT(0^2,2^2001,3^4001)", "RT(0^2,2^3333,1,3^3333)", "RT(0^3,2^5000,3,5)",
+    "RT(0^2,2^3,3,20001)", "RT(0^2,2^3,1,3,20001)",
+    "RT(0^2,2^3,1^2,3^2,5^1000,7^999)", "RT(0^3,9999,20001)",
+)
+SLOT_ORDER_DIGEST_LARGE = "9eb40b34beb2249f679984d8f849d463abd658a8f640a7421cd6c2c3af2f61d1"
+
+
+def test_slot_order_digest_large_trees():
+    h = hashlib.sha256()
+    for text in LARGE_TREES:
+        spec = parse_spec(text)
+        out = label_any(spec)
+        h.update(repr((spec.counts, out.kind, out.tag, out.case, out.slot_labels)).encode())
+    assert h.hexdigest() == SLOT_ORDER_DIGEST_LARGE
+
+
 def test_all_constructive_specs_verify_q13():
     checked = 0
     for spec in enumerate_specs(13):
@@ -202,6 +224,61 @@ def test_builder_block_collision_writes_nothing():
     with pytest.raises(ConstructionFault, match=r"edge v2\.2 assigned twice \(7, -5\)"):
         _paired_leaves(B, 5, 2)  # v2.1 is free, v2.2 is not: the block writes neither
     assert B.x == [None, None, None, None, None, 7]
+
+
+# a run of equal counts is written as a few slices, however long the run or
+# large the count: 4,001 odd vertices, 6,000 single leaves, one 20,001-leaf vertex
+@pytest.mark.parametrize("text", [
+    "RT(0^2,2^2001,3^4001)", "RT(0^2,2^3000,1^6000)", "RT(0^2,2^3,3,20001)",
+])
+def test_placers_write_runs_not_vertices(monkeypatch, text):
+    put, blocks = _Builder._put, []
+
+    def counting_put(self, writes):
+        blocks.append(len(writes))
+        put(self, writes)
+
+    monkeypatch.setattr(_Builder, "_put", counting_put)
+    assert label_any(parse_spec(text)).is_labeled
+    assert sum(blocks) <= 20, blocks
+
+
+# RT(3^5): the leaf pairs of the odd run are two strided columns, (v_i.2) and
+# (v_i.3); a collision names the lowest slot over both, with the value meant
+# for it, and writes nothing (messages taken from the vertex-by-vertex placer)
+@pytest.mark.parametrize("pre, message", [
+    ([(3, 2, 7)], r"edge v3\.2 assigned twice \(7, 3\)"),
+    ([(3, 3, 7)], r"edge v3\.3 assigned twice \(7, -3\)"),
+    ([(4, 2, 7), (2, 3, 8)], r"edge v2\.3 assigned twice \(8, -2\)"),
+], ids=["plus-column", "minus-column", "lowest-of-two-columns"])
+def test_paired_leaves_collision_on_a_run_writes_nothing(pre, message):
+    B = _Builder(build_tree(parse_spec("RT(3^5)")), "test")
+    for i, m, value in pre:
+        B.leaf(i, m, value)
+    before = list(B.x)
+    with pytest.raises(ConstructionFault, match=message):
+        _paired_leaves(B, 1, 1)
+    assert B.x == before
+
+
+# RT(3^6): the first leaves of v1, v3, v5 take +5, +7, +9 and those of v2,
+# v4, v6 take -5, -7, -9, as two strided slices
+@pytest.mark.parametrize("pre, message", [
+    ([(4, 1, 7)], r"edge v4\.1 assigned twice \(7, -7\)"),
+    ([(5, 1, 7), (2, 1, 8)], r"edge v2\.1 assigned twice \(8, -5\)"),
+], ids=["one", "lowest-of-two-slices"])
+def test_first_leaf_pairs_collision_on_a_run_writes_nothing(pre, message):
+    B = _Builder(build_tree(parse_spec("RT(3^6)")), "test")
+    for i, m, value in pre:
+        B.leaf(i, m, value)
+    before = list(B.x)
+    with pytest.raises(ConstructionFault, match=message):
+        B.first_leaf_pairs(1, 3, 5)
+    assert B.x == before
+    B = _Builder(build_tree(parse_spec("RT(3^6)")), "test")
+    B.first_leaf_pairs(1, 3, 5)
+    assert B.x[6::3] == [5, -5, 7, -7, 9, -9]
+    assert B.x.count(None) == len(B.x) - 6
 
 
 def test_outcome_shape():

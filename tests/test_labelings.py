@@ -7,6 +7,7 @@ import pytest
 from segtrees import (
     DomainMismatch,
     LabelingFormatError,
+    VerificationReport,
     Violation,
     build_tree,
     edge_label_target,
@@ -130,6 +131,34 @@ def test_verify_reports_domain_mismatch_as_violation():
     report = verify(tree, f)
     assert not report.is_seg
     assert any(v.kind == "DomainMismatch" for v in report.violations)
+
+
+# RT(0,2,2,1) as its labeling file lists it, in slot order, and the same
+# edges shuffled, one renamed in place, or one relabeled: a file in slot
+# order skips the per-edge lookups, and every report is the one the lookups
+# gave (taken before the in-order case was added)
+RT0221 = [("v1", 2), ("v2", 0), ("v3", -2), ("v4", 1), ("v2.1", -1), ("v2.2", -4),
+          ("v3.1", 3), ("v3.2", -3), ("v4.1", 4)]
+RT0221_SHUFFLED = ["v2.2", "v3.1", "v3.2", "v2.1", "v4", "v1", "v4.1", "v2", "v3"]
+
+
+@pytest.mark.parametrize("edges, violations", [
+    (RT0221, ()),
+    (sorted(RT0221, key=lambda item: RT0221_SHUFFLED.index(item[0])), ()),
+    ([("v3.9" if e == "v3.2" else e, v) for e, v in RT0221],
+     (Violation("DomainMismatch", ("v3.2",), ("v3.9",)),)),
+    ([(e, 7 if e == "v3.1" else v) for e, v in RT0221],
+     (Violation("EdgeLabelsNotTargetSet", (3,), (7,)),
+      Violation("VertexLabelsNotTargetSet", (-2, 3), (2, 7)))),
+], ids=["slot-order", "shuffled", "renamed", "relabeled"])
+def test_verify_file_in_or_out_of_slot_order(edges, violations):
+    spec = parse_spec("RT(0,2,2,1)")
+    text = json.dumps({"spec": spec.format(), "edges": dict(edges)}, indent=2) + "\n"
+    if edges is RT0221:
+        assert text == write_labeling(build_tree(spec), dict(edges))
+    tree, f = read_labeling(text)
+    assert list(f.items()) == edges
+    assert verify(tree, f) == VerificationReport(not violations, violations)
 
 
 # RT(2,1,1) has 7 slots: v1, v2, v3, v1.1, v1.2, v2.1, v3.1
