@@ -1,13 +1,15 @@
 """Closed-form SEG labelings for every covered diameter-4 family.
 
 Each rule below writes explicit labels onto spine and leaf edges from a
-few substitution parameters.  Each odd-q rule realizes one dispatch tag of
-``trees.classify`` and reads its (r, s, t); the odd caterpillar with j even
-is the k = l = 1 case of ``_lob_jkl_even_odd_odd``.  Even q needs one rule:
-q is the sum of 1 + a_i over the spine vertices, a term that is odd for a
-zero or positive even count and even for an odd one, so q = j + k (mod 2).
-Every even-q tree, caterpillar (k + l = 2) or lobster, thus has j + k = 2rs,
-and ``_even_q`` reads just rs, t = l // 2 and u = l % 2.
+few substitution parameters.  Each odd-q rule realizes a dispatch tag of
+``trees.classify`` and reads its (r, s, t); two tags reuse a rule: the odd
+caterpillar with j even is the k = l = 1 case of ``_lob_jkl_even_odd_odd``,
+and the single-leaf caterpillar is ``_cat_q_odd_j_odd_odds`` with no s.
+Even q needs one rule: q is the sum of 1 + a_i over the spine vertices, a
+term that is odd for a zero or positive even count and even for an odd
+one, so q = j + k (mod 2).  Every even-q tree, caterpillar (k + l = 2) or
+lobster, thus has j + k = 2rs, and ``_even_q`` reads just rs, t = l // 2
+and u = l % 2.
 
 Every rule writes one slot list, the labels in ``tree.edge_ids`` order,
 and every constructed labeling is checked before it is returned: every
@@ -19,18 +21,19 @@ Conventions shared by the rules: spine edge i is slot i - 1 of the tree;
 leaf m of v_i, m starting at 1, is slot ``leaf_start[i - 1] + m - 1``.  The
 rules differ only in their formulas: a ``_Builder``'s placers and
 ``_paired_leaves`` write the (+x, -x) pairs they share, each documented
-where it is defined.  Those pairs sit on consecutive vertices, which in
-canonical order form runs of equal leaf counts, and the placers write run
-by run: one leaf position over a run of m vertices with a leaves each is
-the strided slice ``range(s, s + m * a, a)``, its labels one arithmetic
-progression, so the cost is per run, not per vertex.  ``B.top`` is the
-largest edge label, q // 2: each odd-q rule's docstring gives
-q = 2 * top + 1, and the rule puts +top and -top on two edges.
+where it is defined, and every such pair goes through one writer,
+``_pair_blocks``: a block of +x slots and a block of -x slots.  Those pairs
+sit on consecutive vertices, which in canonical order form runs of equal
+leaf counts, and the placers write run by run: one leaf position over a
+run of m vertices with a leaves each is the strided slice
+``range(s, s + m * a, a)``, its labels one arithmetic progression, so the
+cost is per run, not per vertex.  ``B.top`` is the largest edge label,
+q // 2: each odd-q rule's docstring gives q = 2 * top + 1, and the rule
+puts +top and -top on two edges.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
@@ -101,7 +104,7 @@ class _Builder:
     def _fault(self, detail: str) -> ConstructionFault:
         return ConstructionFault(self.spec, self.tag, detail)
 
-    def _put(self, blocks: list[tuple[range, Sequence[int]]]) -> None:
+    def _put(self, blocks: list[tuple[range, range]]) -> None:
         """Write each (slots, values) block, one slice each, unless one of
         those slots already has a label: then nothing is written, and the
         fault names the lowest such slot and the value meant for it."""
@@ -121,13 +124,13 @@ class _Builder:
     def spine(self, i: int, value: int) -> None:
         if not 1 <= i <= self.spec.n:
             raise self._fault(f"spine index {i} out of range")
-        self._put([(range(i - 1, i), (value,))])
+        self._put([(range(i - 1, i), range(value, value + 1))])
 
     def leaf(self, i: int, m: int, value: int) -> None:
         if not (1 <= i <= self.spec.n and 1 <= m <= self.spec.a(i)):
             raise self._fault(f"leaf ({i},{m}) out of range")
         slot = self.starts[i - 1] + m - 1
-        self._put([(range(slot, slot + 1), (value,))])
+        self._put([(range(slot, slot + 1), range(value, value + 1))])
 
     def _run(self, i: int, count: int, what: str, leaves: bool = False) -> range:
         """Slots of the spine edges of v_i, ..., v_{i + 2 count - 1}: empty for
@@ -143,25 +146,23 @@ class _Builder:
     def spine_pairs(self, i: int, count: int, value: int, step: int = 1) -> None:
         """``count`` pairs (+x, -x) on spine edges i, i+1, ..., x = value, value + step, ..."""
         run = self._run(i, count, "spine pairs")
-        self._put([(run, _pairs(range(value, value + step * count, step)))])
+        self._put(_pair_blocks(run[::2], run[1::2], range(value, value + step * count, step)))
 
     def first_leaf_pairs(self, i: int, count: int, value: int) -> None:
         """``count`` pairs (+x, -x) on the first leaves of v_i, v_i+1, ...,
         x from ``value`` up by 2.
 
-        Over each run of equal counts the first leaves of every other vertex
-        are one strided slice: at most two blocks per run, whatever its length.
+        Over each run of equal count pairs (a_{i+2k}, a_{i+2k+1}) the +x and
+        the -x leaves are one strided slice each: two blocks per run,
+        whatever its length.
         """
         run = self._run(i, count, "first-leaf pairs", leaves=True)
-        blocks: list[tuple[range, range]] = []
-        for v, m, a in _equal_runs(self.spec.counts, run.start, run.stop):
-            s0 = self.starts[v]
-            for e in range(min(m, 2)):
-                slots = range(s0 + e * a, s0 + m * a, 2 * a)
-                d = v + e - run.start  # v_{i+d}: +x for even d, -x for odd d
-                x = value + d - d % 2
-                xs = range(x, x + 2 * len(slots), 2)
-                blocks.append((slots, xs if d % 2 == 0 else range(-x, -xs.stop, -2)))
+        c, starts, blocks = self.spec.counts, self.starts, []
+        pairs = zip(c[run.start:run.stop:2], c[run.start + 1:run.stop:2])
+        for k, m, (a, a2) in _equal_runs(pairs):
+            s, step = starts[run.start + 2 * k], a + a2  # s: v_{i+2k}'s first leaf
+            plus, minus = range(s, s + m * step, step), range(s + a, s + a + m * step, step)
+            blocks += _pair_blocks(plus, minus, range(value + 2 * k, value + 2 * (k + m), 2))
         self._put(blocks)
 
     def result(self) -> list[int]:
@@ -173,22 +174,19 @@ class _Builder:
         return x
 
 
-def _pairs(xs: range) -> list[int]:
-    """+x, -x for each x of xs, in order."""
-    out = [0] * (2 * len(xs))
-    out[::2] = xs
-    out[1::2] = range(-xs.start, -xs.stop, -xs.step)
-    return out
+def _pair_blocks(plus: range, minus: range, xs: range) -> list[tuple[range, range]]:
+    """The two blocks that put +x on slot plus[k] and -x on slot minus[k]
+    for each x = xs[k]: every (+x, -x) pair a rule writes goes through here."""
+    return [(plus, xs), (minus, range(-xs.start, -xs.stop, -xs.step))]
 
 
-def _equal_runs(counts: tuple[int, ...], lo: int, hi: int):
-    """(first vertex index, length m, count a) of each run of equal counts
-    in counts[lo:hi], vertices indexed from 0."""
-    v = lo
-    for a, run in groupby(counts[lo:hi]):
+def _equal_runs(items):
+    """(first index, length m, item) of each run of equal items."""
+    k = 0
+    for a, run in groupby(items):
         m = len(list(run))
-        yield v, m, a
-        v += m
+        yield k, m, a
+        k += m
 
 
 def _paired_leaves(B: _Builder, first: int, start_vertex: int, placed: int = 0) -> None:
@@ -198,13 +196,13 @@ def _paired_leaves(B: _Builder, first: int, start_vertex: int, placed: int = 0) 
     order; a vertex with count 2b or 2b+1 has b pairs, on leaves (2m-1, 2m)
     or (2m, 2m+1) for m = 1..b, and an odd count leaves its first leaf for
     the rule to label.  The first ``placed`` vertices, from start_vertex
-    on, already carry their first pair.
+    on, already carry their first pair; one with a single leaf has none.
 
     The pairs are written run by run: each placed vertex alone, then each
-    run of equal counts.  An even run's pair slots are one block.  An odd
-    run of m vertices with b pairs each is written as m blocks, one per
-    vertex, or as 2b strided blocks, one per leaf position, whichever is
-    fewer.
+    run of equal counts.  The pairs of a run of m vertices with b pairs
+    each form an m x b grid, written as one block pair per vertex or one
+    per leaf position, whichever is fewer.  An even run's pairs tile its
+    slots, so it is written as one vertex of m * a leaves.
     """
     counts, starts, n = B.spec.counts, B.starts, B.spec.n
     if not 1 <= start_vertex <= n + 1:
@@ -212,27 +210,24 @@ def _paired_leaves(B: _Builder, first: int, start_vertex: int, placed: int = 0) 
     # (first vertex, length m, count a, leaf offset o of a vertex's pairs)
     lo = min(start_vertex - 1 + placed, n)
     runs = [(v, 1, counts[v], counts[v] % 2 + 2) for v in range(start_vertex - 1, lo)]
-    runs += [(v, m, a, a % 2) for v, m, a in _equal_runs(counts, lo, n)]
-    blocks: list[tuple[range, Sequence[int]]] = []
+    runs += [(lo + k, 1, m * a, 0) if a % 2 == 0 else (lo + k, m, a, 1)
+             for k, m, a in _equal_runs(counts[lo:n])]
+    blocks: list[tuple[range, range]] = []
     f = first
     for v, m, a, o in runs:
         b = (a - o) // 2  # pairs per vertex
         if b <= 0:
             continue
-        s0 = starts[v]
-        if o == 0:
-            blocks.append((range(s0, s0 + m * a), _pairs(range(f, f + m * b))))
-        elif m <= 2 * b:
-            blocks += [
-                (range(s + o, s + a), _pairs(range(x, x + b)))
-                for s, x in zip(range(s0, s0 + m * a, a), range(f, f + m * b, b))
-            ]
-        else:
-            end = s0 + m * a
-            for pos in range(b):
-                blocks.append((range(s0 + o + 2 * pos, end, a), range(f + pos, f + m * b, b)))
-                blocks.append((range(s0 + o + 2 * pos + 1, end, a),
-                               range(-f - pos, -f - m * b, -b)))
+        # the pairs form a grid with two axes, each (length, slot step, label
+        # step): the run's vertices, and one vertex's pairs.  One block pair
+        # is one line along an axis; the lines step across the shorter axis
+        vertices, pairs = (m, a, b), (b, 2, 1)
+        across, along = (vertices, pairs) if m <= b else (pairs, vertices)
+        (n1, ds1, dx1), (n2, ds2, dx2) = across, along
+        s0 = starts[v] + o
+        for s, x in zip(range(s0, s0 + n1 * ds1, ds1), range(f, f + n1 * dx1, dx1)):
+            blocks += _pair_blocks(range(s, s + n2 * ds2, ds2), range(s + 1, s + 1 + n2 * ds2, ds2),
+                                   range(x, x + n2 * dx2, dx2))
         f += m * b
     B._put(blocks)
 
@@ -267,34 +262,31 @@ def _cat_q_odd_j_odd_evens(B: _Builder, r: int, s: int, t: int) -> None:
     _paired_leaves(B, r + 1, 2 * r, placed=1)
 
 
-def _cat_q_odd_single_leaf(B: _Builder, r: int, s: None, t: int) -> None:
-    """j = 2r+1 >= 3, counts 1 and 2t+1 >= 3; q = 2(r+t+2)+1; no s."""
-    B.spine(1, -1)
-    B.spine(2, -2)
-    B.spine(3, 3)
+def _cat_q_odd_j_odd_odds(B: _Builder, r: int, s: int | None, t: int) -> None:
+    """j = 2r+1, counts 2s+1 and 2t+1, 1 <= s <= t; q = 2(r+s+t+2)+1.
+
+    With no s, the single-leaf case: j = 2r+1 >= 3, counts 1 and 2t+1 >= 3,
+    q = 2(r+t+2)+1.  Then -1, -2, 3 go on spine edges 1..3 instead of the
+    leaves of v_{2r+2}, and top on its one leaf instead of spine edge 1.
+    """
     B.spine(2 * r + 2, 1)
     B.spine(2 * r + 3, 0)
-    B.leaf(2 * r + 2, 1, B.top)
     B.leaf(2 * r + 3, 1, 2)
     B.leaf(2 * r + 3, 2, -3)
     B.leaf(2 * r + 3, 3, -B.top)
-    B.spine_pairs(4, r - 1, 4)
-    _paired_leaves(B, r + 3, 2 * r + 3, placed=1)
-
-
-def _cat_q_odd_j_odd_odds(B: _Builder, r: int, s: int, t: int) -> None:
-    """j = 2r+1, counts 2s+1 and 2t+1, 1 <= s <= t; q = 2(r+s+t+2)+1."""
-    B.spine(1, B.top)
-    B.spine(2 * r + 2, 1)
-    B.spine(2 * r + 3, 0)
-    B.leaf(2 * r + 2, 1, -1)
-    B.leaf(2 * r + 2, 2, -2)
-    B.leaf(2 * r + 2, 3, 3)
-    B.leaf(2 * r + 3, 1, 2)
-    B.leaf(2 * r + 3, 2, -3)
-    B.leaf(2 * r + 3, 3, -B.top)
-    B.spine_pairs(2, r, 4)
-    _paired_leaves(B, r + 4, 2 * r + 2, placed=2)
+    if s:
+        B.spine(1, B.top)
+        B.leaf(2 * r + 2, 1, -1)
+        B.leaf(2 * r + 2, 2, -2)
+        B.leaf(2 * r + 2, 3, 3)
+        B.spine_pairs(2, r, 4)
+    else:
+        B.spine(1, -1)
+        B.spine(2, -2)
+        B.spine(3, 3)
+        B.leaf(2 * r + 2, 1, B.top)
+        B.spine_pairs(4, r - 1, 4)
+    _paired_leaves(B, r + 3 + bool(s), 2 * r + 2, placed=2)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +395,8 @@ _RULES = {
     # the k = l = 1 case of the lobster rule below
     "cat-q-odd-j-even": lambda B, r, s, t: _lob_jkl_even_odd_odd(B, r, 1, 0),
     "cat-q-odd-j-odd-evens": _cat_q_odd_j_odd_evens,
-    "cat-q-odd-single-leaf": _cat_q_odd_single_leaf,
+    # the single-leaf case is the odd-odds rule with no s
+    "cat-q-odd-single-leaf": _cat_q_odd_j_odd_odds,
     "cat-q-odd-j-odd-odds": _cat_q_odd_j_odd_odds,
     "lob-jkl-even-odd-odd": _lob_jkl_even_odd_odd,
     "lob-jkl-even-odd-even": _lob_jkl_even_odd_even,

@@ -26,19 +26,21 @@ solution, so outcomes and counts are those of the uncut search.
   labels then missing from the pool are exactly the branch spine labels,
   so R is read off the pool.  With no pendants the root sum is fixed by
   the spine and checked against R there.
-- Zero placement (odd q).  The vertex target of an even p = q+1 has no 0,
-  and every group label induces itself, so 0 sits on a branch spine edge:
-  the spine phase completes only when it has placed 0.
 - One-leaf zero (odd q).  A vertex with one leaf and spine label 0 induces
   0 + l = l, and its leaf, labeled l, induces l too.  So 0 sits on the spine
   edge of a vertex with two or more leaves; one with a single leaf skips 0.
-- Take 0 (odd q).  ``zero_last[d]`` holds when no vertex with two or
-  more leaves comes after branch vertex d, or after d's equal-count run,
-  whose later members take larger keys than d, so never 0, the least key.
-  While 0 is in the pool at such a d, d must take 0.  A single-leaf d
-  cannot, and returns before any node.  So does a d that is not the first
-  of its run: its predecessor took a nonzero label, and d must take a
-  larger key.  Otherwise 0 is d's only candidate.
+- Take 0 (odd q).  The vertex target of an even p = q+1 has no 0, and
+  every group label induces itself, so 0 sits on a branch spine edge, of a
+  vertex with two or more leaves (one-leaf zero).  ``zero_last[d]`` holds
+  when no such vertex comes after branch vertex d, or after d's
+  equal-count run, whose later members take larger keys than d, so never
+  0, the least key.  While 0 is in the pool at such a d, d must take 0.
+  A single-leaf d cannot, and returns before any node.  So does a d that
+  is not the first of its run: its predecessor took a nonzero label, and
+  d must take a larger key.  Otherwise 0 is d's only candidate.  So 0 is
+  placed by the first member of the last run of vertices with two or
+  more leaves, at the latest, and with no such vertex the first branch
+  vertex returns: every completed branch spine holds 0.
 - Single-label groups as exact cover.  A group of one label with base s
   takes one target t in R and the label t - s from the pool, and every
   group, target and label is used exactly once.  So the single-label groups
@@ -314,8 +316,6 @@ def _run(spec: TreeSpec, config: SearchConfig):
     def dfs_spine(d: int, pool: int) -> None:
         nonlocal r_bits, weight, nodes
         if d == n:
-            if (pool >> h) & 1:
-                return  # odd q: 0 goes on a branch spine edge
             root = sum(x[n_pend:n])  # S, the branch spine sum
             if config.mode == COUNT_ALL:
                 if root < 0:

@@ -19,7 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, repeat
+from operator import floordiv, mod
 
 Q_LIMIT = 10**6  # labels must stay comfortably inside machine ints
 ENUM_Q_LIMIT = 40  # enumerate_specs(40) lists 214,487 specs; +5 on q is ~2.5x
@@ -59,7 +60,7 @@ class TreeSpec:
 
     def __post_init__(self) -> None:
         c, put = self.counts, object.__setattr__
-        n, j, l = len(c), c.count(0), sum(a % 2 for a in c)
+        n, j, l = len(c), c.count(0), sum(map(mod, c, repeat(2)))
         put(self, "n", n)
         put(self, "j", j)
         put(self, "k", n - j - l)
@@ -252,7 +253,7 @@ _EVEN_Q_LOBSTER_TAGS = {(1, 1): "lob-jkl-odd-odd-odd", (1, 0): "lob-jkl-odd-odd-
 
 def _classify_lobster(spec: TreeSpec) -> tuple[str, str, str | None, dict]:
     j, k, l = spec.j, spec.k, spec.l
-    b = tuple(a // 2 for a in spec.counts[j:])
+    b = tuple(map(floordiv, spec.counts[j:], repeat(2)))
     if spec.q % 2 == 0:
         return (CONSTRUCTIVE, _EVEN_Q_LOBSTER_TAGS[j % 2, l % 2], None,
                 {"r": (j + 1) // 2, "s": k // 2, "t": l // 2, "b": b})

@@ -99,15 +99,15 @@ def test_slot_order_digest_q24():
 
 # the same digest over large trees whose leaf pairs go down by runs of equal
 # counts: the six label_large seed-0 trees of perfbench, a lone large odd
-# vertex, long odd runs, and rules with placed vertices (taken before the
-# placers wrote runs instead of vertices)
+# vertex, long odd runs, rules with placed vertices, and a single-leaf
+# caterpillar (taken before the odd-odds rule took over the single-leaf tag)
 LARGE_TREES = (
     "RT(0^2,10000,20000)", "RT(0^9999,2,20000)", "RT(0^2,2^3000,1^6000)",
     "RT(0^2,2^2001,3^4001)", "RT(0^2,2^3333,1,3^3333)", "RT(0^3,2^5000,3,5)",
     "RT(0^2,2^3,3,20001)", "RT(0^2,2^3,1,3,20001)",
-    "RT(0^2,2^3,1^2,3^2,5^1000,7^999)", "RT(0^3,9999,20001)",
+    "RT(0^2,2^3,1^2,3^2,5^1000,7^999)", "RT(0^3,9999,20001)", "RT(0^999,1,20001)",
 )
-SLOT_ORDER_DIGEST_LARGE = "9eb40b34beb2249f679984d8f849d463abd658a8f640a7421cd6c2c3af2f61d1"
+SLOT_ORDER_DIGEST_LARGE = "b1d6154e8dfef935a991c6fe83b0cb70a8d46414bb7ba1d0a7abc4314ef77ea5"
 
 
 def test_slot_order_digest_large_trees():
