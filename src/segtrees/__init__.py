@@ -41,8 +41,6 @@ from .search import (
     NotCertifiable,
     SearchConfig,
     SearchResult,
-    certify_not_seg,
-    count_all,
     make_certificate,
     search,
 )
@@ -53,7 +51,6 @@ from .trees import (
     UNCOVERED,
     Classification,
     EmptyRange,
-    EmptySpec,
     NotDiameterFour,
     SpecSyntaxError,
     TreeSpec,
@@ -75,7 +72,6 @@ __all__ = [
     "classify",
     "enumerate_specs",
     "SpecSyntaxError",
-    "EmptySpec",
     "NotDiameterFour",
     "EmptyRange",
     "CONSTRUCTIVE",
@@ -105,8 +101,6 @@ __all__ = [
     "ConstructionFault",
     # search
     "search",
-    "count_all",
-    "certify_not_seg",
     "make_certificate",
     "SearchConfig",
     "SearchResult",

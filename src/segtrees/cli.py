@@ -64,6 +64,8 @@ def _parse_budget(text: str) -> int:
     """Accept 1000000, 10^6, or 1e6: a finite whole number of nodes, >= 0."""
     t = text.strip().lower()
     try:
+        if not t.isascii() or "_" in t:  # int() and float() take any script's digits, and "_"
+            raise ValueError
         if "^" in t:
             base, exp = map(int, t.split("^", 1))
             if base < 0:  # (-10)^2 is not a budget

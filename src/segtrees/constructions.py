@@ -75,10 +75,6 @@ class LabelOutcome:
     slot_labels: list[int] | None = field(default=None, repr=False)
     induced: list[int] | None = field(default=None, repr=False)
 
-    @property
-    def is_labeled(self) -> bool:
-        return self.kind == LABELED
-
     @cached_property
     def labeling(self) -> EdgeLabeling | None:
         if self.slot_labels is None:
@@ -127,7 +123,7 @@ class _Builder:
         self._put([(range(i - 1, i), range(value, value + 1))])
 
     def leaf(self, i: int, m: int, value: int) -> None:
-        if not (1 <= i <= self.spec.n and 1 <= m <= self.spec.a(i)):
+        if not (1 <= i <= self.spec.n and 1 <= m <= self.spec.counts[i - 1]):
             raise self._fault(f"leaf ({i},{m}) out of range")
         slot = self.starts[i - 1] + m - 1
         self._put([(range(slot, slot + 1), range(value, value + 1))])

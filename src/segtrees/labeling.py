@@ -86,7 +86,7 @@ def _induced(tree: TreeSpec, x: list[int]) -> list[int]:
     # bounds holds each vertex's first leaf slot, then q, so a vertex's
     # leaves sum to the difference of prefix at its bound and the next
     prefix = list(accumulate(x, initial=0))
-    bounds = list(accumulate(tree.counts, initial=n))
+    bounds = (*tree.leaf_start, tree.q)
     branch = [
         xi + prefix[end] - prefix[start]
         for xi, start, end in zip(x, bounds, bounds[1:])

@@ -11,6 +11,10 @@ spine labels ascending by the same key (|v|, v).  Reordering a group or a
 run keeps a labeling SEG, so a raw count is re-expanded exactly by the
 product of their sizes' factorials.
 
+``search(spec, config)`` runs the engine, in either mode; ``make_certificate``
+turns an exhausted result into an absence certificate.  ``_plan`` orders the
+groups once, and ``search`` refuses a tree on the DFS depth read off that plan.
+
 Each statement below is a theorem: a cut skips only subtrees that hold no
 solution, so outcomes and counts are those of the uncut search.
 
@@ -89,7 +93,7 @@ are not all 0), so SEG labelings pair up and every count is even.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, groupby
 from math import factorial, inf, prod
@@ -118,11 +122,11 @@ class GuardRefused(RuntimeError):
 
 
 class NotCertifiable(RuntimeError):
-    """certify_not_seg found a labeling; there is nothing to certify."""
+    """The searched tree has a labeling: there is no absence to certify."""
 
 
 class BudgetExceeded(RuntimeError):
-    """certify_not_seg ran out of nodes before exhausting the space."""
+    """The search stopped at its budget before exhausting the space."""
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,28 @@ class _BudgetHit(Exception):
     pass
 
 
-def _run(spec: TreeSpec, config: SearchConfig):
+def _plan(spec: TreeSpec) -> tuple[list[tuple[int, int, int]], int, int]:
+    """The groups smallest first, ties in spine order, as (size, owner, first
+    slot), owner n the root (the pendants, slots 0 .. n_pend-1); the number of
+    single-label groups, which lead; and the most frames the DFS nests: one per
+    branch spine vertex, two per single-label group, a + 1 per other group of a
+    labels but the last, and two for the spine's completion and the last group.
+    An odd-q tree with no vertex of two or more leaves stops at its first branch
+    vertex, whose spine edge cannot take 0 (one-leaf zero)."""
+    counts, n = spec.counts, spec.n
+    n_pend = counts.count(0)
+    plan = [(a, i, at) for i, (a, at) in enumerate(zip(counts, spec.leaf_start)) if a]
+    if n_pend:
+        plan.append((n_pend, n, 0))
+    plan.sort()
+    n_single = counts.count(1) + (n_pend == 1)
+    if spec.q % 2 and max(counts) < 2:
+        return plan, n_single, 1
+    depth = n - n_pend + 2 * n_single + sum(a + 1 for a, _, _ in plan[n_single:-1]) + 2
+    return plan, n_single, depth
+
+
+def _run(spec: TreeSpec, config: SearchConfig, plan: list[tuple[int, int, int]], n_single: int):
     n = spec.n
     counts = spec.counts
     q = spec.q
@@ -192,14 +217,6 @@ def _run(spec: TreeSpec, config: SearchConfig):
     nodes = 0  # every node site raises _BudgetHit at limit, then counts itself
     # the labeling in the tree's slot order: spine edges, then each leaf group
     x = [0] * q
-    leaf_at = accumulate(counts, initial=n)  # each vertex's first leaf slot
-    # the groups smallest first, ties in spine order: (size, owner, first
-    # slot); owner n is the root, whose pendant group is slots 0 .. n_pend-1
-    plan = [(a, i, at) for i, (a, at) in enumerate(zip(counts, leaf_at)) if a]
-    if n_pend:
-        plan.append((n_pend, n, 0))
-    plan.sort()
-    n_single = counts.count(1) + (n_pend == 1)  # the single-label groups lead
     last = len(plan) - 1
     a_last = plan[-1][0]
     bases: list[int] = []  # each group's base, in plan order, once the spine is labeled
@@ -373,25 +390,6 @@ def _run(spec: TreeSpec, config: SearchConfig):
     return EXHAUSTED_NONE, nodes, None, 0
 
 
-def dfs_depth(spec: TreeSpec) -> int:
-    """The most frames the DFS nests, by arithmetic on the counts: one per
-    branch spine vertex, two per single-label group, a + 1 per other group of
-    a labels but the last (the largest; the pendants are one group), and two
-    more, for the spine's completion and the last group.  An odd-q tree with
-    no vertex of two or more leaves ends at its first branch vertex, whose
-    spine edge cannot take 0 (one-leaf zero)."""
-    counts, n = spec.counts, spec.n
-    if spec.q % 2 and max(counts) < 2:
-        return 1
-    n_pend, ones = counts.count(0), counts.count(1)
-    # a + 1 over the branch groups of two or more leaves, then the pendants'
-    larger = spec.q - n_pend - 2 * ones + (n_pend + 1 if n_pend >= 2 else 0)
-    last = max(max(counts), n_pend)
-    if last >= 2:
-        larger -= last + 1
-    return n - n_pend + 2 * (ones + (n_pend == 1)) + larger + 2
-
-
 def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
     """Run the engine in the configured mode.  Deterministic for fixed input.
 
@@ -410,12 +408,13 @@ def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
             f"{spec} has q={spec.q} > {GUARD_Q}; exhaustive search refused "
             "(pass override_guard to insist)"
         )
+    plan, n_single, depth = _plan(spec)
     try:
         # many branches, or a long group before the last, is deep: refused
-        # by arithmetic before the run, or by the stack for a deep caller
-        if dfs_depth(spec) > sys.getrecursionlimit() - DEPTH_MARGIN:
+        # on the plan's depth before the run, or by the stack for a deep caller
+        if depth > sys.getrecursionlimit() - DEPTH_MARGIN:
             raise RecursionError
-        outcome, nodes, x, count = _run(spec, config)
+        outcome, nodes, x, count = _run(spec, config, plan, n_single)
     except RecursionError:
         raise GuardRefused(
             f"{spec} has q={spec.q}; the tree is too deep for the search"
@@ -424,12 +423,6 @@ def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
         return SearchResult(outcome, nodes, count)
     tree = build_tree(spec)
     return SearchResult(outcome, nodes, count, tree, x, checked(tree, x, "search"))
-
-
-def count_all(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
-    """Exhaustive raw count of SEG labelings (symmetry re-expanded)."""
-    config = replace(config or SearchConfig(), mode=COUNT_ALL)
-    return search(spec, config)
 
 
 def make_certificate(spec: TreeSpec, config: SearchConfig, result: SearchResult) -> dict:
@@ -455,14 +448,3 @@ def make_certificate(spec: TreeSpec, config: SearchConfig, result: SearchResult)
         "result": "none",
         "version": __version__,
     }
-
-
-def certify_not_seg(spec: TreeSpec, config: SearchConfig | None = None) -> dict:
-    """Exhaust the space and emit a machine-readable absence certificate.
-
-    Runs FIND_ONE: a single labeling already refutes absence, and on a
-    non-SEG tree the run ends exhausted after the same nodes as a count.
-    """
-    config = replace(config or SearchConfig(), mode=FIND_ONE)
-    result = search(spec, config)
-    return make_certificate(spec, config, result)

@@ -30,10 +30,6 @@ class SpecSyntaxError(ValueError):
     """Malformed spec text (bad token, unbalanced parens, bad exponent)."""
 
 
-class EmptySpec(SpecSyntaxError):
-    """Spec with no counts at all."""
-
-
 class NotDiameterFour(ValueError):
     """Counts describe a tree of diameter < 4 (fewer than two branch vertices)."""
 
@@ -98,10 +94,6 @@ class TreeSpec:
         size = "Even" if self.q % 2 == 0 else "Odd"
         return size + shape
 
-    def a(self, i: int) -> int:
-        """Leaf count of spine vertex v_i, 1-based."""
-        return self.counts[i - 1]
-
     def format(self) -> str:
         """Compressed spec string, runs of equal counts in exponent notation."""
         runs = [(a, len(list(run))) for a, run in groupby(self.counts)]
@@ -115,12 +107,12 @@ def canonicalize(counts) -> TreeSpec:
     """Sort raw counts into canonical order and validate the shape.
 
     Stable within each block (zeros / positive evens / positive odds), so
-    equal counts keep their relative order.  Raises EmptySpec on no counts,
+    equal counts keep their relative order.  Raises SpecSyntaxError on no counts,
     NotDiameterFour when fewer than two counts are positive.
     """
     counts = list(counts)
     if not counts:
-        raise EmptySpec("spec has no counts")
+        raise SpecSyntaxError("spec has no counts")
     # plain nonnegative ints pass without a Python loop; anything else is
     # named, the first bad count in the order given (a bool is refused)
     if not set(map(type, counts)) <= {int} or min(counts) < 0:
@@ -142,7 +134,7 @@ def canonicalize(counts) -> TreeSpec:
     return spec
 
 
-_ITEM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+_ITEM_RE = re.compile(r"^([0-9]+)(?:\^([0-9]+))?$")  # \d would match any script's digits
 
 
 def parse_spec(text: str) -> TreeSpec:
@@ -162,7 +154,7 @@ def parse_spec(text: str) -> TreeSpec:
     elif compact.lower().startswith("rt"):
         raise SpecSyntaxError(f"unbalanced RT(...) wrapper in {text!r}")
     if compact == "":
-        raise EmptySpec(f"no counts in spec {text!r}")
+        raise SpecSyntaxError(f"no counts in spec {text!r}")
     items: list[tuple[int, int]] = []  # (count, repeat)
     for item in compact.split(","):
         m = _ITEM_RE.match(item.strip())

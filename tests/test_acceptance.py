@@ -11,17 +11,17 @@ from pathlib import Path
 
 from segtrees import (
     CONSTRUCTIVE,
+    COUNT_ALL,
     EXHAUSTED_NONE,
     FIND_ONE,
     FOUND,
     NOT_SEG,
     SearchConfig,
     build_tree,
-    certify_not_seg,
     classify,
-    count_all,
     enumerate_specs,
     label_any,
+    make_certificate,
     parse_spec,
     read_labeling,
     search,
@@ -134,7 +134,8 @@ def test_criterion_5_nonexistence_certificates():
     trees = ["RT(0,1,1)", "RT(0,1,3)", "RT(0,1,5)", "RT(0^3,1,1)",
              "RT(0,1,1,1)", "RT(0,1,1,1,1)", "RT(0^3,1,1,1)"]
     for name in trees:
-        cert = certify_not_seg(parse_spec(name))
+        spec = parse_spec(name)
+        cert = make_certificate(spec, SearchConfig(), search(spec))
         assert cert["outcome"] == EXHAUSTED_NONE, name
         assert json.dumps(cert)  # serializable
     dt = time.monotonic() - t0
@@ -147,12 +148,12 @@ def test_criterion_6_count_parity():
     t0 = time.monotonic()
     seg_specs = 0
     for spec in enumerate_specs(9):
-        r = count_all(spec)
+        r = search(spec, SearchConfig(mode=COUNT_ALL))
         if r.count > 0:
             seg_specs += 1
             assert r.count % 2 == 0, (spec.format(), r.count)
     dt = time.monotonic() - t0
-    print(f"criterion 6: PASS - count_all even for all {seg_specs} SEG trees "
+    print(f"criterion 6: PASS - counts even for all {seg_specs} SEG trees "
           f"with q <= 9 in {dt:.1f}s")
 
 
@@ -162,7 +163,7 @@ def test_criterion_7_symmetry_neutrality():
     specs = enumerate_specs(9)[:20]
     assert len(specs) == 20
     for spec in specs:
-        assert count_all(spec).count == cover_count(spec.counts), spec.format()
+        assert search(spec, SearchConfig(mode=COUNT_ALL)).count == cover_count(spec.counts), spec.format()
     dt = time.monotonic() - t0
     print(f"criterion 7: PASS - 20 specs give the exact-cover counter's "
           f"counts in {dt:.1f}s")

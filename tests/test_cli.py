@@ -635,6 +635,10 @@ def test_unusable_path_or_size_exit1(capsys, tmp_path, argv):
         (["label", "RT(2,1,1)", "--search-budget", "10^-1"], 1),
         (["survey", "--search-budget", "0^-1"], 1),
         (["survey", "--search-budget", "nan"], 1),
+        (["search", "RT(1,1)", "--search-budget", "\u0661\u0660"], 1),
+        (["search", "RT(1,1)", "--search-budget", "1_0"], 1),
+        (["search", "RT(1,1)", "--search-budget", "1_0e1"], 1),
+        (["classify", "\u0663,1"], 1),
         (["search", "RT(1,1)", "--count", "--no-break-negation"], 1),
         (["search", "RT(1,1)", "--count", "--no-break-leaves"], 1),
         (["label", "RT(2,1,1)", "--search-budget", "10^3", "--no-break-spine"], 1),
@@ -642,6 +646,7 @@ def test_unusable_path_or_size_exit1(capsys, tmp_path, argv):
     ],
     ids=["help", "no-command", "unknown-command", "budget-word", "budget-overflow",
          "budget-negative", "budget-negative-base", "budget-fraction", "budget-zero-division", "budget-nan",
+         "budget-arabic-indic-digits", "budget-underscore", "budget-float-underscore", "spec-arabic-indic-digit",
          "retired-negation-flag", "retired-leaf-flag", "retired-spine-flag",
          "exhaust-with-count"],
 )
@@ -735,3 +740,11 @@ def test_readme_examples_print_what_they_show(capsys, tmp_path, monkeypatch):
     for cmd, shown in examples:
         main(shlex.split(cmd, comments=True))
         assert capsys.readouterr().out.splitlines() == shown, cmd
+
+
+def test_readme_library_example_runs():
+    # the ```python block of the README runs as shown, so a name it imports
+    # must still be public
+    blocks = README.read_text().split("```python\n")[1:]
+    assert len(blocks) == 1, "README has one Library block"
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})

@@ -239,7 +239,7 @@ def test_placers_write_runs_not_vertices(monkeypatch, text):
         put(self, writes)
 
     monkeypatch.setattr(_Builder, "_put", counting_put)
-    assert label_any(parse_spec(text)).is_labeled
+    assert label_any(parse_spec(text)).kind == LABELED
     assert sum(blocks) <= 20, blocks
 
 
@@ -283,9 +283,8 @@ def test_first_leaf_pairs_collision_on_a_run_writes_nothing(pre, message):
 
 def test_outcome_shape():
     out = label_any(parse_spec("RT(1,1)"))
-    assert out.is_labeled
     assert out.kind == LABELED
     assert out.tag == "cat-q-even-j-even"
     assert out.case == "both-odd"
     not_seg = label_any(parse_spec("RT(0,1,1)"))
-    assert not not_seg.is_labeled
+    assert not_seg.kind != LABELED

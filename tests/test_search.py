@@ -22,9 +22,7 @@ from segtrees import (
     NotCertifiable,
     SearchConfig,
     build_tree,
-    certify_not_seg,
     classify,
-    count_all,
     enumerate_specs,
     induce,
     make_certificate,
@@ -39,9 +37,10 @@ from oracle import (
     naive_is_seg_assignment,
     naive_solutions,
 )
-from segtrees.search import dfs_depth
+from segtrees.search import _plan
 
 search_module = importlib.import_module("segtrees.search")  # segtrees.search is the function
+COUNT = SearchConfig(mode=COUNT_ALL)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +50,7 @@ search_module = importlib.import_module("segtrees.search")  # segtrees.search is
 @pytest.mark.parametrize("spec", enumerate_specs(7), ids=lambda s: s.format())
 def test_counts_match_naive_oracle(spec):
     expected = naive_count(spec.counts)
-    result = count_all(spec)
+    result = search(spec, COUNT)
     assert result.count == expected == cover_count(spec.counts)
     assert (result.outcome == FOUND) == (expected > 0)
 
@@ -61,7 +60,7 @@ def test_cover_count_matches_count_all_q10():
     specs = enumerate_specs(10)
     assert len(specs) == 83
     for spec in specs:
-        assert cover_count(spec.counts) == count_all(spec).count, spec.format()
+        assert cover_count(spec.counts) == search(spec, COUNT).count, spec.format()
 
 
 # each tree's brute-force solutions are shared by its 8 cases
@@ -113,7 +112,7 @@ def _run_reorderings(flat, groups, runs):
 
 
 # the ids keep the digits of the retired flags, which now pick checks against
-# the brute-force oracle.  N1 checks count_all and cover_count against the
+# the brute-force oracle.  N1 checks count mode and cover_count against the
 # oracle's count; there L1 (S1) checks that the oracle's solutions whose leaf
 # groups (equal-count runs, by ``_runs_ascend``) ascend, times the a! (m!)
 # orderings each stands for, are all of them: the re-expansion the search
@@ -132,7 +131,7 @@ def test_every_flag_combo_matches_naive(text, check, leaves, spine):
     solutions = _naive_solutions(spec.counts)
     groups, runs = _leaf_groups_and_runs(spec.counts)
     if check == "N1":
-        assert count_all(spec).count == cover_count(spec.counts) == len(solutions)
+        assert search(spec, COUNT).count == cover_count(spec.counts) == len(solutions)
         if leaves:
             kept = sum(1 for f in solutions if _leaves_ascend(f, groups))
             assert kept * prod(map(factorial, spec.counts)) == len(solutions)
@@ -172,7 +171,7 @@ def test_existence_matches_naive_q6():
 # ---------------------------------------------------------------------------
 
 def test_rt11_has_exactly_two_labelings():
-    r = count_all(parse_spec("RT(1,1)"))
+    r = search(parse_spec("RT(1,1)"), COUNT)
     assert r.outcome == FOUND
     assert r.count == 2
 
@@ -296,17 +295,17 @@ def test_count_nodes_pinned_and_budget_exact(text, nodes, count):
     # when it runs out inside a placed last group; b = nodes is enough
     spec = parse_spec(text)
     for b in (None, nodes):
-        r = count_all(spec, SearchConfig(node_budget=b))
+        r = search(spec, SearchConfig(mode=COUNT_ALL, node_budget=b))
         assert (r.outcome, r.nodes_visited, r.count) == (FOUND, nodes, count)
     for b in range(nodes):
-        r = count_all(spec, SearchConfig(node_budget=b))
+        r = search(spec, SearchConfig(mode=COUNT_ALL, node_budget=b))
         assert (r.outcome, r.nodes_visited, r.count) == (BUDGET_EXCEEDED, b, None), b
 
 
 def test_count_nodes_total_q10():
     # count mode visits the same nodes however it completes its last groups
     # (103,505 with the spine labels in ascending order)
-    results = [count_all(spec) for spec in enumerate_specs(10)]
+    results = [search(spec, COUNT) for spec in enumerate_specs(10)]
     assert sum(r.nodes_visited for r in results) == 102_902
     assert sum(r.count for r in results) == 2_073_658
 
@@ -339,9 +338,9 @@ def test_count_budget_stops_exact_q9():
     # nodes have no such budget
     runs = 0
     for spec in enumerate_specs(9):
-        nodes = count_all(spec).nodes_visited
+        nodes = search(spec, COUNT).nodes_visited
         for b in (nodes - 1, nodes // 2) if nodes else ():
-            r = count_all(spec, SearchConfig(node_budget=b))
+            r = search(spec, SearchConfig(mode=COUNT_ALL, node_budget=b))
             assert (r.outcome, r.nodes_visited, r.count) == (BUDGET_EXCEEDED, b, None), (spec.format(), b)
             runs += 1
     assert runs == 90
@@ -392,21 +391,21 @@ def test_guard_refuses_large_trees():
 
 @pytest.mark.parametrize("text", ["RT(4,1^1500)", "RT(0^1500,1600^2)", "RT(1^500000)"])
 def test_too_deep_refused_before_the_run(monkeypatch, text):
-    # many branches, or a long group before the last: the depth is summed
-    # from the counts, so _run is never entered
-    def no_run(spec, config):
+    # many branches, or a long group before the last: the depth is read off
+    # the group plan, so _run is never entered
+    def no_run(spec, config, plan, n_single):
         raise AssertionError("_run entered")
 
     monkeypatch.setattr(search_module, "_run", no_run)
     spec = parse_spec(text)
-    assert dfs_depth(spec) > sys.getrecursionlimit()
+    assert _plan(spec)[2] > sys.getrecursionlimit()
     with pytest.raises(GuardRefused, match="too deep for the search"):
         search(spec, SearchConfig(override_guard=True))
 
 
 def test_dfs_depth_bounds_the_nesting_q9():
     # count runs visit every branch, so the deepest nesting shows; it never
-    # passes dfs_depth, and reaches it on some trees
+    # passes the depth _plan reads off the group plan, and reaches it on some trees
     frames = {"dfs_spine", "next_group", "close", "dfs_group"}
     reached = 0
     for spec in enumerate_specs(9):
@@ -424,11 +423,12 @@ def test_dfs_depth_bounds_the_nesting_q9():
         old = sys.getprofile()
         sys.setprofile(profile)
         try:
-            count_all(spec)
+            search(spec, COUNT)
         finally:
             sys.setprofile(old)
-        assert deepest <= dfs_depth(spec), spec
-        reached += deepest == dfs_depth(spec)
+        planned = _plan(spec)[2]
+        assert deepest <= planned, spec
+        reached += deepest == planned
     assert reached
 
 
@@ -445,7 +445,7 @@ def test_guard_boundary_inclusive():
 
 def test_certificate_contents():
     spec = parse_spec("RT(0,1,3)")
-    cert = certify_not_seg(spec)
+    cert = make_certificate(spec, SearchConfig(), search(spec))
     assert cert["spec"] == "RT(0,1,3)"
     assert cert["q"] == 7
     assert cert["edge_target"] == [-3, -2, -1, 0, 1, 2, 3]
@@ -460,12 +460,14 @@ def test_certificate_contents():
 
 def test_certify_refuses_seg_tree():
     with pytest.raises(NotCertifiable):
-        certify_not_seg(parse_spec("RT(1,1)"))
+        spec = parse_spec("RT(1,1)")
+        make_certificate(spec, SearchConfig(), search(spec))
 
 
 def test_certify_budget_exceeded_raises():
     with pytest.raises(BudgetExceeded):
-        certify_not_seg(parse_spec("RT(0,1,5)"), SearchConfig(node_budget=3))
+        spec, cfg = parse_spec("RT(0,1,5)"), SearchConfig(node_budget=3)
+        make_certificate(spec, cfg, search(spec, cfg))
 
 
 def test_make_certificate_from_result():
@@ -486,7 +488,7 @@ def test_flag_combos_agree_on_q8_sample():
     # the one configuration's two modes agree on existence, and count mode's
     # first labeling is SEG
     for spec in enumerate_specs(8):
-        counted, found = count_all(spec), search(spec)
+        counted, found = search(spec, COUNT), search(spec)
         assert counted.outcome == found.outcome, spec.format()
         assert (counted.outcome == FOUND) == (counted.count > 0), spec.format()
         assert counted.labeling is None or verify(build_tree(spec), counted.labeling).is_seg
@@ -527,5 +529,5 @@ def test_counts_always_even():
 def test_breaking_reduces_nodes():
     # a search that enumerated every labeling would visit a node per labeling
     # at least; the symmetry breaking visits fewer than the count it reports
-    r = count_all(parse_spec("RT(0^4,1,1)"))
+    r = search(parse_spec("RT(0^4,1,1)"), COUNT)
     assert r.nodes_visited < r.count

@@ -48,6 +48,8 @@ _PAST_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"
 
 @pytest.mark.parametrize("bad", ["", "RT()", "RT(", "RT(1,)", "RT(a)", "RT(1,-1)",
                                  "RT(1^0)", "RT(1.5,1)", "1 1", "RT 1,1",
+                                 pytest.param("\u0663,1", id="arabic-indic-count"),
+                                 pytest.param("RT(1,1^\u0662)", id="arabic-indic-exponent"),
                                  pytest.param("RT(" + "9" * 5_000 + ",1)", id="count-too-long",
                                               marks=_PAST_DIGIT_LIMIT),
                                  pytest.param("RT(1^" + "9" * 5_000 + ",1)", id="exponent-too-long",
