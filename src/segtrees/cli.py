@@ -17,7 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from .constructions import LABELED, PROVED_NOT_SEG, ConstructionFault, label_any
+from .constructions import LABELED, PROVED_NOT_SEG, UNKNOWN, ConstructionFault, label_any
 from .labeling import LabelingFormatError, edge_lines, read_labeling, to_dot, verify, write_slots
 # not called here any more; perfbench/spans.py still wraps these module names
 from .labeling import induce, write_labeling  # noqa: F401
@@ -80,6 +80,13 @@ def _parse_budget(text: str) -> int:
         return int(v)
     except (ValueError, OverflowError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"bad budget {text!r}") from None
+
+
+def _parse_max_size(text: str) -> int:
+    """ASCII digits only: int() would also take any script's digits, and "_"."""
+    if not re.fullmatch(r"[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"bad size {text!r}")
+    return int(text)
 
 
 def _config_from(
@@ -149,49 +156,56 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_label(args: argparse.Namespace) -> int:
     spec = parse_spec(args.spec)
-    cfg = None if args.search_budget is None else _config_from(args, FIND_ONE)
-    outcome = label_any(spec, cfg)
-    if outcome.kind == LABELED:
+    out = label_any(spec)
+    kind, tag, case = out.kind, out.tag, out.case
+    cert = path = None
+    if kind == UNKNOWN and args.search_budget is not None:
+        cfg = _config_from(args, FIND_ONE)
+        out = search(spec, cfg)  # checks a labeling it finds before returning it
+        if out.outcome == FOUND:
+            kind, tag = LABELED, "by-search"
+        elif out.outcome == EXHAUSTED_NONE:
+            kind, tag = PROVED_NOT_SEG, "by-exhaustion"
+            cert = make_certificate(spec, cfg, out)
+            if args.certificates_dir:
+                path = _write_certificate(cert, args.certificates_dir, spec)
+    if kind == LABELED:
+        # out is a LabelOutcome or a found SearchResult: both carry tree, slot_labels, induced
         if args.out:
-            Path(args.out).write_text(write_slots(outcome.tree, outcome.slot_labels))
+            Path(args.out).write_text(write_slots(out.tree, out.slot_labels))
         if args.format == "json":
             # json.dumps(obj, indent=2) with the "labeling" and "verified" keys
             # last, its edge lines formatted as write_slots formats them
             head = json.dumps({"spec": spec.format(), "status": "labeled",
-                               "tag": outcome.tag, "case": outcome.case}, indent=2)
-            edges = edge_lines(outcome.tree, outcome.slot_labels)
+                               "tag": tag, "case": case}, indent=2)
+            edges = edge_lines(out.tree, out.slot_labels)
             print(f'{head[:-2]},\n  "labeling": {{\n{edges}\n  }},\n  "verified": true\n}}')
         else:
-            via = f" via {outcome.tag}" + (f" [{outcome.case}]" if outcome.case else "")
+            via = f" via {tag}" + (f" [{case}]" if case else "")
             print(f"{spec.format()}: SEG labeling found{via}")
-            _print_labeling(outcome.tree, outcome.slot_labels, outcome.induced)
+            _print_labeling(out.tree, out.slot_labels, out.induced)
             if args.out:
                 print(f"  written to {args.out}")
         return EXIT_OK
-    if outcome.kind == PROVED_NOT_SEG:
-        cert = path = None
-        if outcome.search is not None:
-            cert = make_certificate(spec, cfg, outcome.search)
-            if args.certificates_dir:
-                path = _write_certificate(cert, args.certificates_dir, spec)
+    if kind == PROVED_NOT_SEG:
         if args.format == "json":
             _print_json(
                 {
                     "spec": spec.format(),
                     "status": "not-seg",
-                    "tag": outcome.tag,
+                    "tag": tag,
                     "certificate": cert,
                 }
             )
         else:
-            print(f"{spec.format()}: not SEG ({outcome.tag})")
+            print(f"{spec.format()}: not SEG ({tag})")
             if path:
                 print(f"  certificate written: {path}")
         return EXIT_NEGATIVE
     if args.format == "json":
-        _print_json({"spec": spec.format(), "status": "unknown", "tag": outcome.tag})
+        _print_json({"spec": spec.format(), "status": "unknown", "tag": tag})
     else:
-        print(f"{spec.format()}: undecided ({outcome.tag}); no labeling produced")
+        print(f"{spec.format()}: undecided ({tag}); no labeling produced")
         if args.search_budget is None:
             print("  hint: pass --search-budget N to let the oracle try")
     return EXIT_UNDECIDED
@@ -395,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("survey", help="theory vs oracle over all small trees")
-    p.add_argument("--max-size", type=int, default=9, metavar="Q")
+    p.add_argument("--max-size", type=_parse_max_size, default=9, metavar="Q")
     _add_format(p)
     _add_search_flags(p)
     p.set_defaults(func=cmd_survey)

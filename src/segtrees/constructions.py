@@ -34,18 +34,16 @@ puts +top and -top on two edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 
 from .labeling import ConstructionFault, EdgeLabeling, checked
 # not called here any more; perfbench/spans.py still wraps this module's name
 from .labeling import verify  # noqa: F401
-from .search import BUDGET_EXCEEDED, EXHAUSTED_NONE, FIND_ONE, SearchConfig, SearchResult
 from .trees import (
     CONSTRUCTIVE,
     NOT_SEG,
-    Classification,
     TreeSpec,
     build_tree,
     classify,
@@ -58,8 +56,8 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class LabelOutcome:
-    """What ``label_any`` decided, and the work behind it: ``tree``, the
-    spec the labeling was verified on, and the fallback search run, if any.
+    """What ``label_any`` decided, and ``tree``, the spec a labeling was
+    verified on.
 
     A labeled outcome carries ``slot_labels``, the labeling in
     ``tree.edge_ids`` order, and ``induced``, its induced labels in
@@ -71,7 +69,6 @@ class LabelOutcome:
     tag: str
     case: str | None = None
     tree: TreeSpec | None = None
-    search: SearchResult | None = None
     slot_labels: list[int] | None = field(default=None, repr=False)
     induced: list[int] | None = field(default=None, repr=False)
 
@@ -94,7 +91,6 @@ class _Builder:
         self.spec = spec
         self.tag = tag
         self.top = spec.q // 2  # the largest edge label
-        self.starts = spec.leaf_start  # each read of the property rebuilds it
         self.x: list[int | None] = [None] * spec.q
 
     def _fault(self, detail: str) -> ConstructionFault:
@@ -125,7 +121,7 @@ class _Builder:
     def leaf(self, i: int, m: int, value: int) -> None:
         if not (1 <= i <= self.spec.n and 1 <= m <= self.spec.counts[i - 1]):
             raise self._fault(f"leaf ({i},{m}) out of range")
-        slot = self.starts[i - 1] + m - 1
+        slot = self.spec.leaf_start[i - 1] + m - 1
         self._put([(range(slot, slot + 1), range(value, value + 1))])
 
     def _run(self, i: int, count: int, what: str, leaves: bool = False) -> range:
@@ -153,7 +149,7 @@ class _Builder:
         whatever its length.
         """
         run = self._run(i, count, "first-leaf pairs", leaves=True)
-        c, starts, blocks = self.spec.counts, self.starts, []
+        c, starts, blocks = self.spec.counts, self.spec.leaf_start, []
         pairs = zip(c[run.start:run.stop:2], c[run.start + 1:run.stop:2])
         for k, m, (a, a2) in _equal_runs(pairs):
             s, step = starts[run.start + 2 * k], a + a2  # s: v_{i+2k}'s first leaf
@@ -200,7 +196,7 @@ def _paired_leaves(B: _Builder, first: int, start_vertex: int, placed: int = 0) 
     per leaf position, whichever is fewer.  An even run's pairs tile its
     slots, so it is written as one vertex of m * a leaves.
     """
-    counts, starts, n = B.spec.counts, B.starts, B.spec.n
+    counts, starts, n = B.spec.counts, B.spec.leaf_start, B.spec.n
     if not 1 <= start_vertex <= n + 1:
         raise B._fault(f"paired leaves from {start_vertex} out of range")
     # (first vertex, length m, count a, leaf offset o of a vertex's pairs)
@@ -400,44 +396,24 @@ _RULES = {
 }
 
 
-def _build_for(cls: Classification) -> list[int]:
-    spec, p = cls.spec, cls.params
-    B = _Builder(spec, cls.tag)
+def label_any(spec: TreeSpec) -> LabelOutcome:
+    """Run the closed-form rule for the spec's case and check its labeling.
+
+    A non-existence case is PROVED_NOT_SEG and an open one (conjectured or
+    uncovered family) UNKNOWN; neither is searched here.
+    """
+    cls = classify(spec)
+    if cls.status == NOT_SEG:
+        return LabelOutcome(PROVED_NOT_SEG, cls.tag)
+    if cls.status != CONSTRUCTIVE:
+        return LabelOutcome(UNKNOWN, cls.tag)
+    tree, p = build_tree(spec), cls.params
+    B = _Builder(tree, cls.tag)
     if spec.q % 2 == 0:
         _even_q(B, (spec.j + spec.k) // 2, spec.l // 2, spec.l % 2)
     elif cls.tag in _RULES:
         _RULES[cls.tag](B, p.get("r"), p.get("s"), p.get("t"))
     else:
         raise ConstructionFault(spec, cls.tag, "no rule implemented for this tag")
-    return B.result()
-
-
-def label_any(spec: TreeSpec, config: SearchConfig | None = None) -> LabelOutcome:
-    """Run the closed-form rule for the spec's case; with a config, fall back to search.
-
-    Given a search config, an UNKNOWN outcome (conjectured or uncovered
-    family) is retried by one FIND_ONE search under that config: a found
-    labeling, verified, upgrades to LABELED with tag "by-search", full
-    exhaustion to PROVED_NOT_SEG with tag "by-exhaustion", and a spent
-    budget stays UNKNOWN.
-    """
-    cls = classify(spec)
-    if cls.status == NOT_SEG:
-        return LabelOutcome(PROVED_NOT_SEG, cls.tag)
-    if cls.status == CONSTRUCTIVE:
-        tree = build_tree(spec)
-        x = _build_for(cls)
-        return LabelOutcome(LABELED, cls.tag, cls.case, tree, None, x, checked(tree, x, cls.tag))
-    if config is None:
-        return LabelOutcome(UNKNOWN, cls.tag)
-    # looked up per call, so a patched or wrapped segtrees.search.search runs
-    from .search import search
-
-    result = search(spec, replace(config, mode=FIND_ONE))
-    if result.outcome == BUDGET_EXCEEDED:
-        return LabelOutcome(UNKNOWN, cls.tag, search=result)
-    if result.outcome == EXHAUSTED_NONE:
-        return LabelOutcome(PROVED_NOT_SEG, "by-exhaustion", search=result)
-    # checked again, since segtrees.search.search may be patched or wrapped
-    tree, x = result.tree, result.slot_labels
-    return LabelOutcome(LABELED, "by-search", None, tree, result, x, checked(tree, x, "by-search"))
+    x = B.result()
+    return LabelOutcome(LABELED, cls.tag, cls.case, tree, x, checked(tree, x, cls.tag))

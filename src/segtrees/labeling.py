@@ -83,10 +83,10 @@ def _induced(tree: TreeSpec, x: list[int]) -> list[int]:
     """Induced labels, in ``tree.vertex_ids`` order, of slot labels x."""
     n = tree.n
     # prefix[s] is the sum of slots 0 .. s-1: the root's label is prefix[n].
-    # bounds holds each vertex's first leaf slot, then q, so a vertex's
-    # leaves sum to the difference of prefix at its bound and the next
+    # bounds is tree.leaf_start, then q, summed here so a searched spec keeps
+    # no cache: a vertex's leaves sum to prefix at its bound less at the next
     prefix = list(accumulate(x, initial=0))
-    bounds = (*tree.leaf_start, tree.q)
+    bounds = list(accumulate(tree.counts, initial=n))
     branch = [
         xi + prefix[end] - prefix[start]
         for xi, start, end in zip(x, bounds, bounds[1:])

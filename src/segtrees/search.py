@@ -184,7 +184,9 @@ def _plan(spec: TreeSpec) -> tuple[list[tuple[int, int, int]], int, int]:
     vertex, whose spine edge cannot take 0 (one-leaf zero)."""
     counts, n = spec.counts, spec.n
     n_pend = counts.count(0)
-    plan = [(a, i, at) for i, (a, at) in enumerate(zip(counts, spec.leaf_start)) if a]
+    # summed here, not read off spec.leaf_start, so a surveyed spec keeps no cache
+    starts = accumulate(counts[:-1], initial=n)
+    plan = [(a, i, at) for i, (a, at) in enumerate(zip(counts, starts)) if a]
     if n_pend:
         plan.append((n_pend, n, 0))
     plan.sort()

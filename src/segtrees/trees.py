@@ -83,9 +83,9 @@ class TreeSpec:
     def vertex_ids(self) -> tuple[str, ...]:
         return ("v0",) + self.edge_ids
 
-    @property
+    @cached_property
     def leaf_start(self) -> tuple[int, ...]:
-        """Slot of each spine vertex's first leaf edge; rebuilt on each read."""
+        """Slot of each spine vertex's first leaf edge, built on first read."""
         return tuple(accumulate(self.counts[:-1], initial=self.n))
 
     @property

@@ -235,8 +235,12 @@ SLOT_PATH_SPECS = [
 @pytest.mark.parametrize("text,tag,case", SLOT_PATH_SPECS, ids=[t for t, *_ in SLOT_PATH_SPECS])
 def test_label_output_matches_public_dict_api(capsys, tmp_path, text, tag, case):
     # label prints and writes from the slot list; the dict API must say the same
-    out = constructions.label_any(parse_spec(text), SearchConfig(node_budget=10**6))
-    assert (out.tag, out.case) == (tag, case)
+    spec = parse_spec(text)
+    if tag == "by-search":
+        out = search(spec, SearchConfig(node_budget=10**6))
+    else:
+        out = constructions.label_any(spec)
+        assert (out.tag, out.case) == (tag, case)
     path = tmp_path / "f.json"
     code, stdout, _ = run(capsys, "label", text, "--search-budget", "10^6", "--out", str(path))
     assert code == 0
@@ -245,7 +249,9 @@ def test_label_output_matches_public_dict_api(capsys, tmp_path, text, tag, case)
     induced = ", ".join(f"{v}={g}" for v, g in induce(out.tree, out.labeling).items())
     assert stdout.splitlines()[1:] == edge_lines + [f"  induced: {induced}", f"  written to {path}"]
     code, stdout, _ = run(capsys, "label", text, "--search-budget", "10^6", "--format", "json")
-    labeling = json.loads(stdout)["labeling"]
+    data = json.loads(stdout)
+    assert (data["tag"], data["case"]) == (tag, case)
+    labeling = data["labeling"]
     assert list(labeling) == list(out.tree.edge_ids)
     assert labeling == out.labeling
 
@@ -421,13 +427,14 @@ def test_search_one_leaf_zero_refutes_without_a_node(capsys):
 
 def test_search_fault_is_raised_never_returned(capsys, monkeypatch):
     # search checks each labeling it returns; a failed check is an internal
-    # fault: search raises it, and search and survey exit 3 printing nothing
+    # fault: search raises it, and search, survey and label exit 3 printing nothing
     report = VerificationReport(False, (Violation("VertexLabelsNotTargetSet", (0,), (1,)),))
     gate = importlib.import_module("segtrees.labeling")
     monkeypatch.setattr(gate, "verify_slots", lambda tree, x: (report, None))
     with pytest.raises(ConstructionFault, match=r"search on RT\(2,1\^2\): VertexLabels"):
         search(parse_spec("RT(2,1,1)"))
-    for argv in (["search", "RT(2,1,1)"], ["survey", "--max-size", "6"]):
+    for argv in (["search", "RT(2,1,1)"], ["survey", "--max-size", "6"],
+                 ["label", "RT(2,1,1)", "--search-budget", "10^6"]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, ""), argv
         assert err.startswith("internal error: produced labeling failed verification: search")
@@ -639,6 +646,8 @@ def test_unusable_path_or_size_exit1(capsys, tmp_path, argv):
         (["search", "RT(1,1)", "--search-budget", "1_0"], 1),
         (["search", "RT(1,1)", "--search-budget", "1_0e1"], 1),
         (["classify", "\u0663,1"], 1),
+        (["survey", "--max-size", "\u0665"], 1),
+        (["survey", "--max-size", "1_0"], 1),
         (["search", "RT(1,1)", "--count", "--no-break-negation"], 1),
         (["search", "RT(1,1)", "--count", "--no-break-leaves"], 1),
         (["label", "RT(2,1,1)", "--search-budget", "10^3", "--no-break-spine"], 1),
@@ -647,6 +656,7 @@ def test_unusable_path_or_size_exit1(capsys, tmp_path, argv):
     ids=["help", "no-command", "unknown-command", "budget-word", "budget-overflow",
          "budget-negative", "budget-negative-base", "budget-fraction", "budget-zero-division", "budget-nan",
          "budget-arabic-indic-digits", "budget-underscore", "budget-float-underscore", "spec-arabic-indic-digit",
+         "max-size-arabic-indic-digit", "max-size-underscore",
          "retired-negation-flag", "retired-leaf-flag", "retired-spine-flag",
          "exhaust-with-count"],
 )

@@ -1,5 +1,5 @@
+import ast
 import hashlib
-import importlib
 import json
 from pathlib import Path
 
@@ -8,11 +8,10 @@ import pytest
 from segtrees import (
     CONSTRUCTIVE,
     LABELED,
+    NOT_SEG,
     PROVED_NOT_SEG,
     UNKNOWN,
     ConstructionFault,
-    SearchConfig,
-    SearchResult,
     build_tree,
     classify,
     enumerate_specs,
@@ -20,6 +19,7 @@ from segtrees import (
     parse_spec,
     verify,
 )
+from segtrees import constructions
 from segtrees.constructions import _Builder, _paired_leaves
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -147,46 +147,26 @@ def test_unknown_without_budget():
     assert out.tag == "conjecture-1"
 
 
-def test_search_fallback_finds_conjectured():
-    spec = parse_spec("RT(2,1,1)")
-    out = label_any(spec, SearchConfig(node_budget=10**6))
-    assert out.kind == LABELED
-    assert out.tag == "by-search"
-    assert verify(build_tree(spec), out.labeling).is_seg
+def test_label_any_leaves_every_open_spec_unknown():
+    # open families are search's to decide (label --search-budget); label_any
+    # answers them UNKNOWN under their classification tag, with no tree
+    specs = [s for s in enumerate_specs(13) if classify(s).status not in (CONSTRUCTIVE, NOT_SEG)]
+    assert len(specs) == 45
+    for spec in specs:
+        out = label_any(spec)
+        assert (out.kind, out.tag, out.tree, out.labeling) == (UNKNOWN, classify(spec).tag, None, None)
 
 
-def test_search_fallback_budget_too_small_stays_unknown():
-    out = label_any(parse_spec("RT(2,1,1)"), SearchConfig(node_budget=1))
-    assert out.kind == UNKNOWN
-
-
-def test_search_fallback_exhaustion_proves_not_seg(monkeypatch):
-    # no small open case is actually non-SEG, so exercise the plumbing by
-    # faking an exhausted search
-    def fake_search(spec, config):
-        return SearchResult(outcome="exhausted-none", nodes_visited=7, count=0)
-
-    search_module = importlib.import_module("segtrees.search")
-    monkeypatch.setattr(search_module, "search", fake_search)
-    out = label_any(parse_spec("RT(2,1,1)"), SearchConfig(node_budget=100))
-    assert out.kind == PROVED_NOT_SEG
-    assert out.tag == "by-exhaustion"
-
-
-# RT(2,1,1) has slots v1, v2, v3, v1.1, v1.2, v2.1, v3.1
-@pytest.mark.parametrize("slot_labels", [
-    [0, 1, -1, 2, -2, 3],  # too short: v3.1 has no label
-    [0, 1, -1, 2, -2, 3, 4],  # 4 is off target
-], ids=["missing-edge", "off-target"])
-def test_search_fallback_verifies_what_it_found(monkeypatch, slot_labels):
-    # a stand-in for search that skips its own check: label_any's gate catches it
-    def fake_search(spec, config):
-        return SearchResult(outcome="found", nodes_visited=1, tree=build_tree(spec),
-                            slot_labels=slot_labels)
-
-    monkeypatch.setattr(importlib.import_module("segtrees.search"), "search", fake_search)
-    with pytest.raises(ConstructionFault, match="by-search"):
-        label_any(parse_spec("RT(2,1,1)"), SearchConfig(node_budget=100))
+def test_constructions_imports_nothing_from_search():
+    # construction and search are independent routes in the import graph too
+    source = Path(constructions.__file__).read_text()
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {a.name for a in node.names}
+    assert not names & {"search", "segtrees.search"}
 
 
 @pytest.mark.parametrize("i", [0, 3], ids=["vertex-0", "vertex-n+1"])
