@@ -56,18 +56,21 @@ solution, so outcomes and counts are those of the uncut search.
 - Groups smallest first.  The larger groups follow in ascending size, so
   the largest group comes last; it is placed, not searched (below).
 - Sum interval.  Every group takes its labels in ascending order (the
-  pendants too, as the root's group).  A group lists
-  its free labels and their prefix sums once, at its start, and scans the
-  list past its last label (all still free).  With k labels left, partial
-  sum ``base`` and next label ``v_j`` (the j-th listed), the group sum lies
-  between ``base`` plus the k listed labels from j and ``base`` plus
-  ``v_j`` plus the top k-1 listed labels.  It must be some t in R, so an
-  interval missing ``[min R, max R]`` is skipped; its lower end rises with
-  j, so the scan stops once that end passes ``max R``.
+  pendants too, as the root's group).  A group lists its free labels and
+  their prefix sums once, at its start, and scans the list past its last
+  label (all still free).  The list is read off the pool a byte at a time,
+  from one table per byte offset, up to ``TABLE_BITS`` labels.  With k
+  labels left, partial sum ``base`` and next label ``v_j`` (the j-th
+  listed), the group sum lies between ``base`` plus the k listed labels
+  from j and ``base`` plus ``v_j`` plus the top k-1 listed labels.  It
+  must be some t in R, so an interval missing ``[min R, max R]`` is
+  skipped; its lower end rises with j, so the scan stops once that end
+  passes ``max R``.
 - Last label.  The completed group sum must be some t in R, so a group's
   last label is ``t - base``: the candidates are read off R, in ascending
-  order, instead of scanned.  The exact-cover step reads its options the
-  same way.
+  order, as one int of bits, instead of scanned.  A label with none costs
+  its node and closes nothing.  An exact-cover group's options are read
+  off R by the same shift.
 - Last group.  When every other group has closed, the pool holds exactly
   the last group's labels, and they close it.  The induced labels add up
   to 2 * (sum of the edge labels) = 0, and the vertex target is symmetric,
@@ -94,7 +97,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, groupby
 from math import factorial, inf, prod
 
@@ -174,6 +177,29 @@ class _BudgetHit(Exception):
     pass
 
 
+# a pool of up to this many labels is read a byte at a time.  A table holds
+# 20-28 KB, about 3 KB a label, and stays cached: a wider pool is read bit by bit
+TABLE_BITS = 64
+
+
+@cache
+def _byte_bits(off: int) -> tuple[tuple[int, ...], ...]:
+    """The set bits of each byte value 0 .. 255, as bit positions of an int
+    that holds the byte at byte ``off`` (0 the lowest); built on first use."""
+    return tuple(tuple(8 * off + b for b in range(8) if byte >> b & 1) for byte in range(256))
+
+
+def _bits_of(pool: int, tables: list[tuple[tuple[int, ...], ...]] | None) -> list[int]:
+    """The set bits of ``pool``, ascending.  ``tables``: the ``_byte_bits``
+    table of each byte of ``pool``, lowest first, or None to read it bit by bit."""
+    if tables is None:
+        return [b for b in range(pool.bit_length()) if pool >> b & 1]
+    bits: list[int] = []
+    for table, byte in zip(tables, pool.to_bytes(len(tables), "little")):
+        bits += table[byte]
+    return bits
+
+
 def _plan(spec: TreeSpec) -> tuple[list[tuple[int, int, int]], int, int]:
     """The groups smallest first, ties in spine order, as (size, owner, first
     slot), owner n the root (the pendants, slots 0 .. n_pend-1); the number of
@@ -205,6 +231,7 @@ def _run(spec: TreeSpec, config: SearchConfig, plan: list[tuple[int, int, int]],
     # v + h, so bit h (label 0) exists only for odd q
     h = q // 2
     n_bits = 2 * h + 1
+    tables = [_byte_bits(i) for i in range(n_bits + 7 >> 3)] if n_bits <= TABLE_BITS else None
     n_pend = counts.count(0)  # pendants lead: the branch vertices are positions n_pend .. n-1
 
     zero_last: list[bool] = []  # read only while 0 is in the pool: odd q
@@ -230,14 +257,10 @@ def _run(spec: TreeSpec, config: SearchConfig, plan: list[tuple[int, int, int]],
     weight = 1  # count mode: the solutions each one found stands for, by sign of S
     first: list[int] | None = None  # the first labeling, in slot order
 
-    def options(base: int, lo: int, pool: int) -> int:
-        # the labels from bit lo that close a group, as bits: label v (bit
-        # v + h) closes it when t = v + base is in R (bit t + h + 1)
-        shift = base + 1
-        return (pool >> lo << lo) & (r_bits >> shift if shift >= 0 else r_bits << -shift)
-
     def close(hits: int, base: int, slot: int, gi: int, singles, pool: int) -> None:
-        # each closing label in ascending order; its target leaves R meanwhile
+        # hits: the labels that close a group of base ``base``, as bits: label v
+        # (bit v + h) closes it when t = v + base is in R (bit t + h + 1).  Each
+        # in ascending order; its target leaves R meanwhile
         nonlocal r_bits, nodes, raw_count
         if first is not None and gi == last and not singles:
             # count mode, the last group next: each label closes, then the last
@@ -269,7 +292,8 @@ def _run(spec: TreeSpec, config: SearchConfig, plan: list[tuple[int, int, int]],
         if singles:
             best = None
             for g in singles:
-                hits = options(bases[g], 0, pool)
+                shift = bases[g] + 1
+                hits = pool & (r_bits >> shift if shift >= 0 else r_bits << -shift)
                 if not hits:
                     return
                 c = hits.bit_count()
@@ -288,7 +312,7 @@ def _run(spec: TreeSpec, config: SearchConfig, plan: list[tuple[int, int, int]],
                 raise _BudgetHit
             nodes += a
             if first is None:
-                x[slot:slot + a] = [b - h for b in range(n_bits) if (pool >> b) & 1]
+                x[slot:slot + a] = [b - h for b in _bits_of(pool, tables)]
             gi += 1
         if gi == len(plan):
             if first is None:
@@ -298,7 +322,7 @@ def _run(spec: TreeSpec, config: SearchConfig, plan: list[tuple[int, int, int]],
             raw_count += weight
             return
         # one label list per group, as bits, with their prefix sums
-        avail = [b for b in range(n_bits) if (pool >> b) & 1]
+        avail = _bits_of(pool, tables)
         dfs_group(gi, 0, 0, bases[gi], pool, avail, list(accumulate(avail, initial=0)))
 
     def dfs_group(gi: int, pos: int, j0: int, base: int, pool: int,
@@ -328,7 +352,10 @@ def _run(spec: TreeSpec, config: SearchConfig, plan: list[tuple[int, int, int]],
             x[slot] = b - h
             sub, rest = base + b - h, pool ^ (1 << b)
             if k == 2:  # the last label is read off R: it is t - base for some t in R
-                close(options(sub, b + 1, rest), sub, slot + 1, gi + 1, (), rest)
+                shift, above = sub + 1, rest >> b + 1 << b + 1  # the labels past b
+                hits = above & (r_bits >> shift if shift >= 0 else r_bits << -shift)
+                if hits:  # none: the node closes nothing
+                    close(hits, sub, slot + 1, gi + 1, (), rest)
             else:
                 dfs_group(gi, pos + 1, j + 1, sub, rest, avail, sums)
 

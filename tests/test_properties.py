@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segtrees import (
@@ -26,6 +26,7 @@ from segtrees import (
     vertex_label_target,
 )
 from segtrees.labeling import _induced
+from segtrees.search import _bits_of, _byte_bits
 from oracle import naive_induced, naive_is_seg_assignment
 
 # raw count lists that always form a valid diameter-4 spec: at least two
@@ -189,3 +190,21 @@ def test_enumerated_specs_build_consistently(spec):
     assert len(tree.edge_ids) == spec.q
     assert len(tree.vertex_ids) == spec.p
     assert len(set(tree.edge_ids)) == spec.q
+
+
+# the search reads a pool's free labels a byte at a time; every width from
+# 1 to 64 bits, full pools at the widths that cross a byte boundary
+@given(st.integers(1, 64).flatmap(lambda w: st.tuples(st.just(w), st.integers(0, (1 << w) - 1))))
+@example((8, 0xFF))
+@example((9, 0x1FF))
+@example((16, 0xFFFF))
+@example((17, 0x1FFFF))
+@example((24, (1 << 24) - 1))
+@example((25, (1 << 25) - 1))
+@example((32, (1 << 32) - 1))
+@example((33, (1 << 33) - 1))
+@example((33, 1 << 32))
+def test_byte_tables_list_a_pools_set_bits(width_pool):
+    n_bits, pool = width_pool
+    tables = [_byte_bits(i) for i in range(n_bits + 7 >> 3)]
+    assert _bits_of(pool, tables) == [b for b in range(n_bits) if pool >> b & 1]

@@ -302,6 +302,24 @@ def test_count_nodes_pinned_and_budget_exact(text, nodes, count):
         assert (r.outcome, r.nodes_visited, r.count) == (BUDGET_EXCEEDED, b, None), b
 
 
+# the count trees with q = 10 that scan the most labels closing nothing
+# (1,534, 1,423 and 1,012 of their nodes): such a label costs a node and
+# makes no call, so a budget that runs out on one must still stop exactly
+@pytest.mark.parametrize("text, nodes, count", [
+    ("RT(0^2,2^2,1)", 8_836, 34_880),
+    ("RT(0,2^2,3)", 6_683, 72_576),
+    ("RT(0^2,2^3)", 3_767, 62_016),
+])
+def test_count_budget_stops_exact_q10(text, nodes, count):
+    spec = parse_spec(text)
+    for b in (nodes - 1, nodes // 2):
+        r = search(spec, SearchConfig(mode=COUNT_ALL, node_budget=b))
+        assert (r.outcome, r.nodes_visited, r.count) == (BUDGET_EXCEEDED, b, None), b
+    for b in (None, nodes):
+        r = search(spec, SearchConfig(mode=COUNT_ALL, node_budget=b))
+        assert (r.outcome, r.nodes_visited, r.count) == (FOUND, nodes, count)
+
+
 def test_count_nodes_total_q10():
     # count mode visits the same nodes however it completes its last groups
     # (103,505 with the spine labels in ascending order)
@@ -430,6 +448,33 @@ def test_dfs_depth_bounds_the_nesting_q9():
         assert deepest <= planned, spec
         reached += deepest == planned
     assert reached
+
+
+# find-one past GUARD_Q: the nodes and a hash of the first labeling.  At
+# q = 33 the pool spans five bytes
+@pytest.mark.parametrize("text, nodes, digest", [
+    ("RT(0,1^14,3)", 94_385, "e2fa6cdadc38935eb6bda234ac584516e378a95d66c83d44e47441f124aa734c"),
+    ("RT(1^13,3)", 96_390, "2d81fed578dbe0b24eb7cdfe2ae3c12a66727426605086dbd419457f96591871"),
+])
+def test_override_guard_find_one_pinned(text, nodes, digest):
+    spec = parse_spec(text)
+    assert spec.q > GUARD_Q
+    r = search(spec, SearchConfig(override_guard=True))
+    assert (r.outcome, r.nodes_visited) == (FOUND, nodes)
+    assert hashlib.sha256(" ".join(map(str, r.slot_labels)).encode()).hexdigest() == digest
+    assert naive_is_seg_assignment(spec.counts, r.slot_labels)
+
+
+def test_wide_pool_is_read_bit_by_bit():
+    # a pool wider than TABLE_BITS labels builds no byte table (a table
+    # holds about 3 KB a label); the nodes and first labeling are pinned
+    spec = parse_spec("RT(2,3,60)")  # q = 68
+    assert spec.q > search_module.TABLE_BITS
+    r = search(spec, SearchConfig(override_guard=True))
+    assert (r.outcome, r.nodes_visited) == (FOUND, 68)
+    digest = hashlib.sha256(" ".join(map(str, r.slot_labels)).encode()).hexdigest()
+    assert digest == "e27469a24d60e6fa30f254290e5910b4fce7ba746b1975ba67849584c20d6703"
+    assert search_module._byte_bits.cache_info().currsize <= search_module.TABLE_BITS // 8
 
 
 def test_guard_boundary_inclusive():
