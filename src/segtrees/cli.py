@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .constructions import LABELED, PROVED_NOT_SEG, UNKNOWN, ConstructionFault, label_any
-from .labeling import LabelingFormatError, edge_lines, read_labeling, to_dot, verify, write_slots
+from .labeling import LabelingFormatError, edge_lines, labeling_file, read_labeling, to_dot, verify
 # not called here any more; perfbench/spans.py still wraps these module names
 from .labeling import induce, write_labeling  # noqa: F401
 from .search import (
@@ -116,10 +116,35 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _print_labeling(tree: TreeSpec, x: list[int], induced: list[int]) -> None:
-    """Edge labels x in slot order, then the induced labels in vertex order."""
-    print("\n".join([f"  {e} = {v}" for e, v in zip(tree.edge_ids, x)]))
-    print("  induced: " + ", ".join([f"{v}={g}" for v, g in zip(tree.vertex_ids, induced)]))
+# The text report of a labeling is formatted once per edge, by _edge_text.
+# Edge ids are v<d> or v<d>.<d> and labels are ints, so in that text "  "
+# only opens a line and " = " only ends an edge id: whole-string replaces
+# re-punctuate every line at once, for the labeling file and for the leaves
+# of the induced line.
+
+def _edge_text(tree: TreeSpec, x: list[int]) -> str:
+    """Slot labels x as printed, one ``  v1.2 = 5`` line per edge."""
+    return "\n".join([f"  {e} = {v}" for e, v in zip(tree.edge_ids, x)])
+
+
+def _print_labeling(tree: TreeSpec, text: str, induced: list[int]) -> None:
+    """Print text, a labeling's ``_edge_text``, then its induced labels in
+    vertex order.  Only v0..vn are formatted here: a leaf induces its own
+    edge's label, so the leaf part is text after its first n lines, each
+    ``  v1.2 = 5`` line turned into ``v1.2=5``."""
+    n = tree.n
+    spine = ", ".join([f"{v}={g}" for v, g in zip(tree.vertex_ids, induced[:n + 1])])
+    # a diameter-4 tree has leaves, so slot n is the first leaf edge
+    leaves = text[text.find(f"\n  {tree.edge_ids[n]} = ") + 3:]
+    leaves = leaves.replace(" = ", "=").replace("\n  ", ", ")
+    print(text, f"  induced: {spine}, {leaves}", sep="\n")
+
+
+def _file_edges(text: str) -> str:
+    """``labeling.edge_lines`` of the labeling whose ``_edge_text`` is text:
+    each ``  v1 = 3`` line becomes ``    "v1": 3``, and the lines are joined
+    by ``,`` and a newline."""
+    return '    "' + text[2:].replace(" = ", '": ').replace("\n  ", ',\n    "')
 
 
 # ---------------------------------------------------------------------------
@@ -170,20 +195,24 @@ def cmd_label(args: argparse.Namespace) -> int:
             if args.certificates_dir:
                 path = _write_certificate(cert, args.certificates_dir, spec)
     if kind == LABELED:
-        # out is a LabelOutcome or a found SearchResult: both carry tree, slot_labels, induced
-        if args.out:
-            Path(args.out).write_text(write_slots(out.tree, out.slot_labels))
+        # out is a LabelOutcome or a found SearchResult: both carry tree,
+        # slot_labels, induced.  The edges are formatted once, for stdout, and
+        # the file is written from that text before anything is printed
         if args.format == "json":
-            # json.dumps(obj, indent=2) with the "labeling" and "verified" keys
-            # last, its edge lines formatted as write_slots formats them
+            edges = edge_lines(out.tree, out.slot_labels)
+            if args.out:
+                Path(args.out).write_text(labeling_file(out.tree, edges))
+            # json.dumps(obj, indent=2) with the "labeling" and "verified" keys last
             head = json.dumps({"spec": spec.format(), "status": "labeled",
                                "tag": tag, "case": case}, indent=2)
-            edges = edge_lines(out.tree, out.slot_labels)
             print(f'{head[:-2]},\n  "labeling": {{\n{edges}\n  }},\n  "verified": true\n}}')
         else:
+            text = _edge_text(out.tree, out.slot_labels)
+            if args.out:
+                Path(args.out).write_text(labeling_file(out.tree, _file_edges(text)))
             via = f" via {tag}" + (f" [{case}]" if case else "")
             print(f"{spec.format()}: SEG labeling found{via}")
-            _print_labeling(out.tree, out.slot_labels, out.induced)
+            _print_labeling(out.tree, text, out.induced)
             if args.out:
                 print(f"  written to {args.out}")
         return EXIT_OK
@@ -262,7 +291,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(f"{spec.format()}: found (nodes={result.nodes_visited})")
         if result.count is not None:
             print(f"  count: {result.count} SEG labelings")
-        _print_labeling(result.tree, result.slot_labels, result.induced)
+        _print_labeling(result.tree, _edge_text(result.tree, result.slot_labels), result.induced)
     elif result.outcome == EXHAUSTED_NONE:
         msg = f"{spec.format()}: none (exhausted, nodes={result.nodes_visited})"
         if cert_path:

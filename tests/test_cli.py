@@ -11,11 +11,10 @@ import pytest
 
 from segtrees import (
     CONJECTURED,
+    CONSTRUCTIVE,
     UNCOVERED,
     ConstructionFault,
     SearchConfig,
-    VerificationReport,
-    Violation,
     build_tree,
     classify,
     enumerate_specs,
@@ -256,6 +255,36 @@ def test_label_output_matches_public_dict_api(capsys, tmp_path, text, tag, case)
     assert labeling == out.labeling
 
 
+# label formats each edge once, for stdout, and derives the file and the leaf
+# part of the induced line from that text; the two large trees put the first
+# leaf edge past slot 10^4 (RT(0^9999,2,20000): n = 10,001) and give 9,000
+# spine vertices leaves (RT(0^2,2^3000,1^6000))
+DERIVED_SPECS = [
+    *(s.format() for s in enumerate_specs(12) if classify(s).status == CONSTRUCTIVE),
+    "RT(0^9999,2,20000)",
+    "RT(0^2,2^3000,1^6000)",
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_label_derived_text_matches_per_edge_formatting(capsys, tmp_path, fmt):
+    path = tmp_path / "f.json"
+    for text in DERIVED_SPECS:
+        out = constructions.label_any(parse_spec(text))
+        code, stdout, _ = run(capsys, "label", text, "--format", fmt, "--out", str(path))
+        assert code == 0, text
+        assert path.read_text() == write_labeling(out.tree, out.labeling), text
+        if fmt == "json":
+            report = {"spec": out.tree.format(), "status": "labeled", "tag": out.tag,
+                      "case": out.case, "labeling": out.labeling, "verified": True}
+            assert stdout == json.dumps(report, indent=2) + "\n", text
+        else:
+            edges = [f"  {e} = {v}" for e, v in out.labeling.items()]
+            induced = ", ".join([f"{v}={g}" for v, g in induce(out.tree, out.labeling).items()])
+            assert stdout.splitlines()[1:] == edges + [f"  induced: {induced}",
+                                                       f"  written to {path}"], text
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -427,10 +456,11 @@ def test_search_one_leaf_zero_refutes_without_a_node(capsys):
 
 def test_search_fault_is_raised_never_returned(capsys, monkeypatch):
     # search checks each labeling it returns; a failed check is an internal
-    # fault: search raises it, and search, survey and label exit 3 printing nothing
-    report = VerificationReport(False, (Violation("VertexLabelsNotTargetSet", (0,), (1,)),))
+    # fault: search raises it, and search, survey and label exit 3 printing nothing.
+    # The gate reads the induced labels through labeling._induced, so every
+    # vertex inducing 0 fails the vertex multiset of every labeling found
     gate = importlib.import_module("segtrees.labeling")
-    monkeypatch.setattr(gate, "verify_slots", lambda tree, x: (report, None))
+    monkeypatch.setattr(gate, "_induced", lambda tree, x: [0] * tree.p)
     with pytest.raises(ConstructionFault, match=r"search on RT\(2,1\^2\): VertexLabels"):
         search(parse_spec("RT(2,1,1)"))
     for argv in (["search", "RT(2,1,1)"], ["survey", "--max-size", "6"],
@@ -610,17 +640,23 @@ def test_export_bad_spec_exit1(capsys):
     [
         ["export", "{tmp}"],
         ["label", "RT(1,1)", "--out", "{tmp}/missing/x.json"],
+        ["label", "RT(1,1)", "--format", "json", "--out", "{tmp}/missing/x.json"],
+        ["label", "RT(2,1,1)", "--search-budget", "10^6", "--out", "{tmp}/missing/x.json"],
         ["search", "RT(0,1,3)", "--exhaust", "--certificates-dir", "{tmp}/a-file"],
         ["export", "RT(1,1)", "--out", "{tmp}/missing/x.dot"],
         ["survey", "--max-size", "4000"],
     ],
-    ids=["export-directory", "label-out-missing-dir", "certificates-dir-is-file",
+    ids=["export-directory", "label-out-missing-dir", "label-json-out-missing-dir",
+         "label-search-out-missing-dir", "certificates-dir-is-file",
          "export-out-missing-dir", "survey-unlistable-size"],
 )
 def test_unusable_path_or_size_exit1(capsys, tmp_path, argv):
+    # every file is written before anything is printed, so a failed write
+    # leaves stdout empty
     (tmp_path / "a-file").write_text("")
-    code, _, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    code, out, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert code == 1
+    assert out == ""
     assert "Traceback" not in err
     assert "error" in err
 

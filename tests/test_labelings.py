@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from segtrees import (
+    ConstructionFault,
     DomainMismatch,
     LabelingFormatError,
     VerificationReport,
@@ -22,7 +23,7 @@ from segtrees import (
     vertex_label_target,
     write_labeling,
 )
-from segtrees.labeling import _induced, verify_slots
+from segtrees.labeling import _induced, checked, verify_slots
 from oracle import naive_induced
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
@@ -171,6 +172,25 @@ def test_verify_slots_reports_wrong_length_without_raising(x, missing, extra):
     assert not report.is_seg
     assert induced is None
     assert report.violations == (Violation("DomainMismatch", missing, extra),)
+
+
+# RT(1,1) has 4 slots: v1, v2, v1.1, v2.1
+@pytest.mark.parametrize("x, detail", [
+    ([-3, 1, 2, 0], "EdgeLabelsNotTargetSet: missing [-2, -1]; unexpected [-3, 0]"),
+    ([1, 2, -1, -2], "VertexLabelsNotTargetSet: missing [1, 2]; unexpected [0, 3]"),
+    ([1, -3, 2, 0], "EdgeLabelsNotTargetSet: missing [-2, -1]; unexpected [-3, 0]; "
+                    "VertexLabelsNotTargetSet: missing [-1, 1]; unexpected [-3, 3]"),
+    ([1, 2, -1], "DomainMismatch: missing ['v2.1']"),
+    ([1, 2, -1, -2, 3], "DomainMismatch: unexpected [4]"),
+], ids=["edges-only", "vertices-only", "both", "short", "long"])
+def test_checked_fault_names_every_violation(x, detail):
+    # the gate decides without a report; a failure is described in full
+    tree = build_tree(parse_spec("RT(1,1)"))
+    with pytest.raises(ConstructionFault) as fault:
+        checked(tree, x, "rule")
+    assert str(fault.value) == f"rule on RT(1^2): {detail}"
+    x = label_any(tree).slot_labels
+    assert checked(tree, x, "rule") == _induced(tree, x)
 
 
 def test_negate_involution_and_seg_preserving():

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from segtrees import (
     CONJECTURED,
     CONSTRUCTIVE,
     NOT_SEG,
+    ConstructionFault,
     UNCOVERED,
     VerificationReport,
     Violation,
@@ -25,7 +27,7 @@ from segtrees import (
     verify,
     vertex_label_target,
 )
-from segtrees.labeling import _induced
+from segtrees.labeling import _induced, checked, verify_slots
 from segtrees.search import _bits_of, _byte_bits
 from oracle import naive_induced, naive_is_seg_assignment
 
@@ -181,6 +183,40 @@ def test_verify_matches_counter_reference_on_broken_labelings(spec, change, rng)
     report, g = counter_report(spec, f)
     assert verify(tree, f) == report
     assert induce(tree, f) == g
+
+
+@given(
+    st.sampled_from(CONSTRUCTIVE_SPECS),
+    st.sampled_from(("none", "duplicate", "out-of-range", "swap", "short", "long")),
+    st.randoms(use_true_random=False),
+)
+@settings(deadline=None)
+def test_checked_passes_exactly_what_verify_slots_passes(spec, change, rng):
+    # the gate decides by its own two sorts and builds a report only to
+    # describe a failure: the same verdict, induced labels and fault text.
+    # Swapping two leaves of one vertex keeps a labeling SEG
+    tree = build_tree(spec)
+    x = list(label_any(spec).slot_labels)
+    q = spec.q
+    if change == "duplicate":
+        i, k = rng.sample(range(q), 2)
+        x[i] = x[k]
+    elif change == "out-of-range":
+        x[rng.randrange(q)] = rng.choice((1, -1)) * (q // 2 + rng.randint(1, 3))
+    elif change == "swap":
+        i, k = rng.sample(range(q), 2)
+        x[i], x[k] = x[k], x[i]
+    elif change == "short":
+        x.pop()
+    elif change == "long":
+        x.append(q)
+    report, induced = verify_slots(tree, x)
+    if report.is_seg:
+        assert checked(tree, x, "rule") == induced
+    else:
+        with pytest.raises(ConstructionFault) as fault:
+            checked(tree, x, "rule")
+        assert str(fault.value) == f"rule on {spec}: {report.describe()}"
 
 
 @given(st.sampled_from(enumerate_specs(9)))
