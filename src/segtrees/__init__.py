@@ -16,13 +16,12 @@ from .constructions import (
 )
 from .labeling import (
     DomainMismatch,
+    Labeling,
     LabelingFormatError,
     VerificationReport,
     Violation,
     edge_label_target,
     induce,
-    negate,
-    parse_dot_spec,
     read_labeling,
     to_dot,
     verify,
@@ -83,7 +82,7 @@ __all__ = [
     "vertex_label_target",
     "induce",
     "verify",
-    "negate",
+    "Labeling",
     "VerificationReport",
     "Violation",
     "DomainMismatch",
@@ -91,7 +90,6 @@ __all__ = [
     "read_labeling",
     "write_labeling",
     "to_dot",
-    "parse_dot_spec",
     # constructions
     "label_any",
     "LabelOutcome",

@@ -18,7 +18,8 @@ import sys
 from pathlib import Path
 
 from .constructions import LABELED, PROVED_NOT_SEG, UNKNOWN, ConstructionFault, label_any
-from .labeling import LabelingFormatError, edge_lines, labeling_file, read_labeling, to_dot, verify
+from .labeling import Labeling, LabelingFormatError, edge_lines, labeling_file, read_labeling
+from .labeling import to_dot, verify
 # not called here any more; perfbench/spans.py still wraps these module names
 from .labeling import induce, write_labeling  # noqa: F401
 from .search import (
@@ -122,18 +123,18 @@ def _print_json(obj) -> None:
 # re-punctuate every line at once, for the labeling file and for the leaves
 # of the induced line.
 
-def _edge_text(tree: TreeSpec, x: list[int]) -> str:
-    """Slot labels x as printed, one ``  v1.2 = 5`` line per edge."""
-    return "\n".join([f"  {e} = {v}" for e, v in zip(tree.edge_ids, x)])
+def _edge_text(lab: Labeling) -> str:
+    """lab's slot labels as printed, one ``  v1.2 = 5`` line per edge."""
+    return "\n".join([f"  {e} = {v}" for e, v in zip(lab.tree.edge_ids, lab.slots)])
 
 
-def _print_labeling(tree: TreeSpec, text: str, induced: list[int]) -> None:
-    """Print text, a labeling's ``_edge_text``, then its induced labels in
-    vertex order.  Only v0..vn are formatted here: a leaf induces its own
-    edge's label, so the leaf part is text after its first n lines, each
+def _print_labeling(lab: Labeling, text: str) -> None:
+    """Print text, lab's ``_edge_text``, then its induced labels in vertex
+    order.  Only v0..vn are formatted here: a leaf induces its own edge's
+    label, so the leaf part is text after its first n lines, each
     ``  v1.2 = 5`` line turned into ``v1.2=5``."""
-    n = tree.n
-    spine = ", ".join([f"{v}={g}" for v, g in zip(tree.vertex_ids, induced[:n + 1])])
+    tree, n = lab.tree, lab.tree.n
+    spine = ", ".join([f"{v}={g}" for v, g in zip(tree.vertex_ids, lab.induced[:n + 1])])
     # a diameter-4 tree has leaves, so slot n is the first leaf edge
     leaves = text[text.find(f"\n  {tree.edge_ids[n]} = ") + 3:]
     leaves = leaves.replace(" = ", "=").replace("\n  ", ", ")
@@ -182,37 +183,38 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_label(args: argparse.Namespace) -> int:
     spec = parse_spec(args.spec)
     out = label_any(spec)
-    kind, tag, case = out.kind, out.tag, out.case
+    kind, tag, case, lab = out.kind, out.tag, out.case, out.labeling
     cert = path = None
     if kind == UNKNOWN and args.search_budget is not None:
         cfg = _config_from(args, FIND_ONE)
-        out = search(spec, cfg)  # checks a labeling it finds before returning it
-        if out.outcome == FOUND:
+        result = search(spec, cfg)
+        lab = result.labeling
+        if result.outcome == FOUND:
             kind, tag = LABELED, "by-search"
-        elif out.outcome == EXHAUSTED_NONE:
+        elif result.outcome == EXHAUSTED_NONE:
             kind, tag = PROVED_NOT_SEG, "by-exhaustion"
-            cert = make_certificate(spec, cfg, out)
+            cert = make_certificate(spec, cfg, result)
             if args.certificates_dir:
                 path = _write_certificate(cert, args.certificates_dir, spec)
     if kind == LABELED:
-        # out is a LabelOutcome or a found SearchResult: both carry tree,
-        # slot_labels, induced.  The edges are formatted once, for stdout, and
-        # the file is written from that text before anything is printed
+        # lab passed labeling.checked, in label_any or in search.  The edges
+        # are formatted once, for stdout, and the file is written from that
+        # text before anything is printed
         if args.format == "json":
-            edges = edge_lines(out.tree, out.slot_labels)
+            edges = edge_lines(lab.tree, lab.slots)
             if args.out:
-                Path(args.out).write_text(labeling_file(out.tree, edges))
+                Path(args.out).write_text(labeling_file(lab.tree, edges))
             # json.dumps(obj, indent=2) with the "labeling" and "verified" keys last
             head = json.dumps({"spec": spec.format(), "status": "labeled",
                                "tag": tag, "case": case}, indent=2)
             print(f'{head[:-2]},\n  "labeling": {{\n{edges}\n  }},\n  "verified": true\n}}')
         else:
-            text = _edge_text(out.tree, out.slot_labels)
+            text = _edge_text(lab)
             if args.out:
-                Path(args.out).write_text(labeling_file(out.tree, _file_edges(text)))
+                Path(args.out).write_text(labeling_file(lab.tree, _file_edges(text)))
             via = f" via {tag}" + (f" [{case}]" if case else "")
             print(f"{spec.format()}: SEG labeling found{via}")
-            _print_labeling(out.tree, text, out.induced)
+            _print_labeling(lab, text)
             if args.out:
                 print(f"  written to {args.out}")
         return EXIT_OK
@@ -270,6 +272,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     mode = COUNT_ALL if args.count else FIND_ONE
     cfg = _config_from(args, mode)
     result = search(spec, cfg)
+    lab = result.labeling
     cert = cert_path = None
     if result.outcome == EXHAUSTED_NONE and args.exhaust:
         cert = make_certificate(spec, cfg, result)
@@ -282,7 +285,7 @@ def cmd_search(args: argparse.Namespace) -> int:
                 "outcome": result.outcome,
                 "nodes_visited": result.nodes_visited,
                 "count": result.count,
-                "labeling": result.labeling,
+                "labeling": lab.edges() if lab else None,
                 "certificate": cert,
                 "certificate_path": str(cert_path) if cert_path else None,
             }
@@ -291,7 +294,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(f"{spec.format()}: found (nodes={result.nodes_visited})")
         if result.count is not None:
             print(f"  count: {result.count} SEG labelings")
-        _print_labeling(result.tree, _edge_text(result.tree, result.slot_labels), result.induced)
+        _print_labeling(lab, _edge_text(lab))
     elif result.outcome == EXHAUSTED_NONE:
         msg = f"{spec.format()}: none (exhausted, nodes={result.nodes_visited})"
         if cert_path:

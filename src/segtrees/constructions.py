@@ -34,11 +34,10 @@ puts +top and -top on two edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import groupby
 
-from .labeling import ConstructionFault, EdgeLabeling, checked
+from .labeling import ConstructionFault, Labeling, checked
 # not called here any more; perfbench/spans.py still wraps this module's name
 from .labeling import verify  # noqa: F401
 from .trees import (
@@ -56,27 +55,13 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class LabelOutcome:
-    """What ``label_any`` decided, and ``tree``, the spec a labeling was
-    verified on.
-
-    A labeled outcome carries ``slot_labels``, the labeling in
-    ``tree.edge_ids`` order, and ``induced``, its induced labels in
-    ``tree.vertex_ids`` order.  ``labeling``, keyed by edge id in that
-    order, is built on first read.
-    """
+    """What ``label_any`` decided: for a LABELED outcome, its ``Labeling``,
+    which passed ``labeling.checked``; else None."""
 
     kind: str
     tag: str
     case: str | None = None
-    tree: TreeSpec | None = None
-    slot_labels: list[int] | None = field(default=None, repr=False)
-    induced: list[int] | None = field(default=None, repr=False)
-
-    @cached_property
-    def labeling(self) -> EdgeLabeling | None:
-        if self.slot_labels is None:
-            return None
-        return dict(zip(self.tree.edge_ids, self.slot_labels))
+    labeling: Labeling | None = None
 
 
 class _Builder:
@@ -416,4 +401,4 @@ def label_any(spec: TreeSpec) -> LabelOutcome:
     else:
         raise ConstructionFault(spec, cls.tag, "no rule implemented for this tag")
     x = B.result()
-    return LabelOutcome(LABELED, cls.tag, cls.case, tree, x, checked(tree, x, cls.tag))
+    return LabelOutcome(LABELED, cls.tag, cls.case, checked(tree, x, cls.tag))

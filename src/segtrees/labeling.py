@@ -10,15 +10,15 @@ Edges are keyed by their child endpoint (``v3`` for a spine edge, ``v3.2``
 for a leaf edge), so an induced vertex labeling shares the key space plus
 ``v0`` for the root.  A ``tree`` argument is the ``TreeSpec`` itself.
 Internally a labeling is a list of labels in slot order, the order of
-``tree.edge_ids``; the ids are only looked up at the dict boundary.
+``tree.edge_ids``; the ids are only looked up at the dict boundary.  A
+labeling the package produced is a ``Labeling``, built only by ``checked``.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .trees import TreeSpec, parse_spec
@@ -99,11 +99,6 @@ def induce(tree: TreeSpec, f: EdgeLabeling) -> VertexLabeling:
     return dict(zip(tree.vertex_ids, _induced(tree, _slots(tree, f))))
 
 
-def negate(f: EdgeLabeling) -> EdgeLabeling:
-    """Negate every label; SEG is preserved (sums negate alongside)."""
-    return {e: -v for e, v in f.items()}
-
-
 @dataclass(frozen=True)
 class Violation:
     """One way the labeling fails, with the offending items.
@@ -182,9 +177,24 @@ def verify_slots(tree: TreeSpec, x: list[int]) -> tuple[VerificationReport, list
     return VerificationReport(is_seg=not violations, violations=violations), induced
 
 
-def checked(tree: TreeSpec, x: list[int], tag: str) -> list[int]:
-    """The one gate for a labeling the package produced, in slot order: its
-    induced labels, or ConstructionFault(tag) unless it is SEG.
+@dataclass(frozen=True)
+class Labeling:
+    """A SEG labeling of tree that passed ``checked``, the only place one is
+    built: ``slots`` in ``tree.edge_ids`` order and ``induced`` in
+    ``tree.vertex_ids`` order."""
+
+    tree: TreeSpec
+    slots: list[int] = field(repr=False)
+    induced: list[int] = field(repr=False)
+
+    def edges(self) -> EdgeLabeling:
+        """The labeling keyed by edge id, in slot order."""
+        return dict(zip(self.tree.edge_ids, self.slots))
+
+
+def checked(tree: TreeSpec, x: list[int], tag: str) -> Labeling:
+    """The one gate for a labeling the package produced, in slot order: the
+    ``Labeling`` of x, or ConstructionFault(tag) unless it is SEG.
 
     The two sorts of ``verify_slots`` decide; its report is built only to
     describe a failure.  As there, the induced labels are summed before the
@@ -194,7 +204,7 @@ def checked(tree: TreeSpec, x: list[int], tag: str) -> list[int]:
         induced = _induced(tree, x)
         if (sorted(x) == _symmetric_target(tree.q)
                 and sorted(induced) == _symmetric_target(tree.p)):
-            return induced
+            return Labeling(tree, x, induced)
     raise ConstructionFault(tree, tag, verify_slots(tree, x)[0].describe())
 
 
@@ -294,14 +304,11 @@ def read_labeling(text: str) -> tuple[TreeSpec, EdgeLabeling]:
 # DOT export
 # ---------------------------------------------------------------------------
 
-_DOT_SPEC_RE = re.compile(r"^\s*//\s*spec:\s*(.+?)\s*$", re.MULTILINE)
-
-
 def to_dot(tree: TreeSpec, f: EdgeLabeling | None = None) -> str:
     """Graphviz text; node labels are induced labels when f is given.
 
-    The spec is embedded as a comment so the drawing round-trips back to a
-    parseable spec.  Ordering is deterministic: root, spine, leaves.
+    A ``// spec:`` comment names the spec.  Ordering is deterministic: root,
+    spine, leaves.
     """
     ids = tree.edge_ids
     x = _slots(tree, f) if f is not None else None
@@ -319,11 +326,3 @@ def to_dot(tree: TreeSpec, f: EdgeLabeling | None = None) -> str:
             lines.append(f'  "{ids[i]}" -- "{ids[slot]}"{edge_attr(slot)};')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def parse_dot_spec(text: str) -> TreeSpec:
-    """Recover the spec from a DOT export's embedded comment."""
-    m = _DOT_SPEC_RE.search(text)
-    if m is None:
-        raise LabelingFormatError("no '// spec:' comment found in DOT text")
-    return parse_spec(m.group(1))

@@ -96,14 +96,13 @@ are not all 0), so SEG labelings pair up and every count is even.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, groupby
 from math import factorial, inf, prod
 
 from ._version import __version__
-from .labeling import EdgeLabeling, checked
-from .labeling import edge_label_target, vertex_label_target
+from .labeling import Labeling, checked, edge_label_target, vertex_label_target
 from .trees import TreeSpec, build_tree
 
 FIND_ONE = "find-one"
@@ -150,23 +149,14 @@ class SearchConfig:
 class SearchResult:
     """What one search decided, after how many nodes.  ``count``: the
     re-expanded count of a COUNT_ALL run, 0 if exhausted, else None.
-
-    A FOUND result carries ``tree``, the searched spec, and its first
-    labeling, verified by ``search``: ``slot_labels`` in ``tree.edge_ids``
-    order, ``induced`` in ``tree.vertex_ids`` order, and ``labeling``,
-    keyed by edge id in slot order, built on first read.
+    ``labeling``: a FOUND run's first labeling, which passed
+    ``labeling.checked``; else None.
     """
 
     outcome: str
     nodes_visited: int
     count: int | None = None
-    tree: TreeSpec | None = None
-    slot_labels: list[int] | None = field(default=None, repr=False)
-    induced: list[int] | None = field(default=None, repr=False)
-
-    @cached_property
-    def labeling(self) -> EdgeLabeling | None:
-        return None if self.slot_labels is None else dict(zip(self.tree.edge_ids, self.slot_labels))
+    labeling: Labeling | None = None
 
 
 class _Stop(Exception):
@@ -450,8 +440,7 @@ def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
         ) from None
     if x is None:
         return SearchResult(outcome, nodes, count)
-    tree = build_tree(spec)
-    return SearchResult(outcome, nodes, count, tree, x, checked(tree, x, "search"))
+    return SearchResult(outcome, nodes, count, checked(build_tree(spec), x, "search"))
 
 
 def make_certificate(spec: TreeSpec, config: SearchConfig, result: SearchResult) -> dict:

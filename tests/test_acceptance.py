@@ -56,7 +56,7 @@ def test_criterion_2_golden_fidelity():
     for name in required:
         spec, golden = read_labeling((GOLDEN_DIR / f"{stems[name]}.json").read_text())
         out = label_any(spec)
-        assert out.labeling == golden, name
+        assert out.labeling.edges() == golden, name
     dt = time.monotonic() - t0
     assert dt < 1.0
     print(f"criterion 2: PASS - construction matches all 3 pinned goldens "
@@ -93,7 +93,7 @@ def test_criterion_3_constructive_sweep():
             continue
         out = label_any(spec)
         assert out.kind == "labeled", (spec.format(), cls.tag)
-        assert verify(build_tree(spec), out.labeling).is_seg, (spec.format(), cls.tag)
+        assert verify(build_tree(spec), out.labeling.edges()).is_seg, (spec.format(), cls.tag)
         seen_tags.add(cls.tag)
         checked += 1
     dt = time.monotonic() - t0

@@ -1,5 +1,8 @@
+import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import importlib
 import json
 import shlex
@@ -8,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from segtrees import (
     CONJECTURED,
@@ -19,7 +24,7 @@ from segtrees import (
     classify,
     enumerate_specs,
     induce,
-    parse_dot_spec,
+    label_any,
     parse_spec,
     read_labeling,
     search,
@@ -240,19 +245,20 @@ def test_label_output_matches_public_dict_api(capsys, tmp_path, text, tag, case)
     else:
         out = constructions.label_any(spec)
         assert (out.tag, out.case) == (tag, case)
+    tree, f = out.labeling.tree, out.labeling.edges()
     path = tmp_path / "f.json"
     code, stdout, _ = run(capsys, "label", text, "--search-budget", "10^6", "--out", str(path))
     assert code == 0
-    assert path.read_text() == write_labeling(out.tree, out.labeling)
-    edge_lines = [f"  {e} = {out.labeling[e]}" for e in out.tree.edge_ids]
-    induced = ", ".join(f"{v}={g}" for v, g in induce(out.tree, out.labeling).items())
+    assert path.read_text() == write_labeling(tree, f)
+    edge_lines = [f"  {e} = {f[e]}" for e in tree.edge_ids]
+    induced = ", ".join(f"{v}={g}" for v, g in induce(tree, f).items())
     assert stdout.splitlines()[1:] == edge_lines + [f"  induced: {induced}", f"  written to {path}"]
     code, stdout, _ = run(capsys, "label", text, "--search-budget", "10^6", "--format", "json")
     data = json.loads(stdout)
     assert (data["tag"], data["case"]) == (tag, case)
     labeling = data["labeling"]
-    assert list(labeling) == list(out.tree.edge_ids)
-    assert labeling == out.labeling
+    assert list(labeling) == list(tree.edge_ids)
+    assert labeling == f
 
 
 # label formats each edge once, for stdout, and derives the file and the leaf
@@ -271,16 +277,17 @@ def test_label_derived_text_matches_per_edge_formatting(capsys, tmp_path, fmt):
     path = tmp_path / "f.json"
     for text in DERIVED_SPECS:
         out = constructions.label_any(parse_spec(text))
+        tree, f = out.labeling.tree, out.labeling.edges()
         code, stdout, _ = run(capsys, "label", text, "--format", fmt, "--out", str(path))
         assert code == 0, text
-        assert path.read_text() == write_labeling(out.tree, out.labeling), text
+        assert path.read_text() == write_labeling(tree, f), text
         if fmt == "json":
-            report = {"spec": out.tree.format(), "status": "labeled", "tag": out.tag,
-                      "case": out.case, "labeling": out.labeling, "verified": True}
+            report = {"spec": tree.format(), "status": "labeled", "tag": out.tag,
+                      "case": out.case, "labeling": f, "verified": True}
             assert stdout == json.dumps(report, indent=2) + "\n", text
         else:
-            edges = [f"  {e} = {v}" for e, v in out.labeling.items()]
-            induced = ", ".join([f"{v}={g}" for v, g in induce(out.tree, out.labeling).items()])
+            edges = [f"  {e} = {v}" for e, v in f.items()]
+            induced = ", ".join([f"{v}={g}" for v, g in induce(tree, f).items()])
             assert stdout.splitlines()[1:] == edges + [f"  induced: {induced}",
                                                        f"  written to {path}"], text
 
@@ -613,14 +620,14 @@ def test_export_spec_structure(capsys):
     code, out, _ = run(capsys, "export", "RT(1,1)")
     assert code == 0
     assert out.startswith("graph segtree {")
-    assert parse_dot_spec(out) == parse_spec("RT(1,1)")
+    assert out.splitlines()[1] == "  // spec: RT(1^2)"
 
 
 def test_export_labeling_file(capsys):
     code, out, _ = run(capsys, "export", str(GOLDEN_DIR / "RT_0x4_2_6.json"))
     assert code == 0
     assert '"v0" [label="0"];' in out
-    assert parse_dot_spec(out) == parse_spec("RT(0^4,2,6)")
+    assert out.splitlines()[1] == "  // spec: RT(0^4,2,6)"
 
 
 def test_export_to_file(capsys, tmp_path):
@@ -753,6 +760,172 @@ def test_console_script_help_runs():
     assert proc.returncode == 0
     assert "classify" in proc.stdout
     assert "survey" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every command line ends in an exit code of 0-3, never a traceback
+# ---------------------------------------------------------------------------
+
+# what the spec, budget and size grammars must refuse or read right: digits
+# of other scripts, which int() and float() read (Arabic-Indic, fullwidth,
+# Devanagari), a superscript two, "_" (int("1_0") is 10), and punctuation each
+# grammar gives a meaning to, or none
+_STRAY = ["\u0663", "\uff15", "\u0967", "\u00b2", "_", "^", "e", "E", "-", "+", ".", ",",
+          " ", "(", ")", "x", "/", "\n", "inf", "nan"]
+
+
+def _mutate(text: str, edits: list[tuple[int, int, str]]) -> str:
+    """text with each edit's token put in place of its next cut characters."""
+    for at, cut, token in edits:
+        i = at % (len(text) + 1)
+        text = text[:i] + token + text[i + cut:]
+    return text
+
+
+def _mutated(texts, tokens=_STRAY, most_cut=1, most_edits=2):
+    """Each text with up to most_edits tokens put in, each in place of up to
+    most_cut characters.  With the default ``_STRAY`` tokens no character is
+    deleted and no token is an ASCII digit, so counts are never glued into a
+    larger one."""
+    edit = st.tuples(st.integers(0, 10**4), st.integers(0, most_cut), st.sampled_from(tokens))
+    return st.builds(_mutate, texts, st.lists(edit, max_size=most_edits))
+
+
+# counts up to 12 repeated up to 3 times; a "^" in place of a "," makes at most
+# 12^12 of two items, so a spec that parses has q < 400
+_ITEMS = st.builds(lambda a, r: f"{a}^{r}" if r > 1 else str(a), st.integers(0, 12), st.integers(1, 3))
+_SPECS = _mutated(st.builds(lambda items, wrap: wrap.format(",".join(items)),
+                            st.lists(_ITEMS, min_size=2, max_size=5),
+                            st.sampled_from(["RT({})", "{}", "rt ( {} )"])))
+# the three budget forms, each number with a sign or none: "-0^-1", "+2.5e3"
+_SIGNS = st.sampled_from(["", "", "-", "+"])
+_BUDGETS = _mutated(st.one_of(
+    st.builds("{}{}".format, _SIGNS, st.integers(0, 2 * 10**4)),
+    st.builds("{}{}^{}{}".format, _SIGNS, st.integers(0, 12), _SIGNS, st.integers(0, 5)),
+    st.builds("{}{}e{}{}".format, _SIGNS, st.sampled_from(["1", "2.5", "0.5", "1."]),
+              _SIGNS, st.integers(0, 400)),
+))
+_SIZES = _mutated(st.integers(0, 12).map(str))
+_FLAGS = {
+    "classify": ["--format=json"],
+    "label": ["--format=json", "--override-guard", "--out"],
+    "search": ["--format=json", "--override-guard", "--exhaust", "--count"],
+    "survey": ["--format=json", "--override-guard"],
+}
+FUZZ_BUDGET, FUZZ_MAX_SIZE = 10**4, 9
+
+
+def _capped(option: str, text: str, parse, cap: int) -> list[str]:
+    """option=text, then option=cap when text parses to more than cap:
+    argparse converts every occurrence, so a bad text still fails, and keeps
+    the last."""
+    try:
+        over = parse(text) > cap
+    except argparse.ArgumentTypeError:
+        over = False
+    return [f"{option}={text}"] + ([f"{option}={cap}"] if over else [])
+
+
+def _run_in_process(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(command=st.sampled_from(sorted(_FLAGS)), spec=_SPECS, budget=_BUDGETS, size=_SIZES,
+       data=st.data())
+@settings(deadline=None, max_examples=400)
+def test_fuzzed_command_lines_end_in_an_exit_code(fuzz_dir, command, spec, budget, size, data):
+    # every search, label and survey runs under at most FUZZ_BUDGET nodes, and
+    # a survey lists trees with at most FUZZ_MAX_SIZE edges
+    argv = [command] if command == "survey" else [command, spec]
+    for flag in data.draw(st.lists(st.sampled_from(_FLAGS[command]), unique=True)):
+        argv += [flag, str(fuzz_dir / "f.json")] if flag == "--out" else [flag]
+    if command == "survey":
+        argv += _capped("--max-size", size, cli._parse_max_size, FUZZ_MAX_SIZE)
+    if command != "classify":
+        argv += _capped("--search-budget", budget, cli._parse_budget, FUZZ_BUDGET)
+    if command == "search":
+        argv += ["--certificates-dir", str(fuzz_dir / "certificates")]
+    code, _, err = _run_in_process(argv)
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err, argv
+
+
+# labeling files to mutate; what a change puts in place of a label (JSON
+# text: past the int digit limit, nested past the recursion limit, non-finite),
+# a spec or a run of the text
+_FILES = {s: write_labeling(parse_spec(s), label_any(parse_spec(s)).labeling.edges())
+          for s in ("RT(1,1)", "RT(0^3,2,5)", "RT(0,2,3^2,5)")}
+_VALUES = st.sampled_from(['"1"', "1.0", "1.5", "true", "null", "[]", "{}", str(10**30),
+                           str(-(2**63)), "0", "7", "-0", "NaN", "-Infinity", "1e999",
+                           "9" * 5000, "[" * 3000 + "]" * 3000])
+_SPEC_TEXTS = st.sampled_from(["RT(1,1)", "RT(0^3,2,5)", "RT(", "", "\u0663,1", "1_0,1",
+                               "RT(99999^99999)", "RT(1)", 5])
+_TOKENS = ['"', "{", "}", "[", "]", ",", ":", "-", "0", "1e999", "9" * 5000, "true", "null",
+           "NaN", "Infinity", "\u0663", "\\u0000", " ", '"v1"', '"v9.9"', '"spec"', '"edges"',
+           "[" * 3000]
+
+
+@st.composite
+def _labeling_files(draw):
+    """A labeling file, then up to two changes to its object (the last if it
+    replaces the object) and, half the time, up to three ``_TOKENS`` put in
+    its text."""
+    obj = json.loads(_FILES[draw(st.sampled_from(sorted(_FILES)))])
+    edges, values = obj["edges"], []
+
+    def value():  # a marker in the object, its JSON text put in after dumps
+        values.append(draw(_VALUES))
+        return f"@{len(values) - 1}@"
+
+    for _ in range(draw(st.integers(0, 2))):
+        change = draw(st.sampled_from(["label", "drop", "add", "swap", "spec", "key", "top"]))
+        keys = list(edges)
+        if change == "label" and keys:
+            edges[draw(st.sampled_from(keys))] = value()
+        elif change == "drop" and keys:
+            del edges[draw(st.sampled_from(keys))]
+        elif change == "add":
+            edges[draw(st.sampled_from(["v9", "v1.9", "x", "", "v1"]))] = value()
+        elif change == "swap" and len(keys) > 1:
+            a, b = draw(st.sampled_from(keys)), draw(st.sampled_from(keys))
+            edges[a], edges[b] = edges[b], edges[a]
+        elif change == "spec":
+            obj["spec"] = draw(_SPEC_TEXTS)
+        elif change == "key":
+            obj.pop(draw(st.sampled_from(["spec", "edges"])), None)
+        elif change == "top":
+            obj = draw(st.sampled_from([[], 5, "RT(1,1)", None, [obj]]))
+            break
+    text = json.dumps(obj, indent=draw(st.sampled_from([None, 2])))
+    for i, v in enumerate(values):
+        text = text.replace(f'"@{i}@"', v)
+    if draw(st.booleans()):  # most text edits leave no JSON: half the files keep it
+        text = draw(_mutated(st.just(text), _TOKENS, most_cut=3, most_edits=3))
+    return text
+
+
+@given(text=_labeling_files(), argv=st.sampled_from(
+    [["verify"], ["verify", "--format=json"], ["export"], ["export", "--out"]]))
+@settings(deadline=None, max_examples=300)
+def test_fuzzed_labeling_files_end_in_an_exit_code(fuzz_dir, text, argv):
+    path = fuzz_dir / "mutated.json"
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    command, *options = argv
+    if options == ["--out"]:
+        options.append(str(fuzz_dir / "x.dot"))
+    code, _, err = _run_in_process([command, str(path), *options])
+    event(f"{command} exit {code}")
+    assert code in (0, 1, 2, 3), text[:200]
+    assert "Traceback" not in err, text[:200]
 
 
 # ---------------------------------------------------------------------------

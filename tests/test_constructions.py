@@ -64,7 +64,7 @@ def test_frozen_construction_outputs(text):
     spec = parse_spec(text)
     out = label_any(spec)
     assert out.kind == LABELED
-    assert out.labeling == FROZEN[text]
+    assert out.labeling.edges() == FROZEN[text]
 
 
 def _golden_edges(stem: str):
@@ -81,7 +81,7 @@ def test_golden_fidelity(stem):
     spec, golden = _golden_edges(stem)
     out = label_any(spec)
     assert out.kind == LABELED
-    assert out.labeling == golden
+    assert out.labeling.edges() == golden
 
 
 # sha256 over label_any's answer for every spec with q <= 24 (7,037 specs):
@@ -93,7 +93,8 @@ def test_slot_order_digest_q24():
     h = hashlib.sha256()
     for spec in enumerate_specs(24):
         out = label_any(spec)
-        h.update(repr((spec.counts, out.kind, out.tag, out.case, out.slot_labels)).encode())
+        x = out.labeling.slots if out.labeling else None
+        h.update(repr((spec.counts, out.kind, out.tag, out.case, x)).encode())
     assert h.hexdigest() == SLOT_ORDER_DIGEST_Q24
 
 
@@ -115,7 +116,8 @@ def test_slot_order_digest_large_trees():
     for text in LARGE_TREES:
         spec = parse_spec(text)
         out = label_any(spec)
-        h.update(repr((spec.counts, out.kind, out.tag, out.case, out.slot_labels)).encode())
+        x = out.labeling.slots if out.labeling else None
+        h.update(repr((spec.counts, out.kind, out.tag, out.case, x)).encode())
     assert h.hexdigest() == SLOT_ORDER_DIGEST_LARGE
 
 
@@ -126,7 +128,7 @@ def test_all_constructive_specs_verify_q13():
             continue
         out = label_any(spec)
         assert out.kind == LABELED, spec.format()
-        assert verify(build_tree(spec), out.labeling).is_seg, spec.format()
+        assert verify(build_tree(spec), out.labeling.edges()).is_seg, spec.format()
         checked += 1
     assert checked > 150
 
@@ -149,12 +151,12 @@ def test_unknown_without_budget():
 
 def test_label_any_leaves_every_open_spec_unknown():
     # open families are search's to decide (label --search-budget); label_any
-    # answers them UNKNOWN under their classification tag, with no tree
+    # answers them UNKNOWN under their classification tag, with no labeling
     specs = [s for s in enumerate_specs(13) if classify(s).status not in (CONSTRUCTIVE, NOT_SEG)]
     assert len(specs) == 45
     for spec in specs:
         out = label_any(spec)
-        assert (out.kind, out.tag, out.tree, out.labeling) == (UNKNOWN, classify(spec).tag, None, None)
+        assert (out.kind, out.tag, out.labeling) == (UNKNOWN, classify(spec).tag, None)
 
 
 def test_constructions_imports_nothing_from_search():

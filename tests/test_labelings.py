@@ -1,3 +1,4 @@
+import ast
 import json
 import sys
 from pathlib import Path
@@ -14,8 +15,6 @@ from segtrees import (
     edge_label_target,
     induce,
     label_any,
-    negate,
-    parse_dot_spec,
     parse_spec,
     read_labeling,
     to_dot,
@@ -23,6 +22,7 @@ from segtrees import (
     vertex_label_target,
     write_labeling,
 )
+from segtrees import labeling
 from segtrees.labeling import _induced, checked, verify_slots
 from oracle import naive_induced
 
@@ -189,14 +189,69 @@ def test_checked_fault_names_every_violation(x, detail):
     with pytest.raises(ConstructionFault) as fault:
         checked(tree, x, "rule")
     assert str(fault.value) == f"rule on RT(1^2): {detail}"
-    x = label_any(tree).slot_labels
-    assert checked(tree, x, "rule") == _induced(tree, x)
+    x = label_any(tree).labeling.slots
+    lab = checked(tree, x, "rule")
+    assert (lab.tree, lab.slots, lab.induced) == (tree, x, _induced(tree, x))
+
+
+def _labeling_calls(source: str) -> list[str]:
+    """Qualified names of the functions in source that call ``Labeling(...)``,
+    by name or as an attribute, one entry per call."""
+    sites, where = [], []
+
+    def visit(node):
+        scoped = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        if scoped:
+            where.append(node.name)
+        if isinstance(node, ast.Call):
+            f = node.func
+            if getattr(f, "id", None) == "Labeling" or getattr(f, "attr", None) == "Labeling":
+                sites.append(".".join(where))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+        if scoped:
+            where.pop()
+
+    visit(ast.parse(source))
+    return sites
+
+
+def test_only_the_gate_builds_a_labeling():
+    # a Labeling exists only once its slot list passed the gate: under the
+    # package, labeling.checked is the one call site, and no module imports
+    # the class under another name
+    calls, aliases = [], []
+    for path in sorted(Path(labeling.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        calls += [f"{path.stem}.{site}" for site in _labeling_calls(source)]
+        aliases += [a.asname for node in ast.walk(ast.parse(source))
+                    if isinstance(node, ast.ImportFrom) for a in node.names
+                    if a.name == "Labeling" and a.asname]
+    assert calls == ["labeling.checked"]
+    assert aliases == []
+    # and a slot list that is not SEG still faults, with the gate's text
+    tree = build_tree(parse_spec("RT(1,1)"))
+    with pytest.raises(ConstructionFault) as fault:
+        checked(tree, [1, 1, -1, -2], "rule")
+    assert str(fault.value) == ("rule on RT(1^2): EdgeLabelsNotTargetSet: missing [2]; "
+                                "unexpected [1]; VertexLabelsNotTargetSet: missing [1]; "
+                                "unexpected [-1]")
+
+
+def test_labeling_call_finder_sees_every_form():
+    # the finder behind test_only_the_gate_builds_a_labeling: a call by name,
+    # as an attribute, and inside a method are each reported
+    source = ("def a():\n    return Labeling(t, x, y)\n"
+              "class B:\n    def c(self):\n        return labeling.Labeling(t, x, y)\n"
+              "d = Labeling\n")
+    assert _labeling_calls(source) == ["a", "B.c"]
 
 
 def test_negate_involution_and_seg_preserving():
     _, tree, f = golden("RT_0x4_2_6.json")
-    g = negate(f)
-    assert negate(g) == f
+    # negating every label negates every induced sum
+    g = {e: -v for e, v in f.items()}
+    assert {e: -v for e, v in g.items()} == f
     assert set(g) == set(f)
     assert verify(tree, g).is_seg
 
@@ -221,9 +276,10 @@ def test_write_reproduces_golden_file(name):
 def test_write_matches_json_dumps_at_scale():
     spec = parse_spec("RT(0^2,2^3000,1^6000)")
     out = label_any(spec)
-    edges = {e: out.labeling[e] for e in out.tree.edge_ids}
+    f = out.labeling.edges()
+    edges = {e: f[e] for e in spec.edge_ids}
     expected = json.dumps({"spec": spec.format(), "edges": edges}, indent=2) + "\n"
-    assert write_labeling(out.tree, out.labeling) == expected
+    assert write_labeling(spec, f) == expected
 
 
 def test_write_rejects_partial_labeling():
@@ -278,7 +334,7 @@ def test_dot_unlabeled_structure():
     assert dot.startswith("graph segtree {")
     assert '"v0" -- "v1";' in dot
     assert '"v2" -- "v2.1";' in dot
-    assert parse_dot_spec(dot) == parse_spec("RT(1^2)")
+    assert dot.splitlines()[1] == "  // spec: RT(1^2)"
 
 
 def test_dot_labeled_shows_induced_labels():
@@ -286,7 +342,7 @@ def test_dot_labeled_shows_induced_labels():
     dot = to_dot(tree, f)
     assert '"v0" [label="0"];' in dot  # root induced label in the golden data
     assert f'[label="{f["v6.6"]}"]' in dot
-    assert parse_dot_spec(dot) == spec
+    assert dot.splitlines()[1] == f"  // spec: {spec.format()}"
 
 
 def test_dot_deterministic():

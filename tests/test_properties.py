@@ -22,7 +22,6 @@ from segtrees import (
     enumerate_specs,
     induce,
     label_any,
-    negate,
     parse_spec,
     verify,
     vertex_label_target,
@@ -85,9 +84,9 @@ def test_classification_is_total_and_parity_consistent(counts):
 @given(st.sampled_from(CONSTRUCTIVE_SPECS))
 @settings(deadline=None)
 def test_negation_preserves_seg(spec):
-    f = label_any(spec).labeling
+    f = label_any(spec).labeling.edges()
     tree = build_tree(spec)
-    assert verify(tree, negate(f)).is_seg
+    assert verify(tree, {e: -v for e, v in f.items()}).is_seg
 
 
 @given(st.sampled_from(CONSTRUCTIVE_SPECS))
@@ -96,7 +95,7 @@ def test_induced_sum_is_twice_edge_sum(spec):
     # every edge meets exactly two vertices, so the identity holds for any
     # total labeling, SEG or not
     tree = build_tree(spec)
-    f = label_any(spec).labeling
+    f = label_any(spec).labeling.edges()
     assert sum(induce(tree, f).values()) == 2 * sum(f.values())
 
 
@@ -136,7 +135,7 @@ def test_verify_negation_equivariant(spec, seed):
     rng.shuffle(labels)
     tree = build_tree(spec)
     f = dict(zip(tree.edge_ids, labels))
-    assert verify(tree, f).is_seg == verify(tree, negate(f)).is_seg
+    assert verify(tree, f).is_seg == verify(tree, {e: -v for e, v in f.items()}).is_seg
 
 
 def counter_report(spec, f):
@@ -167,7 +166,7 @@ def counter_report(spec, f):
 def test_verify_matches_counter_reference_on_broken_labelings(spec, change, rng):
     # one change to a valid labeling: the sorted-equality gate must reject
     # exactly what the Counter diffs reject, with the same report
-    f = dict(label_any(spec).labeling)
+    f = label_any(spec).labeling.edges()
     tree = build_tree(spec)
     if change == "duplicate":
         a, b = rng.sample(tree.edge_ids, 2)
@@ -196,7 +195,7 @@ def test_checked_passes_exactly_what_verify_slots_passes(spec, change, rng):
     # describe a failure: the same verdict, induced labels and fault text.
     # Swapping two leaves of one vertex keeps a labeling SEG
     tree = build_tree(spec)
-    x = list(label_any(spec).slot_labels)
+    x = list(label_any(spec).labeling.slots)
     q = spec.q
     if change == "duplicate":
         i, k = rng.sample(range(q), 2)
@@ -212,7 +211,7 @@ def test_checked_passes_exactly_what_verify_slots_passes(spec, change, rng):
         x.append(q)
     report, induced = verify_slots(tree, x)
     if report.is_seg:
-        assert checked(tree, x, "rule") == induced
+        assert checked(tree, x, "rule").induced == induced
     else:
         with pytest.raises(ConstructionFault) as fault:
             checked(tree, x, "rule")

@@ -17,6 +17,7 @@ from segtrees import (
     FOUND,
     GUARD_Q,
     NOT_SEG,
+    UNCOVERED,
     BudgetExceeded,
     GuardRefused,
     NotCertifiable,
@@ -144,8 +145,8 @@ def test_every_flag_combo_matches_naive(text, check, leaves, spine):
     if r.labeling is None:
         return
     tree = build_tree(spec)
-    flat = [r.labeling[e] for e in tree.edge_ids]
-    negated = {e: -lab for e, lab in r.labeling.items()}
+    flat = r.labeling.slots
+    negated = {e: -lab for e, lab in r.labeling.edges().items()}
     assert verify(tree, negated).is_seg
     assert naive_is_seg_assignment(spec.counts, [-v for v in flat])
     if leaves:
@@ -180,18 +181,18 @@ def test_found_labeling_is_seg():
     spec = parse_spec("RT(0,2,3)")
     r = search(spec, SearchConfig(mode=FIND_ONE))
     assert r.outcome == FOUND
-    assert verify(build_tree(spec), r.labeling).is_seg
+    assert verify(build_tree(spec), r.labeling.edges()).is_seg
     assert r.count is None
 
 
 def test_survey_style_search_names_no_edges():
     # a survey row reads only the outcome and the nodes: search verifies the
-    # slot list without naming an edge or building the dict
+    # slot list without naming an edge; the dict is built only on request
     r = search(parse_spec("RT(0,2,3)"), SearchConfig(node_budget=10**6))
     assert r.outcome == FOUND
-    assert "edge_ids" not in r.tree.__dict__
-    assert "labeling" not in r.__dict__
-    assert r.labeling == dict(zip(r.tree.edge_ids, r.slot_labels))
+    lab = r.labeling
+    assert "edge_ids" not in lab.tree.__dict__
+    assert lab.edges() == dict(zip(lab.tree.edge_ids, lab.slots))
 
 
 def test_find_one_exhaustion_reports_zero_count():
@@ -247,11 +248,12 @@ def test_search_order_digest_q9():
             if mode == COUNT_ALL:
                 assert r.count % 2 == 0, spec.format()
             if r.labeling is not None:
-                assert r.tree == tree
-                assert verify(tree, r.labeling).is_seg, spec.format()
-                flat = [r.labeling[e] for e in tree.edge_ids]
-                assert r.slot_labels == flat, spec.format()
-                assert r.induced == list(induce(tree, r.labeling).values()), spec.format()
+                lab, f = r.labeling, r.labeling.edges()
+                assert lab.tree == tree
+                assert verify(tree, f).is_seg, spec.format()
+                flat = [f[e] for e in tree.edge_ids]
+                assert lab.slots == flat, spec.format()
+                assert lab.induced == list(induce(tree, f).values()), spec.format()
                 assert naive_is_seg_assignment(spec.counts, flat), spec.format()
     assert runs == 102
     # 10,014 with the spine labels in ascending order, and before that
@@ -339,7 +341,7 @@ def test_magnitude_order_finds_in_few_nodes(text, nodes):
     spec = parse_spec(text)
     r = search(spec)
     assert (r.outcome, r.nodes_visited) == (FOUND, nodes)
-    assert naive_is_seg_assignment(spec.counts, r.slot_labels)
+    assert naive_is_seg_assignment(spec.counts, r.labeling.slots)
 
 
 def test_magnitude_order_refutes_not_seg_q21():
@@ -376,7 +378,7 @@ def test_find_one_budget_stops_exact_q9():
             assert (r.outcome, r.nodes_visited, r.count) == (BUDGET_EXCEEDED, b, None), (spec.format(), b)
             runs += 1
         r = search(spec, SearchConfig(node_budget=nodes))
-        assert (r.outcome, r.nodes_visited, r.slot_labels) == (full.outcome, nodes, full.slot_labels)
+        assert (r.outcome, r.nodes_visited, r.labeling) == (full.outcome, nodes, full.labeling)
     assert runs == 90
 
 
@@ -452,6 +454,17 @@ def test_dfs_depth_bounds_the_nesting_q9():
 
 # find-one past GUARD_Q: the nodes and a hash of the first labeling.  At
 # q = 33 the pool spans five bytes
+def test_uncovered_trees_to_q35_found_within_q_plus_64_nodes():
+    # the paper gives no rule for j odd, k >= 4 even, l = 0; find-one labels
+    # every such tree with q <= 35 within q + 64 nodes (at most 28 past q, and
+    # 535 of the 683 in q nodes or fewer), the evidence a rule would rest on
+    specs = [s for s in enumerate_specs(35) if classify(s).status == UNCOVERED]
+    assert len(specs) == 683
+    missed = [s.format() for s in specs
+              if search(s, SearchConfig(node_budget=s.q + 64, override_guard=True)).outcome != FOUND]
+    assert missed == []
+
+
 @pytest.mark.parametrize("text, nodes, digest", [
     ("RT(0,1^14,3)", 94_385, "e2fa6cdadc38935eb6bda234ac584516e378a95d66c83d44e47441f124aa734c"),
     ("RT(1^13,3)", 96_390, "2d81fed578dbe0b24eb7cdfe2ae3c12a66727426605086dbd419457f96591871"),
@@ -461,8 +474,8 @@ def test_override_guard_find_one_pinned(text, nodes, digest):
     assert spec.q > GUARD_Q
     r = search(spec, SearchConfig(override_guard=True))
     assert (r.outcome, r.nodes_visited) == (FOUND, nodes)
-    assert hashlib.sha256(" ".join(map(str, r.slot_labels)).encode()).hexdigest() == digest
-    assert naive_is_seg_assignment(spec.counts, r.slot_labels)
+    assert hashlib.sha256(" ".join(map(str, r.labeling.slots)).encode()).hexdigest() == digest
+    assert naive_is_seg_assignment(spec.counts, r.labeling.slots)
 
 
 def test_wide_pool_is_read_bit_by_bit():
@@ -472,7 +485,7 @@ def test_wide_pool_is_read_bit_by_bit():
     assert spec.q > search_module.TABLE_BITS
     r = search(spec, SearchConfig(override_guard=True))
     assert (r.outcome, r.nodes_visited) == (FOUND, 68)
-    digest = hashlib.sha256(" ".join(map(str, r.slot_labels)).encode()).hexdigest()
+    digest = hashlib.sha256(" ".join(map(str, r.labeling.slots)).encode()).hexdigest()
     assert digest == "e27469a24d60e6fa30f254290e5910b4fce7ba746b1975ba67849584c20d6703"
     assert search_module._byte_bits.cache_info().currsize <= search_module.TABLE_BITS // 8
 
@@ -536,7 +549,7 @@ def test_flag_combos_agree_on_q8_sample():
         counted, found = search(spec, COUNT), search(spec)
         assert counted.outcome == found.outcome, spec.format()
         assert (counted.outcome == FOUND) == (counted.count > 0), spec.format()
-        assert counted.labeling is None or verify(build_tree(spec), counted.labeling).is_seg
+        assert counted.labeling is None or verify(build_tree(spec), counted.labeling.edges()).is_seg
 
 
 def test_theory_matches_find_one_under_every_flag_set():
@@ -547,7 +560,7 @@ def test_theory_matches_find_one_under_every_flag_set():
             continue
         r = search(spec)
         assert (r.outcome == FOUND) == (status == CONSTRUCTIVE), spec.format()
-        assert r.labeling is None or verify(build_tree(spec), r.labeling).is_seg
+        assert r.labeling is None or verify(build_tree(spec), r.labeling.edges()).is_seg
 
 
 def test_counts_always_even():
