@@ -6,14 +6,7 @@ symmetry breaking, and certify absence for small trees.
 """
 
 from ._version import __version__
-from .constructions import (
-    LABELED,
-    PROVED_NOT_SEG,
-    UNKNOWN,
-    ConstructionFault,
-    LabelOutcome,
-    label_any,
-)
+from .constructions import ConstructionFault, label_any
 from .labeling import (
     DomainMismatch,
     Labeling,
@@ -92,10 +85,6 @@ __all__ = [
     "to_dot",
     # constructions
     "label_any",
-    "LabelOutcome",
-    "LABELED",
-    "PROVED_NOT_SEG",
-    "UNKNOWN",
     "ConstructionFault",
     # search
     "search",

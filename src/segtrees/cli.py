@@ -17,7 +17,7 @@ import re
 import sys
 from pathlib import Path
 
-from .constructions import LABELED, PROVED_NOT_SEG, UNKNOWN, ConstructionFault, label_any
+from .constructions import ConstructionFault, label_any
 from .labeling import Labeling, LabelingFormatError, edge_lines, labeling_file, read_labeling
 from .labeling import to_dot, verify
 # not called here any more; perfbench/spans.py still wraps these module names
@@ -182,21 +182,22 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_label(args: argparse.Namespace) -> int:
     spec = parse_spec(args.spec)
-    out = label_any(spec)
-    kind, tag, case, lab = out.kind, out.tag, out.case, out.labeling
+    cls, lab = classify(spec), label_any(spec)
+    tag, case, not_seg = cls.tag, cls.case, cls.status == NOT_SEG
     cert = path = None
-    if kind == UNKNOWN and args.search_budget is not None:
+    # search decides only what classify left open
+    if lab is None and not not_seg and args.search_budget is not None:
         cfg = _config_from(args, FIND_ONE)
         result = search(spec, cfg)
         lab = result.labeling
         if result.outcome == FOUND:
-            kind, tag = LABELED, "by-search"
+            tag = "by-search"
         elif result.outcome == EXHAUSTED_NONE:
-            kind, tag = PROVED_NOT_SEG, "by-exhaustion"
+            tag, not_seg = "by-exhaustion", True
             cert = make_certificate(spec, cfg, result)
             if args.certificates_dir:
                 path = _write_certificate(cert, args.certificates_dir, spec)
-    if kind == LABELED:
+    if lab is not None:
         # lab passed labeling.checked, in label_any or in search.  The edges
         # are formatted once, for stdout, and the file is written from that
         # text before anything is printed
@@ -218,7 +219,7 @@ def cmd_label(args: argparse.Namespace) -> int:
             if args.out:
                 print(f"  written to {args.out}")
         return EXIT_OK
-    if kind == PROVED_NOT_SEG:
+    if not_seg:
         if args.format == "json":
             _print_json(
                 {

@@ -14,8 +14,10 @@ and u = l % 2.
 Every rule writes one slot list, the labels in ``tree.edge_ids`` order,
 and every constructed labeling is checked before it is returned: every
 edge labeled, then ``labeling.checked`` on the slot list (edge labels,
-then induced labels).  A formula bug therefore surfaces as
-ConstructionFault, never as a silently wrong answer.
+then induced labels), whose ``Labeling`` is what ``label_any`` returns.
+A formula bug therefore surfaces as ConstructionFault, never as a
+silently wrong answer.  Any spec that ``classify`` does not route to a
+rule gets None.
 
 Conventions shared by the rules: spine edge i is slot i - 1 of the tree;
 leaf m of v_i, m starting at 1, is slot ``leaf_start[i - 1] + m - 1``.  The
@@ -34,34 +36,12 @@ puts +top and -top on two edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 
 from .labeling import ConstructionFault, Labeling, checked
 # not called here any more; perfbench/spans.py still wraps this module's name
 from .labeling import verify  # noqa: F401
-from .trees import (
-    CONSTRUCTIVE,
-    NOT_SEG,
-    TreeSpec,
-    build_tree,
-    classify,
-)
-
-LABELED = "labeled"
-PROVED_NOT_SEG = "not_seg"
-UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class LabelOutcome:
-    """What ``label_any`` decided: for a LABELED outcome, its ``Labeling``,
-    which passed ``labeling.checked``; else None."""
-
-    kind: str
-    tag: str
-    case: str | None = None
-    labeling: Labeling | None = None
+from .trees import CONSTRUCTIVE, TreeSpec, build_tree, classify
 
 
 class _Builder:
@@ -381,17 +361,16 @@ _RULES = {
 }
 
 
-def label_any(spec: TreeSpec) -> LabelOutcome:
-    """Run the closed-form rule for the spec's case and check its labeling.
+def label_any(spec: TreeSpec) -> Labeling | None:
+    """The closed-form labeling of a constructive spec, as ``labeling.checked``
+    built it; None for every other spec.
 
-    A non-existence case is PROVED_NOT_SEG and an open one (conjectured or
-    uncovered family) UNKNOWN; neither is searched here.
+    ``classify`` alone decides: a non-existence case and an open one
+    (conjectured or uncovered family) get None, and neither is searched here.
     """
     cls = classify(spec)
-    if cls.status == NOT_SEG:
-        return LabelOutcome(PROVED_NOT_SEG, cls.tag)
     if cls.status != CONSTRUCTIVE:
-        return LabelOutcome(UNKNOWN, cls.tag)
+        return None
     tree, p = build_tree(spec), cls.params
     B = _Builder(tree, cls.tag)
     if spec.q % 2 == 0:
@@ -400,5 +379,4 @@ def label_any(spec: TreeSpec) -> LabelOutcome:
         _RULES[cls.tag](B, p.get("r"), p.get("s"), p.get("t"))
     else:
         raise ConstructionFault(spec, cls.tag, "no rule implemented for this tag")
-    x = B.result()
-    return LabelOutcome(LABELED, cls.tag, cls.case, checked(tree, x, cls.tag))
+    return checked(tree, B.result(), cls.tag)

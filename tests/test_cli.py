@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from segtrees import (
     CONJECTURED,
     CONSTRUCTIVE,
+    NOT_SEG,
     UNCOVERED,
     ConstructionFault,
     SearchConfig,
@@ -162,10 +163,11 @@ def test_label_json_not_seg(capsys):
 
 
 def test_label_by_exhaustion_certifies_its_one_search(capsys, monkeypatch, tmp_path):
-    # no open tree with q <= 11 is non-SEG, so let the non-SEG RT(0,1,3) look open
-    real_classify = constructions.classify
+    # no open tree with q <= 11 is non-SEG, so let the non-SEG RT(0,1,3) look
+    # open to label; label_any gives it no labeling either way
+    real_classify = cli.classify
     monkeypatch.setattr(
-        constructions, "classify",
+        cli, "classify",
         lambda spec: dataclasses.replace(
             real_classify(spec), status=CONJECTURED, tag="conjecture-1"),
     )
@@ -189,6 +191,27 @@ def test_label_by_exhaustion_certifies_its_one_search(capsys, monkeypatch, tmp_p
     assert "flags" not in cert
     assert cert["nodes_visited"] == runs[0].nodes_visited
     assert json.loads((tmp_path / "RT_0_1_3.cert.json").read_text()) == cert
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_label_budget_leaves_not_seg_specs_to_their_classification(capsys, monkeypatch,
+                                                                   tmp_path, fmt):
+    # a budget lets label search only what classify left open: a not-SEG
+    # spec keeps its tag, gets no certificate and is never searched
+    specs = [s.format() for s in enumerate_specs(11) if classify(s).status == NOT_SEG]
+    assert len(specs) == 13
+
+    def no_search(spec, config):
+        raise AssertionError(f"searched {spec.format()}")
+
+    monkeypatch.setattr(cli, "search", no_search)
+    for text in specs:
+        code, plain, _ = run(capsys, "label", text, "--format", fmt)
+        assert code == 3, text
+        code, out, _ = run(capsys, "label", text, "--format", fmt, "--search-budget", "10^6",
+                           "--certificates-dir", str(tmp_path))
+        assert (code, out) == (3, plain), text
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_label_construction_fault_exit3(capsys, monkeypatch):
@@ -241,11 +264,12 @@ def test_label_output_matches_public_dict_api(capsys, tmp_path, text, tag, case)
     # label prints and writes from the slot list; the dict API must say the same
     spec = parse_spec(text)
     if tag == "by-search":
-        out = search(spec, SearchConfig(node_budget=10**6))
+        lab = search(spec, SearchConfig(node_budget=10**6)).labeling
     else:
-        out = constructions.label_any(spec)
-        assert (out.tag, out.case) == (tag, case)
-    tree, f = out.labeling.tree, out.labeling.edges()
+        cls = classify(spec)
+        assert (cls.tag, cls.case) == (tag, case)
+        lab = constructions.label_any(spec)
+    tree, f = lab.tree, lab.edges()
     path = tmp_path / "f.json"
     code, stdout, _ = run(capsys, "label", text, "--search-budget", "10^6", "--out", str(path))
     assert code == 0
@@ -276,14 +300,15 @@ DERIVED_SPECS = [
 def test_label_derived_text_matches_per_edge_formatting(capsys, tmp_path, fmt):
     path = tmp_path / "f.json"
     for text in DERIVED_SPECS:
-        out = constructions.label_any(parse_spec(text))
-        tree, f = out.labeling.tree, out.labeling.edges()
+        spec = parse_spec(text)
+        cls, lab = classify(spec), constructions.label_any(spec)
+        tree, f = lab.tree, lab.edges()
         code, stdout, _ = run(capsys, "label", text, "--format", fmt, "--out", str(path))
         assert code == 0, text
         assert path.read_text() == write_labeling(tree, f), text
         if fmt == "json":
-            report = {"spec": tree.format(), "status": "labeled", "tag": out.tag,
-                      "case": out.case, "labeling": f, "verified": True}
+            report = {"spec": tree.format(), "status": "labeled", "tag": cls.tag,
+                      "case": cls.case, "labeling": f, "verified": True}
             assert stdout == json.dumps(report, indent=2) + "\n", text
         else:
             edges = [f"  {e} = {v}" for e, v in f.items()]
@@ -862,7 +887,7 @@ def test_fuzzed_command_lines_end_in_an_exit_code(fuzz_dir, command, spec, budge
 # labeling files to mutate; what a change puts in place of a label (JSON
 # text: past the int digit limit, nested past the recursion limit, non-finite),
 # a spec or a run of the text
-_FILES = {s: write_labeling(parse_spec(s), label_any(parse_spec(s)).labeling.edges())
+_FILES = {s: write_labeling(parse_spec(s), label_any(parse_spec(s)).edges())
           for s in ("RT(1,1)", "RT(0^3,2,5)", "RT(0,2,3^2,5)")}
 _VALUES = st.sampled_from(['"1"', "1.0", "1.5", "true", "null", "[]", "{}", str(10**30),
                            str(-(2**63)), "0", "7", "-0", "NaN", "-Infinity", "1e999",

@@ -7,11 +7,9 @@ import pytest
 
 from segtrees import (
     CONSTRUCTIVE,
-    LABELED,
     NOT_SEG,
-    PROVED_NOT_SEG,
-    UNKNOWN,
     ConstructionFault,
+    Labeling,
     build_tree,
     classify,
     enumerate_specs,
@@ -62,9 +60,7 @@ FROZEN = {
 @pytest.mark.parametrize("text", sorted(FROZEN), ids=sorted(FROZEN))
 def test_frozen_construction_outputs(text):
     spec = parse_spec(text)
-    out = label_any(spec)
-    assert out.kind == LABELED
-    assert out.labeling.edges() == FROZEN[text]
+    assert label_any(spec).edges() == FROZEN[text]
 
 
 def _golden_edges(stem: str):
@@ -79,22 +75,28 @@ def _golden_edges(stem: str):
 )
 def test_golden_fidelity(stem):
     spec, golden = _golden_edges(stem)
-    out = label_any(spec)
-    assert out.kind == LABELED
-    assert out.labeling.edges() == golden
+    assert label_any(spec).edges() == golden
 
 
 # sha256 over label_any's answer for every spec with q <= 24 (7,037 specs):
-# kind, tag, case and the labels in slot order, so no rule may move a label
+# the kind classify decides, its tag and case, and the labels in slot order,
+# so no rule may move a label
+_KINDS = {CONSTRUCTIVE: "labeled", NOT_SEG: "not_seg"}
+
+
+def _answer(spec):
+    cls, lab = classify(spec), label_any(spec)
+    kind = _KINDS.get(cls.status, "unknown")
+    return repr((spec.counts, kind, cls.tag, cls.case, lab.slots if lab else None)).encode()
+
+
 SLOT_ORDER_DIGEST_Q24 = "a1334c1a251a368812e5a90b744a86ed68439d66b98385acfbf87274d4061a72"
 
 
 def test_slot_order_digest_q24():
     h = hashlib.sha256()
     for spec in enumerate_specs(24):
-        out = label_any(spec)
-        x = out.labeling.slots if out.labeling else None
-        h.update(repr((spec.counts, out.kind, out.tag, out.case, x)).encode())
+        h.update(_answer(spec))
     assert h.hexdigest() == SLOT_ORDER_DIGEST_Q24
 
 
@@ -115,9 +117,7 @@ def test_slot_order_digest_large_trees():
     h = hashlib.sha256()
     for text in LARGE_TREES:
         spec = parse_spec(text)
-        out = label_any(spec)
-        x = out.labeling.slots if out.labeling else None
-        h.update(repr((spec.counts, out.kind, out.tag, out.case, x)).encode())
+        h.update(_answer(spec))
     assert h.hexdigest() == SLOT_ORDER_DIGEST_LARGE
 
 
@@ -126,37 +126,21 @@ def test_all_constructive_specs_verify_q13():
     for spec in enumerate_specs(13):
         if classify(spec).status != CONSTRUCTIVE:
             continue
-        out = label_any(spec)
-        assert out.kind == LABELED, spec.format()
-        assert verify(build_tree(spec), out.labeling.edges()).is_seg, spec.format()
+        lab = label_any(spec)
+        assert verify(build_tree(spec), lab.edges()).is_seg, spec.format()
         checked += 1
     assert checked > 150
 
 
-def test_proved_not_seg_without_search():
-    out = label_any(parse_spec("RT(0,1,1)"))
-    assert out.kind == PROVED_NOT_SEG
-    assert out.tag == "cat-not-seg-ones"
-    assert out.labeling is None
-    out = label_any(parse_spec("RT(0,1,1,1)"))
-    assert out.kind == PROVED_NOT_SEG
-    assert out.tag == "lob-not-seg-all-ones"
-
-
-def test_unknown_without_budget():
-    out = label_any(parse_spec("RT(2,1,1)"))
-    assert out.kind == UNKNOWN
-    assert out.tag == "conjecture-1"
-
-
-def test_label_any_leaves_every_open_spec_unknown():
-    # open families are search's to decide (label --search-budget); label_any
-    # answers them UNKNOWN under their classification tag, with no labeling
-    specs = [s for s in enumerate_specs(13) if classify(s).status not in (CONSTRUCTIVE, NOT_SEG)]
-    assert len(specs) == 45
-    for spec in specs:
-        out = label_any(spec)
-        assert (out.kind, out.tag, out.labeling) == (UNKNOWN, classify(spec).tag, None)
+def test_label_any_labels_exactly_the_constructive_specs():
+    # classify alone decides: a not-SEG or open spec gets None, and is
+    # search's to decide (label --search-budget); its tag is classify's
+    unlabeled = 0
+    for spec in enumerate_specs(13):
+        lab = label_any(spec)
+        assert (lab is None) == (classify(spec).status != CONSTRUCTIVE), spec.format()
+        unlabeled += lab is None
+    assert unlabeled == 19 + 45  # not SEG, then open
 
 
 def test_constructions_imports_nothing_from_search():
@@ -221,7 +205,7 @@ def test_placers_write_runs_not_vertices(monkeypatch, text):
         put(self, writes)
 
     monkeypatch.setattr(_Builder, "_put", counting_put)
-    assert label_any(parse_spec(text)).kind == LABELED
+    assert label_any(parse_spec(text)) is not None
     assert sum(blocks) <= 20, blocks
 
 
@@ -264,9 +248,9 @@ def test_first_leaf_pairs_collision_on_a_run_writes_nothing(pre, message):
 
 
 def test_outcome_shape():
-    out = label_any(parse_spec("RT(1,1)"))
-    assert out.kind == LABELED
-    assert out.tag == "cat-q-even-j-even"
-    assert out.case == "both-odd"
-    not_seg = label_any(parse_spec("RT(0,1,1)"))
-    assert not_seg.kind != LABELED
+    spec = parse_spec("RT(1,1)")
+    lab = label_any(spec)
+    assert isinstance(lab, Labeling)
+    assert lab.tree == build_tree(spec)
+    assert list(lab.slots) == [1, -1, -2, 2]
+    assert label_any(parse_spec("RT(0,1,1)")) is None

@@ -189,7 +189,7 @@ def test_checked_fault_names_every_violation(x, detail):
     with pytest.raises(ConstructionFault) as fault:
         checked(tree, x, "rule")
     assert str(fault.value) == f"rule on RT(1^2): {detail}"
-    x = label_any(tree).labeling.slots
+    x = label_any(tree).slots
     lab = checked(tree, x, "rule")
     assert (lab.tree, lab.slots, lab.induced) == (tree, x, _induced(tree, x))
 
@@ -275,8 +275,7 @@ def test_write_reproduces_golden_file(name):
 
 def test_write_matches_json_dumps_at_scale():
     spec = parse_spec("RT(0^2,2^3000,1^6000)")
-    out = label_any(spec)
-    f = out.labeling.edges()
+    f = label_any(spec).edges()
     edges = {e: f[e] for e in spec.edge_ids}
     expected = json.dumps({"spec": spec.format(), "edges": edges}, indent=2) + "\n"
     assert write_labeling(spec, f) == expected

@@ -84,7 +84,7 @@ def test_classification_is_total_and_parity_consistent(counts):
 @given(st.sampled_from(CONSTRUCTIVE_SPECS))
 @settings(deadline=None)
 def test_negation_preserves_seg(spec):
-    f = label_any(spec).labeling.edges()
+    f = label_any(spec).edges()
     tree = build_tree(spec)
     assert verify(tree, {e: -v for e, v in f.items()}).is_seg
 
@@ -95,7 +95,7 @@ def test_induced_sum_is_twice_edge_sum(spec):
     # every edge meets exactly two vertices, so the identity holds for any
     # total labeling, SEG or not
     tree = build_tree(spec)
-    f = label_any(spec).labeling.edges()
+    f = label_any(spec).edges()
     assert sum(induce(tree, f).values()) == 2 * sum(f.values())
 
 
@@ -166,7 +166,7 @@ def counter_report(spec, f):
 def test_verify_matches_counter_reference_on_broken_labelings(spec, change, rng):
     # one change to a valid labeling: the sorted-equality gate must reject
     # exactly what the Counter diffs reject, with the same report
-    f = label_any(spec).labeling.edges()
+    f = label_any(spec).edges()
     tree = build_tree(spec)
     if change == "duplicate":
         a, b = rng.sample(tree.edge_ids, 2)
@@ -195,7 +195,7 @@ def test_checked_passes_exactly_what_verify_slots_passes(spec, change, rng):
     # describe a failure: the same verdict, induced labels and fault text.
     # Swapping two leaves of one vertex keeps a labeling SEG
     tree = build_tree(spec)
-    x = list(label_any(spec).labeling.slots)
+    x = list(label_any(spec).slots)
     q = spec.q
     if change == "duplicate":
         i, k = rng.sample(range(q), 2)
