@@ -143,6 +143,29 @@ def test_label_any_labels_exactly_the_constructive_specs():
     assert unlabeled == 19 + 45  # not SEG, then open
 
 
+def test_proved_not_seg_without_search():
+    for text, tag in [("RT(0,1,1)", "cat-not-seg-ones"), ("RT(0,1,1,1)", "lob-not-seg-all-ones")]:
+        spec = parse_spec(text)
+        assert label_any(spec) is None
+        assert (classify(spec).status, classify(spec).tag) == (NOT_SEG, tag)
+
+
+def test_unknown_without_budget():
+    spec = parse_spec("RT(2,1,1)")
+    assert label_any(spec) is None
+    assert classify(spec).status not in (CONSTRUCTIVE, NOT_SEG)
+    assert classify(spec).tag == "conjecture-1"
+
+
+def test_label_any_leaves_every_open_spec_unknown():
+    # open families are search's to decide (label --search-budget); label_any
+    # gives them no labeling, and their tag is classify's
+    specs = [s for s in enumerate_specs(13) if classify(s).status not in (CONSTRUCTIVE, NOT_SEG)]
+    assert len(specs) == 45
+    for spec in specs:
+        assert label_any(spec) is None, spec.format()
+
+
 def test_constructions_imports_nothing_from_search():
     # construction and search are independent routes in the import graph too
     source = Path(constructions.__file__).read_text()
