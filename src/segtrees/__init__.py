@@ -28,10 +28,7 @@ from .search import (
     FIND_ONE,
     FOUND,
     GUARD_Q,
-    BudgetExceeded,
     GuardRefused,
-    NotCertifiable,
-    SearchConfig,
     SearchResult,
     make_certificate,
     search,
@@ -89,7 +86,6 @@ __all__ = [
     # search
     "search",
     "make_certificate",
-    "SearchConfig",
     "SearchResult",
     "FIND_ONE",
     "COUNT_ALL",
@@ -98,6 +94,4 @@ __all__ = [
     "BUDGET_EXCEEDED",
     "GUARD_Q",
     "GuardRefused",
-    "NotCertifiable",
-    "BudgetExceeded",
 ]

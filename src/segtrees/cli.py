@@ -29,7 +29,6 @@ from .search import (
     FOUND,
     GUARD_Q,
     GuardRefused,
-    SearchConfig,
     make_certificate,
     search,
 )
@@ -88,16 +87,6 @@ def _parse_max_size(text: str) -> int:
     if not re.fullmatch(r"[0-9]+", text):
         raise argparse.ArgumentTypeError(f"bad size {text!r}")
     return int(text)
-
-
-def _config_from(
-    args: argparse.Namespace, mode: str, default_budget: int | None = None
-) -> SearchConfig:
-    return SearchConfig(
-        node_budget=default_budget if args.search_budget is None else args.search_budget,
-        mode=mode,
-        override_guard=args.override_guard,
-    )
 
 
 def _safe_name(spec: TreeSpec) -> str:
@@ -187,14 +176,13 @@ def cmd_label(args: argparse.Namespace) -> int:
     cert = path = None
     # search decides only what classify left open
     if lab is None and not not_seg and args.search_budget is not None:
-        cfg = _config_from(args, FIND_ONE)
-        result = search(spec, cfg)
+        result = search(spec, FIND_ONE, args.search_budget, args.override_guard)
         lab = result.labeling
         if result.outcome == FOUND:
             tag = "by-search"
         elif result.outcome == EXHAUSTED_NONE:
             tag, not_seg = "by-exhaustion", True
-            cert = make_certificate(spec, cfg, result)
+            cert = make_certificate(spec, result)
             if args.certificates_dir:
                 path = _write_certificate(cert, args.certificates_dir, spec)
     if lab is not None:
@@ -271,12 +259,11 @@ def cmd_search(args: argparse.Namespace) -> int:
     spec = parse_spec(args.spec)
     # --exhaust certifies an exhausted find-one run: one labeling refutes absence
     mode = COUNT_ALL if args.count else FIND_ONE
-    cfg = _config_from(args, mode)
-    result = search(spec, cfg)
+    result = search(spec, mode, args.search_budget, args.override_guard)
     lab = result.labeling
     cert = cert_path = None
     if result.outcome == EXHAUSTED_NONE and args.exhaust:
-        cert = make_certificate(spec, cfg, result)
+        cert = make_certificate(spec, result)
         cert_path = _write_certificate(cert, args.certificates_dir, spec)
     if args.format == "json":
         _print_json(
@@ -333,12 +320,11 @@ _ROW_JSON = """    {{
 def cmd_survey(args: argparse.Namespace) -> int:
     rows = []
     disagreements = 0
-    cfg = _config_from(args, FIND_ONE, SURVEY_DEFAULT_BUDGET)
     for spec in enumerate_specs(args.max_size):
         cls = classify(spec)
         theory = _THEORY[cls.status]
         try:
-            result = search(spec, cfg)
+            result = search(spec, FIND_ONE, args.search_budget, args.override_guard)
             oracle, nodes = _ORACLE.get(result.outcome, "budget"), result.nodes_visited
         except GuardRefused:
             oracle, nodes = "skipped", 0
@@ -396,8 +382,8 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--search-budget", type=_parse_budget, default=None,
+def _add_search_flags(p: argparse.ArgumentParser, budget: int | None = None) -> None:
+    p.add_argument("--search-budget", type=_parse_budget, default=budget,
                    metavar="N", help="node budget (accepts 10^6 / 1e6 forms)")
     p.add_argument("--override-guard", action="store_true",
                    help=f"search even when q > {GUARD_Q}")
@@ -444,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="theory vs oracle over all small trees")
     p.add_argument("--max-size", type=_parse_max_size, default=9, metavar="Q")
     _add_format(p)
-    _add_search_flags(p)
+    _add_search_flags(p, SURVEY_DEFAULT_BUDGET)
     p.set_defaults(func=cmd_survey)
 
     p = sub.add_parser("export", help="emit a DOT drawing of a spec or labeling file")

@@ -160,21 +160,20 @@ def _multiset_violation(kind: str, values, target: list[int],
     return Violation(kind, missing, extra)
 
 
-def verify_slots(tree: TreeSpec, x: list[int]) -> tuple[VerificationReport, list[int] | None]:
+def verify_slots(tree: TreeSpec, x: list[int]) -> VerificationReport:
     """The SEG check of int labels x in slot order: edge multiset, then
-    induced multiset.  Also returns the induced labels, in
-    ``tree.vertex_ids`` order, for callers that print them.  Never raises:
-    a list of the wrong length is a DomainMismatch, with no induced labels.
+    induced multiset.  Never raises: a list of the wrong length is a
+    DomainMismatch, and its induced labels are not checked.
     """
     if len(x) != tree.q:
         mismatch = Violation("DomainMismatch", tree.edge_ids[len(x):], tuple(range(tree.q, len(x))))
-        return VerificationReport(is_seg=False, violations=(mismatch,)), None
+        return VerificationReport(is_seg=False, violations=(mismatch,))
     induced = _induced(tree, x)
     violations = tuple(v for v in (
         _multiset_violation("EdgeLabelsNotTargetSet", x, _symmetric_target(tree.q)),
         _multiset_violation("VertexLabelsNotTargetSet", induced, _symmetric_target(tree.p)),
     ) if v)
-    return VerificationReport(is_seg=not violations, violations=violations), induced
+    return VerificationReport(is_seg=not violations, violations=violations)
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def checked(tree: TreeSpec, x: list[int], tag: str) -> Labeling:
         if (sorted(x) == _symmetric_target(tree.q)
                 and sorted(induced) == _symmetric_target(tree.p)):
             return Labeling(tree, x, induced)
-    raise ConstructionFault(tree, tag, verify_slots(tree, x)[0].describe())
+    raise ConstructionFault(tree, tag, verify_slots(tree, x).describe())
 
 
 def verify(tree: TreeSpec, f: EdgeLabeling) -> VerificationReport:
@@ -228,7 +227,7 @@ def verify(tree: TreeSpec, f: EdgeLabeling) -> VerificationReport:
         strays = tuple(v for v in labels if type(v) is not int)
         labels = [v for v in labels if type(v) is int]
     elif x is not None:
-        return verify_slots(tree, x)[0]
+        return verify_slots(tree, x)
     edge_bad = _multiset_violation(
         "EdgeLabelsNotTargetSet", labels, _symmetric_target(tree.q), strays
     )

@@ -11,9 +11,10 @@ spine labels ascending by the same key (|v|, v).  Reordering a group or a
 run keeps a labeling SEG, so a raw count is re-expanded exactly by the
 product of their sizes' factorials.
 
-``search(spec, config)`` runs the engine, in either mode; ``make_certificate``
-turns an exhausted result into an absence certificate.  ``_plan`` orders the
-groups once, and ``search`` refuses a tree on the DFS depth read off that plan.
+``search(spec, mode, node_budget, override_guard)`` runs the engine, in
+either mode; ``make_certificate`` turns an exhausted result into an absence
+certificate.  ``_plan`` orders the groups once, and ``search`` refuses a
+tree on the DFS depth read off that plan.
 
 Each statement below is a theorem: a cut skips only subtrees that hold no
 solution, so outcomes and counts are those of the uncut search.
@@ -123,28 +124,6 @@ class GuardRefused(RuntimeError):
     """Tree too large for exhaustive search without an explicit override."""
 
 
-class NotCertifiable(RuntimeError):
-    """The searched tree has a labeling: there is no absence to certify."""
-
-
-class BudgetExceeded(RuntimeError):
-    """The search stopped at its budget before exhausting the space."""
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """How one search runs.
-
-    node_budget: an int >= 0; stop with BUDGET_EXCEEDED after this many nodes (None: no limit).
-    mode: FIND_ONE stops at the first labeling; COUNT_ALL enumerates them all.
-    override_guard: search even when q > GUARD_Q.
-    """
-
-    node_budget: int | None = None
-    mode: str = FIND_ONE
-    override_guard: bool = False
-
-
 @dataclass(frozen=True)
 class SearchResult:
     """What one search decided, after how many nodes.  ``count``: the
@@ -213,7 +192,8 @@ def _plan(spec: TreeSpec) -> tuple[list[tuple[int, int, int]], int, int]:
     return plan, n_single, depth
 
 
-def _run(spec: TreeSpec, config: SearchConfig, plan: list[tuple[int, int, int]], n_single: int):
+def _run(spec: TreeSpec, mode: str, limit: float, plan: list[tuple[int, int, int]],
+         n_single: int):
     n = spec.n
     counts = spec.counts
     q = spec.q
@@ -232,7 +212,6 @@ def _run(spec: TreeSpec, config: SearchConfig, plan: list[tuple[int, int, int]],
         last0 = max((d for d, a in enumerate(counts) if a >= 2), default=-1)
         zero_last = [d >= last0 or a == counts[last0] for d, a in enumerate(counts)]
 
-    limit = inf if config.node_budget is None else config.node_budget
     nodes = 0  # every node site raises _BudgetHit at limit, then counts itself
     # the labeling in the tree's slot order: spine edges, then each leaf group
     x = [0] * q
@@ -307,7 +286,7 @@ def _run(spec: TreeSpec, config: SearchConfig, plan: list[tuple[int, int, int]],
         if gi == len(plan):
             if first is None:
                 first = x.copy()
-            if config.mode == FIND_ONE:
+            if mode == FIND_ONE:
                 raise _Stop
             raw_count += weight
             return
@@ -353,7 +332,7 @@ def _run(spec: TreeSpec, config: SearchConfig, plan: list[tuple[int, int, int]],
         nonlocal r_bits, weight, nodes
         if d == n:
             root = sum(x[n_pend:n])  # S, the branch spine sum
-            if config.mode == COUNT_ALL:
+            if mode == COUNT_ALL:
                 if root < 0:
                     return  # negation: the S > 0 solutions stand for these
                 weight = 2 if root else 1
@@ -409,31 +388,35 @@ def _run(spec: TreeSpec, config: SearchConfig, plan: list[tuple[int, int, int]],
     return EXHAUSTED_NONE, nodes, None, 0
 
 
-def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
-    """Run the engine in the configured mode.  Deterministic for fixed input.
+def search(spec: TreeSpec, mode: str = FIND_ONE, node_budget: int | None = None,
+           override_guard: bool = False) -> SearchResult:
+    """Run the engine on spec.  Deterministic for fixed input.
+
+    mode: FIND_ONE stops at the first labeling; COUNT_ALL enumerates them all.
+    node_budget: an int >= 0; stop with BUDGET_EXCEEDED after this many
+    nodes (None: no limit).  override_guard: search even when q > GUARD_Q.
 
     A labeling that fails ``labeling.checked`` raises ConstructionFault; it
     is never returned.
     """
-    if config is None:
-        config = SearchConfig()
-    if config.mode not in (FIND_ONE, COUNT_ALL):
-        raise ValueError(f"unknown search mode {config.mode!r}; use {FIND_ONE!r} or {COUNT_ALL!r}")
-    budget = config.node_budget
-    if budget is not None and (type(budget) is not int or budget < 0):  # a bool is not an int here
-        raise ValueError(f"node_budget must be None or an int >= 0, got {budget!r}")
-    if spec.q > GUARD_Q and not config.override_guard:
+    if mode not in (FIND_ONE, COUNT_ALL):
+        raise ValueError(f"unknown search mode {mode!r}; use {FIND_ONE!r} or {COUNT_ALL!r}")
+    # a bool is not an int here
+    if node_budget is not None and (type(node_budget) is not int or node_budget < 0):
+        raise ValueError(f"node_budget must be None or an int >= 0, got {node_budget!r}")
+    if spec.q > GUARD_Q and not override_guard:
         raise GuardRefused(
             f"{spec} has q={spec.q} > {GUARD_Q}; exhaustive search refused "
             "(pass override_guard to insist)"
         )
+    limit = inf if node_budget is None else node_budget
     plan, n_single, depth = _plan(spec)
     try:
         # many branches, or a long group before the last, is deep: refused
         # on the plan's depth before the run, or by the stack for a deep caller
         if depth > sys.getrecursionlimit() - DEPTH_MARGIN:
             raise RecursionError
-        outcome, nodes, x, count = _run(spec, config, plan, n_single)
+        outcome, nodes, x, count = _run(spec, mode, limit, plan, n_single)
     except RecursionError:
         raise GuardRefused(
             f"{spec} has q={spec.q}; the tree is too deep for the search"
@@ -443,19 +426,14 @@ def search(spec: TreeSpec, config: SearchConfig | None = None) -> SearchResult:
     return SearchResult(outcome, nodes, count, checked(build_tree(spec), x, "search"))
 
 
-def make_certificate(spec: TreeSpec, config: SearchConfig, result: SearchResult) -> dict:
-    """Turn a completed exhaustive SearchResult into an absence certificate.
+def make_certificate(spec: TreeSpec, result: SearchResult) -> dict:
+    """Turn spec's EXHAUSTED_NONE SearchResult into an absence certificate.
 
-    Raises NotCertifiable when the result found a labeling, BudgetExceeded
-    when the result is a budget stop (no certificate in either case).
+    Any other outcome, FOUND or BUDGET_EXCEEDED, certifies nothing: it
+    raises ValueError, naming the outcome.
     """
-    if result.outcome == FOUND:
-        raise NotCertifiable(f"{spec} admits a SEG labeling; cannot certify absence")
-    if result.outcome == BUDGET_EXCEEDED:
-        raise BudgetExceeded(
-            f"budget of {config.node_budget} nodes exhausted after "
-            f"{result.nodes_visited} nodes without completing the search"
-        )
+    if result.outcome != EXHAUSTED_NONE:
+        raise ValueError(f"{spec}: a {result.outcome} search certifies no absence")
     return {
         "spec": spec.format(),
         "q": spec.q,

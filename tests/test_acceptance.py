@@ -16,7 +16,6 @@ from segtrees import (
     FIND_ONE,
     FOUND,
     NOT_SEG,
-    SearchConfig,
     build_tree,
     classify,
     enumerate_specs,
@@ -115,7 +114,7 @@ def test_criterion_4_theory_oracle_agreement():
     for spec in enumerate_specs(11):
         rows += 1
         status = classify(spec).status
-        found = search(spec, SearchConfig(mode=FIND_ONE)).outcome == FOUND
+        found = search(spec, FIND_ONE).outcome == FOUND
         if status == CONSTRUCTIVE and not found:
             disagreements += 1
         elif status == NOT_SEG and found:
@@ -133,7 +132,7 @@ def test_criterion_5_nonexistence_certificates():
              "RT(0,1,1,1)", "RT(0,1,1,1,1)", "RT(0^3,1,1,1)"]
     for name in trees:
         spec = parse_spec(name)
-        cert = make_certificate(spec, SearchConfig(), search(spec))
+        cert = make_certificate(spec, search(spec))
         assert cert["outcome"] == EXHAUSTED_NONE, name
         assert json.dumps(cert)  # serializable
     dt = time.monotonic() - t0
@@ -146,7 +145,7 @@ def test_criterion_6_count_parity():
     t0 = time.monotonic()
     seg_specs = 0
     for spec in enumerate_specs(9):
-        r = search(spec, SearchConfig(mode=COUNT_ALL))
+        r = search(spec, COUNT_ALL)
         if r.count > 0:
             seg_specs += 1
             assert r.count % 2 == 0, (spec.format(), r.count)
@@ -161,7 +160,7 @@ def test_criterion_7_symmetry_neutrality():
     specs = enumerate_specs(9)[:20]
     assert len(specs) == 20
     for spec in specs:
-        assert search(spec, SearchConfig(mode=COUNT_ALL)).count == cover_count(spec.counts), spec.format()
+        assert search(spec, COUNT_ALL).count == cover_count(spec.counts), spec.format()
     dt = time.monotonic() - t0
     print(f"criterion 7: PASS - 20 specs give the exact-cover counter's "
           f"counts in {dt:.1f}s")
@@ -173,7 +172,7 @@ def test_criterion_8_conjecture_probes():
     recorded = []
     for name in probes:
         spec = parse_spec(name)
-        r = search(spec, SearchConfig(mode=FIND_ONE, node_budget=10**8))
+        r = search(spec, FIND_ONE, node_budget=10**8)
         # must reach a definitive answer inside the budget; the answer itself
         # is recorded, not asserted
         assert r.outcome in (FOUND, EXHAUSTED_NONE), name

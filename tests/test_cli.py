@@ -20,7 +20,6 @@ from segtrees import (
     NOT_SEG,
     UNCOVERED,
     ConstructionFault,
-    SearchConfig,
     build_tree,
     classify,
     enumerate_specs,
@@ -175,8 +174,8 @@ def test_label_by_exhaustion_certifies_its_one_search(capsys, monkeypatch, tmp_p
     real_search = engine.search
     runs = []
 
-    def counting_search(spec, config):
-        runs.append(real_search(spec, config))
+    def counting_search(spec, *settings):
+        runs.append(real_search(spec, *settings))
         return runs[-1]
 
     monkeypatch.setattr(engine, "search", counting_search)
@@ -201,7 +200,7 @@ def test_label_budget_leaves_not_seg_specs_to_their_classification(capsys, monke
     specs = [s.format() for s in enumerate_specs(11) if classify(s).status == NOT_SEG]
     assert len(specs) == 13
 
-    def no_search(spec, config):
+    def no_search(spec, *settings):
         raise AssertionError(f"searched {spec.format()}")
 
     monkeypatch.setattr(cli, "search", no_search)
@@ -264,7 +263,7 @@ def test_label_output_matches_public_dict_api(capsys, tmp_path, text, tag, case)
     # label prints and writes from the slot list; the dict API must say the same
     spec = parse_spec(text)
     if tag == "by-search":
-        lab = search(spec, SearchConfig(node_budget=10**6)).labeling
+        lab = search(spec, node_budget=10**6).labeling
     else:
         cls = classify(spec)
         assert (cls.tag, cls.case) == (tag, case)
@@ -571,8 +570,7 @@ def test_survey_json_rows_report_nodes(capsys):
     assert code == 0
     for row in json.loads(out)["rows"]:
         spec = parse_spec(row["spec"])
-        cfg = SearchConfig(node_budget=cli.SURVEY_DEFAULT_BUDGET)
-        assert row["nodes"] == search(spec, cfg).nodes_visited
+        assert row["nodes"] == search(spec, node_budget=cli.SURVEY_DEFAULT_BUDGET).nodes_visited
         # one-leaf zero: an odd-q tree whose branch vertices all have one leaf
         # is refuted before the first node; every other row searches
         one_leaf = spec.q % 2 == 1 and max(spec.counts) == 1
@@ -583,6 +581,25 @@ def test_survey_json_rows_report_nodes(capsys):
     budget_rows = [r for r in json.loads(out)["rows"] if r["oracle"] == "budget"]
     assert budget_rows
     assert all(r["nodes"] == 5 for r in budget_rows)
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["survey", "--max-size", "6"], 10**6),
+    (["survey", "--max-size", "6", "--search-budget", "5"], 5),
+    (["search", "RT(1,1)"], None),
+], ids=["survey-default", "survey-given", "search-default"])
+def test_search_budget_defaults_per_command(capsys, monkeypatch, argv, budget):
+    # no survey row with q <= 15 reaches 10^6 nodes, so node counts cannot
+    # show survey's default: the budget each call receives is read instead
+    real_search, budgets = cli.search, []
+
+    def recording_search(spec, mode, node_budget, override_guard):
+        budgets.append(node_budget)
+        return real_search(spec, mode, node_budget, override_guard)
+
+    monkeypatch.setattr(cli, "search", recording_search)
+    run(capsys, *argv)
+    assert budgets and set(budgets) == {budget}
 
 
 def test_survey_marks_open_rows_informational(capsys):

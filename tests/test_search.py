@@ -18,10 +18,7 @@ from segtrees import (
     GUARD_Q,
     NOT_SEG,
     UNCOVERED,
-    BudgetExceeded,
     GuardRefused,
-    NotCertifiable,
-    SearchConfig,
     build_tree,
     classify,
     enumerate_specs,
@@ -41,7 +38,6 @@ from oracle import (
 from segtrees.search import _plan
 
 search_module = importlib.import_module("segtrees.search")  # segtrees.search is the function
-COUNT = SearchConfig(mode=COUNT_ALL)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +47,7 @@ COUNT = SearchConfig(mode=COUNT_ALL)
 @pytest.mark.parametrize("spec", enumerate_specs(7), ids=lambda s: s.format())
 def test_counts_match_naive_oracle(spec):
     expected = naive_count(spec.counts)
-    result = search(spec, COUNT)
+    result = search(spec, COUNT_ALL)
     assert result.count == expected == cover_count(spec.counts)
     assert (result.outcome == FOUND) == (expected > 0)
 
@@ -61,7 +57,7 @@ def test_cover_count_matches_count_all_q10():
     specs = enumerate_specs(10)
     assert len(specs) == 83
     for spec in specs:
-        assert cover_count(spec.counts) == search(spec, COUNT).count, spec.format()
+        assert cover_count(spec.counts) == search(spec, COUNT_ALL).count, spec.format()
 
 
 # each tree's brute-force solutions are shared by its 8 cases
@@ -132,7 +128,7 @@ def test_every_flag_combo_matches_naive(text, check, leaves, spine):
     solutions = _naive_solutions(spec.counts)
     groups, runs = _leaf_groups_and_runs(spec.counts)
     if check == "N1":
-        assert search(spec, COUNT).count == cover_count(spec.counts) == len(solutions)
+        assert search(spec, COUNT_ALL).count == cover_count(spec.counts) == len(solutions)
         if leaves:
             kept = sum(1 for f in solutions if _leaves_ascend(f, groups))
             assert kept * prod(map(factorial, spec.counts)) == len(solutions)
@@ -163,7 +159,7 @@ def test_every_flag_combo_matches_naive(text, check, leaves, spine):
 
 def test_existence_matches_naive_q6():
     for spec in enumerate_specs(6):
-        r = search(spec, SearchConfig(mode=FIND_ONE))
+        r = search(spec, FIND_ONE)
         assert (r.outcome == FOUND) == naive_exists(spec.counts), spec.format()
 
 
@@ -172,14 +168,14 @@ def test_existence_matches_naive_q6():
 # ---------------------------------------------------------------------------
 
 def test_rt11_has_exactly_two_labelings():
-    r = search(parse_spec("RT(1,1)"), COUNT)
+    r = search(parse_spec("RT(1,1)"), COUNT_ALL)
     assert r.outcome == FOUND
     assert r.count == 2
 
 
 def test_found_labeling_is_seg():
     spec = parse_spec("RT(0,2,3)")
-    r = search(spec, SearchConfig(mode=FIND_ONE))
+    r = search(spec, FIND_ONE)
     assert r.outcome == FOUND
     assert verify(build_tree(spec), r.labeling.edges()).is_seg
     assert r.count is None
@@ -188,7 +184,7 @@ def test_found_labeling_is_seg():
 def test_survey_style_search_names_no_edges():
     # a survey row reads only the outcome and the nodes: search verifies the
     # slot list without naming an edge; the dict is built only on request
-    r = search(parse_spec("RT(0,2,3)"), SearchConfig(node_budget=10**6))
+    r = search(parse_spec("RT(0,2,3)"), node_budget=10**6)
     assert r.outcome == FOUND
     lab = r.labeling
     assert "edge_ids" not in lab.tree.__dict__
@@ -198,7 +194,7 @@ def test_survey_style_search_names_no_edges():
 def test_find_one_exhaustion_reports_zero_count():
     # RT(0,1,1) is refused before the first node (one-leaf zero); this
     # refutation still searches
-    r = search(parse_spec("RT(0,1,3)"), SearchConfig(mode=FIND_ONE))
+    r = search(parse_spec("RT(0,1,3)"), FIND_ONE)
     assert r.outcome == EXHAUSTED_NONE
     assert r.count == 0
     assert r.labeling is None
@@ -207,21 +203,20 @@ def test_find_one_exhaustion_reports_zero_count():
 
 def test_deterministic_across_runs():
     spec = parse_spec("RT(2,2,1)")
-    cfg = SearchConfig(mode=COUNT_ALL)
-    assert search(spec, cfg) == search(spec, cfg)
+    assert search(spec, COUNT_ALL) == search(spec, COUNT_ALL)
 
 
 @pytest.mark.parametrize("mode", ["count", "find_one", "", None])
 def test_unknown_mode_rejected(mode):
     with pytest.raises(ValueError, match="find-one.*count-all"):
-        search(parse_spec("RT(1,1)"), SearchConfig(mode=mode))
+        search(parse_spec("RT(1,1)"), mode)
 
 
 @pytest.mark.parametrize("budget", ["10", 1.5, -1, True, False])
 def test_bad_node_budget_rejected(budget):
     # "10" used to die in the engine, 1.5 to stop after 2 nodes, -1 to mean 0
     with pytest.raises(ValueError, match="node_budget must be None or an int >= 0"):
-        search(parse_spec("RT(1,1)"), SearchConfig(node_budget=budget))
+        search(parse_spec("RT(1,1)"), node_budget=budget)
 
 
 def test_mode_constants_distinct():
@@ -241,7 +236,7 @@ def test_search_order_digest_q9():
     for spec in enumerate_specs(9):
         tree = build_tree(spec)
         for mode in (FIND_ONE, COUNT_ALL):
-            r = search(spec, SearchConfig(mode=mode))
+            r = search(spec, mode)
             h.update(repr((spec.counts, mode, r.outcome, r.count)).encode())
             runs += 1
             nodes += r.nodes_visited
@@ -279,7 +274,7 @@ def test_search_order_digest_q9():
     ("RT(0,1,35)", FIND_ONE, 112),  # 815; 854
 ])
 def test_node_counts_pinned(text, mode, nodes):
-    r = search(parse_spec(text), SearchConfig(mode=mode, override_guard=True))
+    r = search(parse_spec(text), mode, override_guard=True)
     assert r.nodes_visited == nodes
 
 
@@ -297,10 +292,10 @@ def test_count_nodes_pinned_and_budget_exact(text, nodes, count):
     # when it runs out inside a placed last group; b = nodes is enough
     spec = parse_spec(text)
     for b in (None, nodes):
-        r = search(spec, SearchConfig(mode=COUNT_ALL, node_budget=b))
+        r = search(spec, COUNT_ALL, node_budget=b)
         assert (r.outcome, r.nodes_visited, r.count) == (FOUND, nodes, count)
     for b in range(nodes):
-        r = search(spec, SearchConfig(mode=COUNT_ALL, node_budget=b))
+        r = search(spec, COUNT_ALL, node_budget=b)
         assert (r.outcome, r.nodes_visited, r.count) == (BUDGET_EXCEEDED, b, None), b
 
 
@@ -315,17 +310,17 @@ def test_count_nodes_pinned_and_budget_exact(text, nodes, count):
 def test_count_budget_stops_exact_q10(text, nodes, count):
     spec = parse_spec(text)
     for b in (nodes - 1, nodes // 2):
-        r = search(spec, SearchConfig(mode=COUNT_ALL, node_budget=b))
+        r = search(spec, COUNT_ALL, node_budget=b)
         assert (r.outcome, r.nodes_visited, r.count) == (BUDGET_EXCEEDED, b, None), b
     for b in (None, nodes):
-        r = search(spec, SearchConfig(mode=COUNT_ALL, node_budget=b))
+        r = search(spec, COUNT_ALL, node_budget=b)
         assert (r.outcome, r.nodes_visited, r.count) == (FOUND, nodes, count)
 
 
 def test_count_nodes_total_q10():
     # count mode visits the same nodes however it completes its last groups
     # (103,505 with the spine labels in ascending order)
-    results = [search(spec, COUNT) for spec in enumerate_specs(10)]
+    results = [search(spec, COUNT_ALL) for spec in enumerate_specs(10)]
     assert sum(r.nodes_visited for r in results) == 102_902
     assert sum(r.count for r in results) == 2_073_658
 
@@ -358,9 +353,9 @@ def test_count_budget_stops_exact_q9():
     # nodes have no such budget
     runs = 0
     for spec in enumerate_specs(9):
-        nodes = search(spec, COUNT).nodes_visited
+        nodes = search(spec, COUNT_ALL).nodes_visited
         for b in (nodes - 1, nodes // 2) if nodes else ():
-            r = search(spec, SearchConfig(mode=COUNT_ALL, node_budget=b))
+            r = search(spec, COUNT_ALL, node_budget=b)
             assert (r.outcome, r.nodes_visited, r.count) == (BUDGET_EXCEEDED, b, None), (spec.format(), b)
             runs += 1
     assert runs == 90
@@ -374,10 +369,10 @@ def test_find_one_budget_stops_exact_q9():
         full = search(spec)
         nodes = full.nodes_visited
         for b in (nodes - 1, nodes // 2) if nodes else ():
-            r = search(spec, SearchConfig(node_budget=b))
+            r = search(spec, node_budget=b)
             assert (r.outcome, r.nodes_visited, r.count) == (BUDGET_EXCEEDED, b, None), (spec.format(), b)
             runs += 1
-        r = search(spec, SearchConfig(node_budget=nodes))
+        r = search(spec, node_budget=nodes)
         assert (r.outcome, r.nodes_visited, r.labeling) == (full.outcome, nodes, full.labeling)
     assert runs == 90
 
@@ -387,14 +382,14 @@ def test_find_one_budget_stops_exact_q9():
 # ---------------------------------------------------------------------------
 
 def test_budget_stops_search():
-    r = search(parse_spec("RT(0^3,3,5)"), SearchConfig(mode=COUNT_ALL, node_budget=50))
+    r = search(parse_spec("RT(0^3,3,5)"), COUNT_ALL, node_budget=50)
     assert r.outcome == BUDGET_EXCEEDED
     assert r.nodes_visited <= 50
     assert r.count is None
 
 
 def test_zero_budget_immediate_stop():
-    r = search(parse_spec("RT(1,1)"), SearchConfig(node_budget=0))
+    r = search(parse_spec("RT(1,1)"), node_budget=0)
     assert r.outcome == BUDGET_EXCEEDED
     assert r.nodes_visited == 0
 
@@ -405,7 +400,7 @@ def test_guard_refuses_large_trees():
     with pytest.raises(GuardRefused):
         search(big)
     # override runs, bounded here by a tiny budget
-    r = search(big, SearchConfig(node_budget=10, override_guard=True))
+    r = search(big, node_budget=10, override_guard=True)
     assert r.outcome == BUDGET_EXCEEDED
 
 
@@ -420,7 +415,7 @@ def test_too_deep_refused_before_the_run(monkeypatch, text):
     spec = parse_spec(text)
     assert _plan(spec)[2] > sys.getrecursionlimit()
     with pytest.raises(GuardRefused, match="too deep for the search"):
-        search(spec, SearchConfig(override_guard=True))
+        search(spec, override_guard=True)
 
 
 def test_dfs_depth_bounds_the_nesting_q9():
@@ -443,7 +438,7 @@ def test_dfs_depth_bounds_the_nesting_q9():
         old = sys.getprofile()
         sys.setprofile(profile)
         try:
-            search(spec, COUNT)
+            search(spec, COUNT_ALL)
         finally:
             sys.setprofile(old)
         planned = _plan(spec)[2]
@@ -461,7 +456,7 @@ def test_uncovered_trees_to_q35_found_within_q_plus_64_nodes():
     specs = [s for s in enumerate_specs(35) if classify(s).status == UNCOVERED]
     assert len(specs) == 683
     missed = [s.format() for s in specs
-              if search(s, SearchConfig(node_budget=s.q + 64, override_guard=True)).outcome != FOUND]
+              if search(s, node_budget=s.q + 64, override_guard=True).outcome != FOUND]
     assert missed == []
 
 
@@ -472,7 +467,7 @@ def test_uncovered_trees_to_q35_found_within_q_plus_64_nodes():
 def test_override_guard_find_one_pinned(text, nodes, digest):
     spec = parse_spec(text)
     assert spec.q > GUARD_Q
-    r = search(spec, SearchConfig(override_guard=True))
+    r = search(spec, override_guard=True)
     assert (r.outcome, r.nodes_visited) == (FOUND, nodes)
     assert hashlib.sha256(" ".join(map(str, r.labeling.slots)).encode()).hexdigest() == digest
     assert naive_is_seg_assignment(spec.counts, r.labeling.slots)
@@ -483,7 +478,7 @@ def test_wide_pool_is_read_bit_by_bit():
     # holds about 3 KB a label); the nodes and first labeling are pinned
     spec = parse_spec("RT(2,3,60)")  # q = 68
     assert spec.q > search_module.TABLE_BITS
-    r = search(spec, SearchConfig(override_guard=True))
+    r = search(spec, override_guard=True)
     assert (r.outcome, r.nodes_visited) == (FOUND, 68)
     digest = hashlib.sha256(" ".join(map(str, r.labeling.slots)).encode()).hexdigest()
     assert digest == "e27469a24d60e6fa30f254290e5910b4fce7ba746b1975ba67849584c20d6703"
@@ -493,7 +488,7 @@ def test_wide_pool_is_read_bit_by_bit():
 def test_guard_boundary_inclusive():
     at_limit = parse_spec("RT(0^8,7,7)")  # q = 24 exactly
     assert at_limit.q == GUARD_Q
-    r = search(at_limit, SearchConfig(node_budget=10))
+    r = search(at_limit, node_budget=10)
     assert r.outcome == BUDGET_EXCEEDED  # ran, not refused
 
 
@@ -503,7 +498,7 @@ def test_guard_boundary_inclusive():
 
 def test_certificate_contents():
     spec = parse_spec("RT(0,1,3)")
-    cert = make_certificate(spec, SearchConfig(), search(spec))
+    cert = make_certificate(spec, search(spec))
     assert cert["spec"] == "RT(0,1,3)"
     assert cert["q"] == 7
     assert cert["edge_target"] == [-3, -2, -1, 0, 1, 2, 3]
@@ -517,25 +512,24 @@ def test_certificate_contents():
 
 
 def test_certify_refuses_seg_tree():
-    with pytest.raises(NotCertifiable):
+    with pytest.raises(ValueError, match="a found search certifies no absence"):
         spec = parse_spec("RT(1,1)")
-        make_certificate(spec, SearchConfig(), search(spec))
+        make_certificate(spec, search(spec))
 
 
 def test_certify_budget_exceeded_raises():
-    with pytest.raises(BudgetExceeded):
-        spec, cfg = parse_spec("RT(0,1,5)"), SearchConfig(node_budget=3)
-        make_certificate(spec, cfg, search(spec, cfg))
+    with pytest.raises(ValueError, match="a budget-exceeded search certifies no absence"):
+        spec = parse_spec("RT(0,1,5)")
+        make_certificate(spec, search(spec, node_budget=3))
 
 
 def test_make_certificate_from_result():
     spec = parse_spec("RT(0,1,1)")
-    cfg = SearchConfig(mode=FIND_ONE)
-    result = search(spec, cfg)
-    cert = make_certificate(spec, cfg, result)
+    result = search(spec, FIND_ONE)
+    cert = make_certificate(spec, result)
     assert cert["nodes_visited"] == result.nodes_visited
-    with pytest.raises(NotCertifiable):
-        make_certificate(spec, cfg, search(parse_spec("RT(1,1)"), cfg))
+    with pytest.raises(ValueError, match="found"):
+        make_certificate(spec, search(parse_spec("RT(1,1)"), FIND_ONE))
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +540,7 @@ def test_flag_combos_agree_on_q8_sample():
     # the one configuration's two modes agree on existence, and count mode's
     # first labeling is SEG
     for spec in enumerate_specs(8):
-        counted, found = search(spec, COUNT), search(spec)
+        counted, found = search(spec, COUNT_ALL), search(spec)
         assert counted.outcome == found.outcome, spec.format()
         assert (counted.outcome == FOUND) == (counted.count > 0), spec.format()
         assert counted.labeling is None or verify(build_tree(spec), counted.labeling.edges()).is_seg
@@ -587,5 +581,5 @@ def test_counts_always_even():
 def test_breaking_reduces_nodes():
     # a search that enumerated every labeling would visit a node per labeling
     # at least; the symmetry breaking visits fewer than the count it reports
-    r = search(parse_spec("RT(0^4,1,1)"), COUNT)
+    r = search(parse_spec("RT(0^4,1,1)"), COUNT_ALL)
     assert r.nodes_visited < r.count
