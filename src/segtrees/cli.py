@@ -18,8 +18,8 @@ import sys
 from pathlib import Path
 
 from .constructions import ConstructionFault, label_any
-from .labeling import Labeling, LabelingFormatError, edge_lines, labeling_file, read_labeling
-from .labeling import to_dot, verify
+from .labeling import LabelingFormatError, edge_text, file_edges, induced_line, labeling_file
+from .labeling import read_labeling, to_dot, verify
 # not called here any more; perfbench/spans.py still wraps these module names
 from .labeling import induce, write_labeling  # noqa: F401
 from .search import (
@@ -106,37 +106,6 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-# The text report of a labeling is formatted once per edge, by _edge_text.
-# Edge ids are v<d> or v<d>.<d> and labels are ints, so in that text "  "
-# only opens a line and " = " only ends an edge id: whole-string replaces
-# re-punctuate every line at once, for the labeling file and for the leaves
-# of the induced line.
-
-def _edge_text(lab: Labeling) -> str:
-    """lab's slot labels as printed, one ``  v1.2 = 5`` line per edge."""
-    return "\n".join([f"  {e} = {v}" for e, v in zip(lab.tree.edge_ids, lab.slots)])
-
-
-def _print_labeling(lab: Labeling, text: str) -> None:
-    """Print text, lab's ``_edge_text``, then its induced labels in vertex
-    order.  Only v0..vn are formatted here: a leaf induces its own edge's
-    label, so the leaf part is text after its first n lines, each
-    ``  v1.2 = 5`` line turned into ``v1.2=5``."""
-    tree, n = lab.tree, lab.tree.n
-    spine = ", ".join([f"{v}={g}" for v, g in zip(tree.vertex_ids, lab.induced[:n + 1])])
-    # a diameter-4 tree has leaves, so slot n is the first leaf edge
-    leaves = text[text.find(f"\n  {tree.edge_ids[n]} = ") + 3:]
-    leaves = leaves.replace(" = ", "=").replace("\n  ", ", ")
-    print(text, f"  induced: {spine}, {leaves}", sep="\n")
-
-
-def _file_edges(text: str) -> str:
-    """``labeling.edge_lines`` of the labeling whose ``_edge_text`` is text:
-    each ``  v1 = 3`` line becomes ``    "v1": 3``, and the lines are joined
-    by ``,`` and a newline."""
-    return '    "' + text[2:].replace(" = ", '": ').replace("\n  ", ',\n    "')
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -186,24 +155,22 @@ def cmd_label(args: argparse.Namespace) -> int:
             if args.certificates_dir:
                 path = _write_certificate(cert, args.certificates_dir, spec)
     if lab is not None:
-        # lab passed labeling.checked, in label_any or in search.  The edges
-        # are formatted once, for stdout, and the file is written from that
-        # text before anything is printed
+        # lab passed labeling.checked, in label_any or in search.  Its edges
+        # are formatted once, and the file is written from that text before
+        # anything is printed.  The file members live only for the write:
+        # holding them through the text print raised label_large's peak RSS
+        text = edge_text(lab.tree, lab.slots)
+        if args.out:
+            Path(args.out).write_text(labeling_file(lab.tree, file_edges(text)))
         if args.format == "json":
-            edges = edge_lines(lab.tree, lab.slots)
-            if args.out:
-                Path(args.out).write_text(labeling_file(lab.tree, edges))
             # json.dumps(obj, indent=2) with the "labeling" and "verified" keys last
             head = json.dumps({"spec": spec.format(), "status": "labeled",
                                "tag": tag, "case": case}, indent=2)
-            print(f'{head[:-2]},\n  "labeling": {{\n{edges}\n  }},\n  "verified": true\n}}')
+            print(f'{head[:-2]},\n  "labeling": {{\n{file_edges(text)}\n  }},\n  "verified": true\n}}')
         else:
-            text = _edge_text(lab)
-            if args.out:
-                Path(args.out).write_text(labeling_file(lab.tree, _file_edges(text)))
             via = f" via {tag}" + (f" [{case}]" if case else "")
             print(f"{spec.format()}: SEG labeling found{via}")
-            _print_labeling(lab, text)
+            print(text, induced_line(lab, text), sep="\n")
             if args.out:
                 print(f"  written to {args.out}")
         return EXIT_OK
@@ -282,7 +249,8 @@ def cmd_search(args: argparse.Namespace) -> int:
         print(f"{spec.format()}: found (nodes={result.nodes_visited})")
         if result.count is not None:
             print(f"  count: {result.count} SEG labelings")
-        _print_labeling(lab, _edge_text(lab))
+        text = edge_text(lab.tree, lab.slots)
+        print(text, induced_line(lab, text), sep="\n")
     elif result.outcome == EXHAUSTED_NONE:
         msg = f"{spec.format()}: none (exhausted, nodes={result.nodes_visited})"
         if cert_path:

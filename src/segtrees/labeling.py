@@ -12,6 +12,8 @@ for a leaf edge), so an induced vertex labeling shares the key space plus
 Internally a labeling is a list of labels in slot order, the order of
 ``tree.edge_ids``; the ids are only looked up at the dict boundary.  A
 labeling the package produced is a ``Labeling``, built only by ``checked``.
+Its text is formatted once per edge, by ``edge_text``; the labeling file's
+members and the induced line are derived from that text.
 """
 
 from __future__ import annotations
@@ -237,7 +239,7 @@ def verify(tree: TreeSpec, f: EdgeLabeling) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# labeling files
+# labeling text and files
 # ---------------------------------------------------------------------------
 
 def _require_int_labels(f: EdgeLabeling) -> None:
@@ -248,17 +250,47 @@ def _require_int_labels(f: EdgeLabeling) -> None:
         raise LabelingFormatError(f"label for {key!r} must be an integer")
 
 
+# The text of a labeling is formatted once per edge, by edge_text.  Edge ids
+# are v<d> or v<d>.<d> and labels are ints, so in that text "  " only opens a
+# line and " = " only ends an edge id: whole-string replaces re-punctuate
+# every line at once, for the labeling file and for the leaves of the
+# induced line.
+
+def edge_text(tree: TreeSpec, x: list[int]) -> str:
+    """Int slot labels x as printed, one ``  v1.2 = 5`` line per edge."""
+    return "\n".join([f"  {e} = {v}" for e, v in zip(tree.edge_ids, x)])
+
+
+def file_edges(text: str) -> str:
+    """The labeling file's edge members, from ``edge_text``: each ``  v1 = 3``
+    line becomes ``    "v1": 3``, as ``json.dumps(..., indent=2)`` lays out
+    an object inside the top object, joined by ``,`` and a newline."""
+    return '    "' + text[2:].replace(" = ", '": ').replace("\n  ", ',\n    "')
+
+
+def induced_line(lab: Labeling, text: str) -> str:
+    """lab's ``  induced: v0=1, ...`` line, in vertex order, given its
+    ``edge_text``.  Only v0..vn are formatted here: a leaf induces its own
+    edge's label, so the leaf part is text after its first n lines."""
+    tree, n = lab.tree, lab.tree.n
+    spine = ", ".join([f"{v}={g}" for v, g in zip(tree.vertex_ids, lab.induced[:n + 1])])
+    # a diameter-4 tree has leaves, so slot n is the first leaf edge
+    leaves = text[text.find(f"\n  {tree.edge_ids[n]} = ") + 3:]
+    leaves = leaves.replace(" = ", "=").replace("\n  ", ", ")
+    return f"  induced: {spine}, {leaves}"
+
+
 def write_labeling(tree: TreeSpec, f: EdgeLabeling) -> str:
     """Serialize as a JSON object {spec, edges}, edges in tree order; f
     must be total (DomainMismatch) with int labels (LabelingFormatError)."""
     x = _slots(tree, f)
     _require_int_labels(f)
-    return labeling_file(tree, edge_lines(tree, x))
+    return labeling_file(tree, file_edges(edge_text(tree, x)))
 
 
 def labeling_file(tree: TreeSpec, edges: str) -> str:
     """The labeling file of tree whose edge members are the text edges, as
-    ``edge_lines`` formats them.
+    ``file_edges`` derives them.
 
     For int labels the text is exactly ``json.dumps({"spec": ..., "edges":
     ...}, indent=2)`` plus a newline, formatted here because the indenting
@@ -266,17 +298,6 @@ def labeling_file(tree: TreeSpec, edges: str) -> str:
     """
     spec = json.dumps(tree.format())
     return f'{{\n  "spec": {spec},\n  "edges": {{\n{edges}\n  }}\n}}\n'
-
-
-def edge_lines(tree: TreeSpec, x: list[int]) -> str:
-    """The int labels x in slot order keyed by edge id, one ``    "v1": 3``
-    line each, joined by ``,`` and a newline: the members of an object one
-    level inside the top object of ``json.dumps(..., indent=2)``.
-
-    Each line is formatted per edge here.  ``segtrees label`` in text mode
-    formats only its printed ``  v1 = 3`` lines and derives this text from
-    them (``cli._file_edges``); a test holds the two equal."""
-    return ",\n".join([f'    "{e}": {v}' for e, v in zip(tree.edge_ids, x)])
 
 
 def read_labeling(text: str) -> tuple[TreeSpec, EdgeLabeling]:

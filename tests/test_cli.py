@@ -273,6 +273,7 @@ def test_label_output_matches_public_dict_api(capsys, tmp_path, text, tag, case)
     code, stdout, _ = run(capsys, "label", text, "--search-budget", "10^6", "--out", str(path))
     assert code == 0
     assert path.read_text() == write_labeling(tree, f)
+    assert path.read_text() == json.dumps({"spec": tree.format(), "edges": f}, indent=2) + "\n"
     edge_lines = [f"  {e} = {f[e]}" for e in tree.edge_ids]
     induced = ", ".join(f"{v}={g}" for v, g in induce(tree, f).items())
     assert stdout.splitlines()[1:] == edge_lines + [f"  induced: {induced}", f"  written to {path}"]
@@ -305,6 +306,8 @@ def test_label_derived_text_matches_per_edge_formatting(capsys, tmp_path, fmt):
         code, stdout, _ = run(capsys, "label", text, "--format", fmt, "--out", str(path))
         assert code == 0, text
         assert path.read_text() == write_labeling(tree, f), text
+        assert path.read_text() == json.dumps({"spec": tree.format(), "edges": f},
+                                              indent=2) + "\n", text
         if fmt == "json":
             report = {"spec": tree.format(), "status": "labeled", "tag": cls.tag,
                       "case": cls.case, "labeling": f, "verified": True}
