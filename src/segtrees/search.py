@@ -81,6 +81,15 @@ solution, so outcomes and counts are those of the uncut search.
   run that has stored its first labeling counts each closing label of the
   second-to-last group as one solution of ``1 + a_last`` nodes (a_last:
   the last group's size), without visiting them.
+- Last two groups.  When only the last two groups are open, the pool holds
+  exactly their labels and R exactly their two targets.  By the last
+  group, each a_2nd-subset of the pool (a_2nd: the second-to-last group's
+  size) whose sum closes the second-to-last group at either target is one
+  solution, and no other labeling completes it.  So a count run that has
+  stored its first labeling reads the number of such subsets off a table
+  of the pool's a_2nd-subsets by sum, built once per pool and run
+  (``_subset_sums``), instead of scanning the group, and counts each as
+  ``1 + a_last`` nodes, as the last group does.
 
 Negation.  f is SEG exactly when -f is, and f != -f (its q distinct labels
 are not all 0), so SEG labelings pair up and every count is even.
@@ -149,6 +158,27 @@ class _BudgetHit(Exception):
 # a pool of up to this many labels is read a byte at a time.  A table holds
 # 20-28 KB, about 3 KB a label, and stays cached: a wider pool is read bit by bit
 TABLE_BITS = 64
+
+
+# count mode keeps the subset-sum tables of at most this many pools in one
+# run, and clears them at the cap: a cleared table is built again when next
+# used, so the cap moves no count or node
+SUM_TABLE_CAP = 1 << 15
+
+
+def _subset_sums(bits: list[int], a: int, w: int) -> int:
+    """The number of a-subsets of ``bits`` (distinct ints >= 0) of each sum
+    s, packed in one int: the count of sum s fills bits s*w .. s*w + w - 1.
+    ``w`` must exceed len(bits), so no count overflows its field."""
+    # rows[k]: the k-subsets of the bits so far, field s counting sum s; a
+    # new bit b adds each (k-1)-subset's fields shifted b fields up to rows[k]
+    rows = [1] + [0] * a
+    ks = range(a, 0, -1)
+    for b in bits:
+        shift = b * w
+        for k in ks:
+            rows[k] += rows[k - 1] << shift
+    return rows[a]
 
 
 @cache
@@ -225,6 +255,8 @@ def _run(spec: TreeSpec, mode: str, limit: float, plan: list[tuple[int, int, int
     raw_count = 0
     weight = 1  # count mode: the solutions each one found stands for, by sign of S
     first: list[int] | None = None  # the first labeling, in slot order
+    if mode == COUNT_ALL:
+        sum_tables: dict[int, int] = {}  # last two groups: pool -> _subset_sums
 
     def close(hits: int, base: int, slot: int, gi: int, singles, pool: int) -> None:
         # hits: the labels that close a group of base ``base``, as bits: label v
@@ -270,6 +302,31 @@ def _run(spec: TreeSpec, mode: str, limit: float, plan: list[tuple[int, int, int
                     best = c, g, hits
             _, g, hits = best
             close(hits, bases[g], plan[g][2], gi, [o for o in singles if o != g], pool)
+            return
+        if gi == last - 1 and first is not None:
+            # count mode, the last two groups: each a-subset of the pool that
+            # closes this group at one of R's two targets is one solution.
+            # Target t is bit t + h + 1 of R, and a subset of bit sum s has
+            # label sum s - a*h, so it closes the group at t when
+            # s = t - base + a*h: the bit length of t's bit, plus off.  A
+            # count is below 2^n_bits, so fields of n_bits + 1 bits hold it
+            a, w = plan[gi][0], 2 * h + 2
+            table = sum_tables.get(pool)
+            if table is None:
+                if len(sum_tables) >= SUM_TABLE_CAP:
+                    sum_tables.clear()
+                table = sum_tables[pool] = _subset_sums(_bits_of(pool, tables), a, w)
+            off = (a - 1) * h - bases[gi] - 2
+            c = 0
+            for s in (r_bits & -r_bits).bit_length() + off, r_bits.bit_length() + off:
+                if s >= 0:
+                    c += table >> s * w & (1 << w) - 1
+            cost = c * (1 + a_last)
+            if nodes + cost > limit:  # a scan would visit these nodes and more
+                nodes = limit
+                raise _BudgetHit
+            nodes += cost
+            raw_count += c * weight
             return
         if gi == last:
             # last group: the pool is its labels and they close it, so they are

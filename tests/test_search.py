@@ -1,9 +1,10 @@
 import hashlib
 import importlib
+import random
 import sys
 from collections import Counter
 from functools import cache
-from itertools import accumulate, groupby, permutations, product
+from itertools import accumulate, combinations, groupby, permutations, product
 from math import factorial, prod
 
 import pytest
@@ -35,7 +36,7 @@ from oracle import (
     naive_is_seg_assignment,
     naive_solutions,
 )
-from segtrees.search import _plan
+from segtrees.search import _plan, _subset_sums
 
 search_module = importlib.import_module("segtrees.search")  # segtrees.search is the function
 
@@ -251,9 +252,10 @@ def test_search_order_digest_q9():
                 assert lab.induced == list(induce(tree, f).values()), spec.format()
                 assert naive_is_seg_assignment(spec.counts, flat), spec.format()
     assert runs == 102
-    # 10,014 with the spine labels in ascending order, and before that
+    # 9,268 before count mode read the last two groups off a table of subset
+    # sums, 10,014 with the spine labels in ascending order, and before that
     # 76,397 over 408 runs while two symmetry flags made 4 configurations
-    assert nodes == 9_268
+    assert nodes == 7_950
     assert h.hexdigest() == SEARCH_ORDER_DIGEST_Q9
 
 
@@ -280,16 +282,18 @@ def test_node_counts_pinned(text, mode, nodes):
 
 @pytest.mark.parametrize("text, nodes, count", [
     # placed last groups of 3 or more labels: a leaf group of 3, a pendant
-    # group of 3 and one of 4.  RT(2,3) and RT(0^3,1,3) took 82 and 127
-    # nodes with the spine labels in ascending order, and RT(0^4,1,1) 264
-    # before the spine-sum sign cut
-    ("RT(2,3)", 67, 168),
-    ("RT(0^3,1,3)", 99, 576),
+    # group of 3 and one of 4.  RT(2,3) and RT(0^3,1,3) took 67 and 99 nodes
+    # before count mode read the last two groups off a table of subset sums,
+    # 82 and 127 with the spine labels in ascending order, and RT(0^4,1,1)
+    # 264 before the spine-sum sign cut
+    ("RT(2,3)", 50, 168),
+    ("RT(0^3,1,3)", 62, 576),
     ("RT(0^4,1,1)", 156, 1_824),
 ])
 def test_count_nodes_pinned_and_budget_exact(text, nodes, count):
     # a budget b below the run's nodes stops it after exactly b nodes, also
-    # when it runs out inside a placed last group; b = nodes is enough
+    # when it runs out inside a placed last group or at a read of the last two
+    # groups' table; b = nodes is enough
     spec = parse_spec(text)
     for b in (None, nodes):
         r = search(spec, COUNT_ALL, node_budget=b)
@@ -299,13 +303,15 @@ def test_count_nodes_pinned_and_budget_exact(text, nodes, count):
         assert (r.outcome, r.nodes_visited, r.count) == (BUDGET_EXCEEDED, b, None), b
 
 
-# the count trees with q = 10 that scan the most labels closing nothing
-# (1,534, 1,423 and 1,012 of their nodes): such a label costs a node and
-# makes no call, so a budget that runs out on one must still stop exactly
+# count trees with q = 10 that scan many labels closing nothing (409, 302
+# and 382 of their nodes; 1,534, 1,423 and 1,012 of 8,836, 6,683 and 3,767
+# before count mode read the last two groups off a table of subset sums):
+# such a label costs a node and makes no call, so a budget that runs out on
+# one must still stop exactly
 @pytest.mark.parametrize("text, nodes, count", [
-    ("RT(0^2,2^2,1)", 8_836, 34_880),
-    ("RT(0,2^2,3)", 6_683, 72_576),
-    ("RT(0^2,2^3)", 3_767, 62_016),
+    ("RT(0^2,2^2,1)", 6_642, 34_880),
+    ("RT(0,2^2,3)", 4_871, 72_576),
+    ("RT(0^2,2^3)", 2_790, 62_016),
 ])
 def test_count_budget_stops_exact_q10(text, nodes, count):
     spec = parse_spec(text)
@@ -318,11 +324,50 @@ def test_count_budget_stops_exact_q10(text, nodes, count):
 
 
 def test_count_nodes_total_q10():
-    # count mode visits the same nodes however it completes its last groups
-    # (103,505 with the spine labels in ascending order)
+    # once it has its first labeling, count mode reads the last two groups
+    # off a table of subset sums and charges each labeling 1 + a_last nodes,
+    # as a placed last group does (102,902 scanning the second-to-last group,
+    # and 103,505 with the spine labels in ascending order)
     results = [search(spec, COUNT_ALL) for spec in enumerate_specs(10)]
-    assert sum(r.nodes_visited for r in results) == 102_902
+    assert sum(r.nodes_visited for r in results) == 83_086
     assert sum(r.count for r in results) == 2_073_658
+
+
+def test_subset_sums_match_brute_force():
+    # field s of _subset_sums(bits, a, w) is the number of a-subsets of bits
+    # summing to s, also for a = 0 and a = len(bits), in the narrowest fields
+    # w = len(bits) + 1; a sum no subset reaches reads 0, past the table too
+    rng = random.Random(0)
+    cases = [(rng.sample(range(25), m), a) for m in range(13) for a in {0, m // 2, m}]
+    cases += [(rng.sample(range(40), m), rng.randint(0, m)) for m in rng.choices(range(1, 16), k=40)]
+    for bits, a in cases:
+        w = len(bits) + 1
+        table = _subset_sums(bits, a, w)
+        want = Counter(map(sum, combinations(bits, a)))
+        top = sum(sorted(bits)[len(bits) - a:])
+        assert table >> (top + 1) * w == 0, (bits, a)
+        for s in range(top + 4):
+            assert table >> s * w & (1 << w) - 1 == want[s], (bits, a, s)
+
+
+# count runs where the last two groups' table of subset sums does the work:
+# the counts are those of the scan it replaced, the nodes fall below
+# ``scanned`` (the nodes when the second-to-last group was scanned), and a
+# table cap of 1 pool moves nothing
+@pytest.mark.parametrize("text, count, nodes, scanned", [
+    ("RT(6,7)", 10_675_929_600, 12_638, 23_277),
+    ("RT(0,6,7)", 272_254_348_800, 300_898, 411_903),
+    ("RT(2,4,6)", 201_070_080, 21_493, 32_215),
+    ("RT(0^2,2,1^2,5)", 57_561_600, 238_511, 297_593),
+    ("RT(0,1^3,3^2)", 16_249_248, 104_374, 196_550),
+])
+def test_last_two_groups_table_counts(monkeypatch, text, count, nodes, scanned):
+    spec = parse_spec(text)
+    r = search(spec, COUNT_ALL)
+    assert (r.outcome, r.count, r.nodes_visited) == (FOUND, count, nodes)
+    assert nodes < scanned
+    monkeypatch.setattr(search_module, "SUM_TABLE_CAP", 1)
+    assert search(spec, COUNT_ALL) == r
 
 
 # the spine tries its labels in magnitude order, 0, -1, 1, -2, 2, ...; in
