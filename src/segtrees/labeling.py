@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .trees import TreeSpec, parse_spec
 
@@ -101,8 +101,7 @@ def induce(tree: TreeSpec, f: EdgeLabeling) -> VertexLabeling:
     return dict(zip(tree.vertex_ids, _induced(tree, _slots(tree, f))))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One way the labeling fails, with the offending items.
 
     kind DomainMismatch: missing/extra are edge identifiers; for a slot
@@ -125,8 +124,7 @@ class Violation:
         return ": ".join([parts[0], "; ".join(parts[1:])]) if len(parts) > 1 else parts[0]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     is_seg: bool
     violations: tuple[Violation, ...]
 
@@ -178,15 +176,17 @@ def verify_slots(tree: TreeSpec, x: list[int]) -> VerificationReport:
     return VerificationReport(is_seg=not violations, violations=violations)
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(NamedTuple):
     """A SEG labeling of tree that passed ``checked``, the only place one is
     built: ``slots`` in ``tree.edge_ids`` order and ``induced`` in
-    ``tree.vertex_ids`` order."""
+    ``tree.vertex_ids`` order.  Its repr shows only ``tree``."""
 
     tree: TreeSpec
-    slots: list[int] = field(repr=False)
-    induced: list[int] = field(repr=False)
+    slots: list[int]
+    induced: list[int]
+
+    def __repr__(self) -> str:
+        return f"Labeling(tree={self.tree!r})"
 
     def edges(self) -> EdgeLabeling:
         """The labeling keyed by edge id, in slot order."""

@@ -106,10 +106,10 @@ are not all 0), so SEG labelings pair up and every count is even.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, groupby
 from math import factorial, inf, prod
+from typing import NamedTuple
 
 from ._version import __version__
 from .labeling import Labeling, checked, edge_label_target, vertex_label_target
@@ -133,8 +133,7 @@ class GuardRefused(RuntimeError):
     """Tree too large for exhaustive search without an explicit override."""
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     """What one search decided, after how many nodes.  ``count``: the
     re-expanded count of a COUNT_ALL run, 0 if exhausted, else None.
     ``labeling``: a FOUND run's first labeling, which passed
@@ -436,6 +435,10 @@ def _run(spec: TreeSpec, mode: str, limit: float, plan: list[tuple[int, int, int
         return FOUND, nodes, first, None
     except _BudgetHit:
         return BUDGET_EXCEEDED, nodes, None, None
+    finally:
+        # the nested functions reach each other through their cells: clear
+        # them, so a search leaves no cycle for the collector
+        close = next_group = dfs_group = dfs_spine = None
     if raw_count > 0:  # only COUNT_ALL gets here with solutions
         # re-expand once: a leaf group or equal-count run of m stands for m!
         # orderings (equal counts are contiguous)

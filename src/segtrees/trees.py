@@ -17,10 +17,10 @@ family, or the one explicitly uncovered region (j odd, k >= 4 even, l = 0).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, groupby, repeat
 from operator import floordiv, mod
+from typing import NamedTuple
 
 Q_LIMIT = 10**6  # labels must stay comfortably inside machine ints
 ENUM_Q_LIMIT = 40  # enumerate_specs(40) lists 214,487 specs; +5 on q is ~2.5x
@@ -38,30 +38,43 @@ class EmptyRange(ValueError):
     """enumerate_specs called with max_q below the smallest valid tree (q=4)."""
 
 
-@dataclass(frozen=True)
 class TreeSpec:
     """Canonical leaf-count sequence of a diameter-4 tree, and the tree.
 
     ``n``, ``j``, ``k``, ``l`` and ``q`` are computed once, at construction;
-    equality, hash and repr go by ``counts`` alone.  A labeling is laid out
-    in slots, the positions of ``edge_ids``.
+    equality, hash and repr go by ``counts`` alone.  Frozen: assignment and
+    deletion raise AttributeError (``cached_property`` writes the instance
+    dict directly).  A labeling is laid out in slots, the positions of
+    ``edge_ids``.
     """
 
     counts: tuple[int, ...]
-    n: int = field(init=False, repr=False, compare=False)
-    j: int = field(init=False, repr=False, compare=False)
-    k: int = field(init=False, repr=False, compare=False)
-    l: int = field(init=False, repr=False, compare=False)
-    q: int = field(init=False, repr=False, compare=False)
+    n: int
+    j: int
+    k: int
+    l: int
+    q: int
 
-    def __post_init__(self) -> None:
-        c, put = self.counts, object.__setattr__
-        n, j, l = len(c), c.count(0), sum(map(mod, c, repeat(2)))
-        put(self, "n", n)
-        put(self, "j", j)
-        put(self, "k", n - j - l)
-        put(self, "l", l)
-        put(self, "q", n + sum(c))
+    def __init__(self, counts: tuple[int, ...]) -> None:
+        n, j, l = len(counts), counts.count(0), sum(map(mod, counts, repeat(2)))
+        self.__dict__.update(counts=counts, n=n, j=j, k=n - j - l, l=l, q=n + sum(counts))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen TreeSpec")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen TreeSpec")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.counts == other.counts
+
+    def __hash__(self) -> int:
+        return hash((self.counts,))
+
+    def __repr__(self) -> str:
+        return f"TreeSpec(counts={self.counts!r})"
 
     @property
     def p(self) -> int:
@@ -193,8 +206,7 @@ CONJECTURED = "conjectured"
 UNCOVERED = "uncovered"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Total routing of a spec to its labeling rule or knowledge status.
 
     ``tag`` names the applicable rule (or conjecture/uncovered region);
@@ -212,8 +224,8 @@ class Classification:
     spec: TreeSpec
     status: str
     tag: str
-    case: str | None = None
-    params: dict = field(default_factory=dict)
+    case: str | None
+    params: dict
 
 
 def _classify_caterpillar(spec: TreeSpec) -> tuple[str, str, str | None, dict]:

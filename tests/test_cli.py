@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import io
 import importlib
@@ -167,8 +166,7 @@ def test_label_by_exhaustion_certifies_its_one_search(capsys, monkeypatch, tmp_p
     real_classify = cli.classify
     monkeypatch.setattr(
         cli, "classify",
-        lambda spec: dataclasses.replace(
-            real_classify(spec), status=CONJECTURED, tag="conjecture-1"),
+        lambda spec: real_classify(spec)._replace(status=CONJECTURED, tag="conjecture-1"),
     )
     engine = importlib.import_module("segtrees.search")
     real_search = engine.search

@@ -195,8 +195,13 @@ def test_checked_fault_names_every_violation(x, detail):
 
 def _labeling_calls(source: str) -> list[str]:
     """Qualified names of the functions in source that call ``Labeling(...)``,
-    by name or as an attribute, one entry per call."""
+    by name or as an attribute, or one of the two other ways a NamedTuple is
+    built: ``Labeling._make(...)``, and ``._replace(...)`` on any receiver
+    (its type is not known from the syntax).  One entry per call."""
     sites, where = [], []
+
+    def named(f):
+        return getattr(f, "id", None) == "Labeling" or getattr(f, "attr", None) == "Labeling"
 
     def visit(node):
         scoped = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -204,7 +209,8 @@ def _labeling_calls(source: str) -> list[str]:
             where.append(node.name)
         if isinstance(node, ast.Call):
             f = node.func
-            if getattr(f, "id", None) == "Labeling" or getattr(f, "attr", None) == "Labeling":
+            attr = getattr(f, "attr", None)
+            if named(f) or attr == "_replace" or (attr == "_make" and named(f.value)):
                 sites.append(".".join(where))
         for child in ast.iter_child_nodes(node):
             visit(child)
@@ -239,11 +245,16 @@ def test_only_the_gate_builds_a_labeling():
 
 def test_labeling_call_finder_sees_every_form():
     # the finder behind test_only_the_gate_builds_a_labeling: a call by name,
-    # as an attribute, and inside a method are each reported
+    # as an attribute, and inside a method are each reported, and so are
+    # _make on the class and _replace on anything; _make on another class is not
     source = ("def a():\n    return Labeling(t, x, y)\n"
               "class B:\n    def c(self):\n        return labeling.Labeling(t, x, y)\n"
-              "d = Labeling\n")
-    assert _labeling_calls(source) == ["a", "B.c"]
+              "d = Labeling\n"
+              "def e():\n    return Labeling._make((t, x, y))\n"
+              "def f():\n    return labeling.Labeling._make((t, x, y))\n"
+              "def g(lab):\n    return lab._replace(slots=x)\n"
+              "def h():\n    return Other._make((t, x, y))\n")
+    assert _labeling_calls(source) == ["a", "B.c", "e", "f", "g"]
 
 
 def test_negate_involution_and_seg_preserving():

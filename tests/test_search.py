@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import random
@@ -453,7 +454,7 @@ def test_guard_refuses_large_trees():
 def test_too_deep_refused_before_the_run(monkeypatch, text):
     # many branches, or a long group before the last: the depth is read off
     # the group plan, so _run is never entered
-    def no_run(spec, config, plan, n_single):
+    def no_run(*args):
         raise AssertionError("_run entered")
 
     monkeypatch.setattr(search_module, "_run", no_run)
@@ -461,6 +462,27 @@ def test_too_deep_refused_before_the_run(monkeypatch, text):
     assert _plan(spec)[2] > sys.getrecursionlimit()
     with pytest.raises(GuardRefused, match="too deep for the search"):
         search(spec, override_guard=True)
+
+
+def test_a_search_leaves_no_cyclic_garbage():
+    # _run's nested functions reach each other through their cells; every
+    # way out of a run clears them, so with the collector off nothing is
+    # left for it: found, exhausted and budget-stopped runs in both modes
+    seen = set()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for spec in enumerate_specs(9):
+            for mode in (FIND_ONE, COUNT_ALL):
+                for budget in (None, 5):
+                    seen.add((mode, search(spec, mode, budget).outcome))
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert seen == {(mode, outcome) for mode in (FIND_ONE, COUNT_ALL)
+                    for outcome in (FOUND, EXHAUSTED_NONE, BUDGET_EXCEEDED)}
 
 
 def test_dfs_depth_bounds_the_nesting_q9():

@@ -269,3 +269,21 @@ def test_spec_is_hashable_value_object():
     assert a != parse_spec("RT(2,1)")
     assert isinstance(a, TreeSpec)
     assert repr(a) == "TreeSpec(counts=(1, 1))"
+    # only another TreeSpec compares: its counts tuple is not equal to it
+    assert a.__eq__(a.counts) is NotImplemented and a != a.counts
+
+
+def test_spec_is_frozen_and_caches_its_slot_layout():
+    a = parse_spec("RT(0,2,1)")
+    for name in ("counts", "q", "edge_ids", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert (a.counts, a.n, a.j, a.k, a.l, a.q) == ((0, 2, 1), 3, 1, 1, 1, 6)
+    # cached_property writes the instance dict directly, past __setattr__
+    for name in ("edge_ids", "vertex_ids", "leaf_start"):
+        assert name not in a.__dict__
+        first = getattr(a, name)
+        assert a.__dict__[name] is first and getattr(a, name) is first
+    assert a.leaf_start == (3, 3, 5)
